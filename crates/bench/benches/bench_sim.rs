@@ -2,8 +2,9 @@
 //! all execution backends, plus the routing-phase hot path isolated on a large
 //! `J_{2,4}` workload (the ROADMAP's n ≳ 10⁵ scaling target) with a constant-size
 //! message algorithm, so the send → route → receive cycle — not view cloning —
-//! dominates. This is where the arena-based [`Backend::Batching`] earns its keep
-//! against [`Backend::Sequential`] (`seq_*` vs `batch_*` rows).
+//! dominates. Every backend runs the one arena round loop: the `seq_*` and
+//! `batch_*` rows time the same inline phases, the `par4_*` and `adaptive_*` rows
+//! add the chunked send/receive phases.
 //!
 //! Run with `cargo bench -p anet-bench --bench bench_sim`; set
 //! `ANET_BENCH_JSON_DIR=<dir>` to also emit `BENCH_bench_sim_rounds.json`.
@@ -15,21 +16,15 @@ use anet_sim::{Backend, NodeAlgorithm, ViewCollectorFactory};
 
 /// Flood-max over degrees with `usize` messages: every node broadcasts the largest
 /// degree it has heard of on every port, every round. Message handling is O(1), so
-/// the benchmark isolates the engine's message plumbing. `send_into` is overridden,
-/// so the arena backends run the send phase allocation-free.
+/// the benchmark isolates the engine's message plumbing.
 #[derive(Clone)]
 struct Flood {
-    degree: usize,
     best: usize,
 }
 
 impl NodeAlgorithm for Flood {
     type Message = usize;
     type Output = usize;
-
-    fn send(&mut self, _round: usize) -> Vec<Option<usize>> {
-        vec![Some(self.best); self.degree]
-    }
 
     fn send_into(&mut self, _round: usize, outbox: &mut [Option<usize>]) {
         for slot in outbox.iter_mut() {
@@ -49,10 +44,7 @@ impl NodeAlgorithm for Flood {
 }
 
 fn flood_factory(degree: usize) -> Flood {
-    Flood {
-        degree,
-        best: degree,
-    }
+    Flood { best: degree }
 }
 
 fn main() {
@@ -75,8 +67,7 @@ fn main() {
     }
 
     // The routing-phase hot path at scale: the full J_{2,4} template (≈132k nodes)
-    // under constant-size flooding. The `seq` vs `batch` rows are the headline
-    // comparison the ROADMAP asks for.
+    // under constant-size flooding, inline (`seq`, `batch`) and chunked (`adaptive`).
     let class = JClass::new(2, 4).unwrap();
     let j_graph = class.template(None).unwrap().labeled.graph;
     let n = j_graph.num_nodes();

@@ -37,10 +37,10 @@ impl NodeAlgorithm for OwnedViewCollector {
     type Message = (Port, ViewTree);
     type Output = usize;
 
-    fn send(&mut self, _round: usize) -> Vec<Option<(Port, ViewTree)>> {
-        (0..self.degree)
-            .map(|p| Some((p as Port, self.view.clone())))
-            .collect()
+    fn send_into(&mut self, _round: usize, outbox: &mut [Option<(Port, ViewTree)>]) {
+        for (p, slot) in outbox.iter_mut().enumerate() {
+            *slot = Some((p as Port, self.view.clone()));
+        }
     }
 
     fn receive(&mut self, _round: usize, inbox: &mut [Option<(Port, ViewTree)>]) {

@@ -12,20 +12,14 @@ use anet_sim::NodeAlgorithm;
 use anet_workloads::{CirculantFamily, HypercubeFamily, RandomRegularFamily, TorusFamily};
 
 /// Constant-size ping: every node sends its round parity on every port. O(1) message
-/// handling isolates the engine's routing plumbing; `send_into` keeps the arena
-/// backends allocation-free.
+/// handling isolates the engine's routing plumbing.
 struct Ping {
-    degree: usize,
     heard: usize,
 }
 
 impl NodeAlgorithm for Ping {
     type Message = u8;
     type Output = usize;
-
-    fn send(&mut self, round: usize) -> Vec<Option<u8>> {
-        vec![Some((round % 2) as u8); self.degree]
-    }
 
     fn send_into(&mut self, round: usize, outbox: &mut [Option<u8>]) {
         for slot in outbox.iter_mut() {
@@ -117,7 +111,7 @@ fn main() {
             5,
             || {
                 backend
-                    .run(&torus, &|degree| Ping { degree, heard: 0 }, rounds)
+                    .run(&torus, &|_| Ping { heard: 0 }, rounds)
                     .report
                     .messages_delivered
             },

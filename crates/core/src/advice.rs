@@ -36,6 +36,7 @@
 //! assert_eq!((run.advice_tree_bits, run.advice_dag_bits), (None, None));
 //! ```
 
+use crate::map_algorithms::run_full_information_wired;
 use crate::tasks::NodeOutput;
 use anet_graph::PortGraph;
 use anet_sim::Backend;
@@ -184,23 +185,8 @@ where
     } = oracle.advise_with_sizes(graph);
     let rounds = algorithm.rounds(&advice);
     let decide = |view: &View| algorithm.decide(&advice, view);
-    // A bandwidth-capped backend is only meaningful with bits on the wire, so it
-    // forces metering (under the default codec) even without an explicit request.
-    let codec = wire.or_else(|| {
-        matches!(backend, Backend::Capped { .. }).then(anet_sim::MessageCodec::default)
-    });
-    let (outputs, report, wire_stats) = match codec {
-        Some(codec) => {
-            let (outputs, report, stats) =
-                anet_sim::run_full_information_metered(graph, rounds, backend, codec, sink, decide);
-            (outputs, report, Some(stats))
-        }
-        None => {
-            let (outputs, report) =
-                anet_sim::run_full_information_traced(graph, rounds, backend, sink, decide);
-            (outputs, report, None)
-        }
-    };
+    let (outputs, report, wire_stats) =
+        run_full_information_wired(graph, rounds, backend, sink, wire, decide);
     AdviceRun {
         advice,
         advice_tree_bits: tree_bits,

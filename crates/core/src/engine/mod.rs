@@ -48,7 +48,7 @@
 mod batch;
 mod solvers;
 
-pub use anet_sim::{Backend, MessageCodec, Simulator, WireStats};
+pub use anet_sim::{Backend, MessageCodec, WireStats};
 pub use anet_trace::{
     NoopSink, Phase, Recorder, RoundProfile, RoundStat, Tagged, TraceEvent, TraceSink,
 };

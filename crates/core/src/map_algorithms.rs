@@ -14,7 +14,7 @@
 
 use crate::tasks::{NodeOutput, Task};
 use anet_graph::PortGraph;
-use anet_sim::Backend;
+use anet_sim::{Backend, MessageCodec, RunReport, WireStats};
 use anet_views::election_index::{
     cppe_assignment_with, pe_assignment_with, ppe_assignment_with, IndexError,
 };
@@ -244,23 +244,8 @@ pub fn solve_with_map_wired(
             .cloned()
             .expect("every view observed in the run appears in the map")
     };
-    // A bandwidth-capped backend is only meaningful with bits on the wire, so it
-    // forces metering (under the default codec) even without an explicit request.
-    let codec = wire.or_else(|| {
-        matches!(backend, Backend::Capped { .. }).then(anet_sim::MessageCodec::default)
-    });
-    let (outputs, report, wire_stats) = match codec {
-        Some(codec) => {
-            let (outputs, report, stats) =
-                anet_sim::run_full_information_metered(graph, rounds, backend, codec, sink, decide);
-            (outputs, report, Some(stats))
-        }
-        None => {
-            let (outputs, report) =
-                anet_sim::run_full_information_traced(graph, rounds, backend, sink, decide);
-            (outputs, report, None)
-        }
-    };
+    let (outputs, report, wire_stats) =
+        run_full_information_wired(graph, rounds, backend, sink, wire, decide);
 
     // `report.rounds` equals the logical depth on every ordinary backend; under
     // `Backend::Capped` the simulator streams large views across several physical
@@ -273,6 +258,39 @@ pub fn solve_with_map_wired(
         search: search.stats(),
         wire: wire_stats,
     })
+}
+
+/// Collect `B^rounds(v)` on `backend` and apply `decide`, serialising every
+/// message through `wire` when it is `Some`. A bandwidth-capped backend is only
+/// meaningful with bits on the wire, so it forces metering under the default
+/// codec even without an explicit request. The shared tail of every `*_wired`
+/// solver in this crate.
+pub(crate) fn run_full_information_wired<O, D>(
+    graph: &PortGraph,
+    rounds: usize,
+    backend: Backend,
+    sink: &dyn anet_trace::TraceSink,
+    wire: Option<MessageCodec>,
+    decide: D,
+) -> (Vec<O>, RunReport, Option<WireStats>)
+where
+    O: Clone + Send,
+    D: Fn(&View) -> O,
+{
+    let codec =
+        wire.or_else(|| matches!(backend, Backend::Capped { .. }).then(MessageCodec::default));
+    match codec {
+        Some(codec) => {
+            let (outputs, report, stats) =
+                anet_sim::run_full_information_metered(graph, rounds, backend, codec, sink, decide);
+            (outputs, report, Some(stats))
+        }
+        None => {
+            let (outputs, report) =
+                anet_sim::run_full_information_traced(graph, rounds, backend, sink, decide);
+            (outputs, report, None)
+        }
+    }
 }
 
 /// The minimum election time of every task on a graph, computed by actually running

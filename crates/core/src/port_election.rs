@@ -19,7 +19,7 @@
 //! algorithm is executed here exactly like every other algorithm in this crate:
 //! through the full-information simulator, with a decision closure.
 
-use crate::map_algorithms::MapRun;
+use crate::map_algorithms::{run_full_information_wired, MapRun};
 use crate::tasks::NodeOutput;
 use anet_graph::{GraphError, NodeId, PortGraph};
 use anet_sim::Backend;
@@ -157,23 +157,8 @@ pub fn solve_port_election_on_u_wired(
         )
     };
 
-    // A bandwidth-capped backend is only meaningful with bits on the wire, so it
-    // forces metering (under the default codec) even without an explicit request.
-    let codec = wire.or_else(|| {
-        matches!(backend, Backend::Capped { .. }).then(anet_sim::MessageCodec::default)
-    });
-    let (outputs, report, wire_stats) = match codec {
-        Some(codec) => {
-            let (outputs, report, stats) =
-                anet_sim::run_full_information_metered(graph, k, backend, codec, sink, decide);
-            (outputs, report, Some(stats))
-        }
-        None => {
-            let (outputs, report) =
-                anet_sim::run_full_information_traced(graph, k, backend, sink, decide);
-            (outputs, report, None)
-        }
-    };
+    let (outputs, report, wire_stats) =
+        run_full_information_wired(graph, k, backend, sink, wire, decide);
     Ok(MapRun {
         // `k` on every ordinary backend; the inflated physical count under
         // `Backend::Capped`, where large views stream across several rounds.

@@ -1,40 +1,37 @@
-//! Execution backends: one round engine, several execution strategies.
+//! Execution backends: one arena round loop, several chunk plans.
 //!
-//! Historically the crate exposed two separate entry points, `run` (sequential) and
-//! `run_parallel` (multi-threaded), with the routing phase copy-pasted between them.
-//! [`Backend`] unifies them: a backend is a *strategy for executing the send, route
-//! and receive phases* of the synchronous round loop. The [`Simulator`] trait
-//! abstracts over backends so higher layers (the `ElectionEngine` facade in
-//! `anet-core`) can be written against "something that can execute a distributed
-//! algorithm" without caring how rounds are scheduled.
+//! Every backend runs the same synchronous round loop over two flat per-run
+//! message arenas, an outbox and an inbox, indexed by the graph's port-offset
+//! table ([`anet_graph::PortGraph::port_offsets`]): node `v`'s ports are slots
+//! `offsets[v]..offsets[v + 1]` of both. A round has three phases:
 //!
-//! Four strategies are available:
+//! * **send** — every node writes its messages straight into its outbox slice via
+//!   [`NodeAlgorithm::send_into`]; every slot reads `None` on entry;
+//! * **route** — a route step carries each message to the far end of its edge,
+//!   addressed by the flat route table
+//!   ([`anet_graph::PortGraph::flat_route_table`]);
+//! * **receive** — every node reads its inbox slice in place.
 //!
-//! * [`Backend::Sequential`] — the single-threaded reference implementation: fresh
-//!   per-node outbox vectors every round, routed by the shared (crate-internal) `route_messages`
-//!   helper.
-//! * [`Backend::Parallel`] — send/receive split across a fixed number of scoped
-//!   threads in uniform node-count chunks; routing stays sequential.
-//! * [`Backend::Batching`] — the allocation-free hot path: all outboxes and inboxes
-//!   live in two flat per-run arenas indexed by the graph's port-offset table
-//!   ([`anet_graph::PortGraph::port_offsets`]), and the routing phase is one linear
-//!   pass over a precomputed flat route table
-//!   ([`anet_graph::PortGraph::flat_route_table`]). Nodes write their messages
-//!   directly into their arena slice via [`NodeAlgorithm::send_into`], so the
-//!   send → route → receive cycle performs zero per-round allocation (for algorithms
-//!   overriding `send_into`; the default falls back to [`NodeAlgorithm::send`] and
-//!   copies). Messages are *moved* from the outbox arena to the inbox arena, not
-//!   cloned.
-//! * [`Backend::AdaptiveParallel`] — chunk-size-adaptive parallelism: the worker
-//!   count is derived from the graph size, its degree sum and the machine's available
-//!   parallelism (tiny graphs run sequentially rather than spawning threads), and the
-//!   per-phase chunks are balanced by *degree sum* rather than node count, so
-//!   irregular-degree graphs don't leave straggler workers.
+//! The buffers are allocated once per run: the inline loop performs no per-round
+//! allocation, and the move pass moves messages between arenas without cloning.
 //!
-//! Message accounting is backend-independent by construction: every backend delivers
-//! exactly the messages the port map prescribes, in a state-independent order, so all
-//! backends report bit-identical [`RunReport`]s and outputs. The equivalence is
-//! enforced by property tests over [`Backend::smoke_set`].
+//! Backends differ only in the *chunk plan* the send and receive phases run
+//! over: consecutive node ranges balanced by degree sum, one thread each (the
+//! calling thread takes the last), at most [`crate::thread_budget`] of them.
+//! [`Backend::Sequential`], [`Backend::Batching`] and [`Backend::Capped`] use
+//! the empty plan and run both phases inline; [`Backend::Parallel`] cuts
+//! `threads` chunks and [`Backend::AdaptiveParallel`] derives the count.
+//!
+//! The route step is either the linear move pass of this module or the metered
+//! wire route of [`crate::transport`], which encodes every message at the end of
+//! the send phase, transfers the bits per directed edge under an optional cap
+//! (so one logical round may span several physical rounds), and decodes on
+//! arrival.
+//!
+//! Message accounting is backend-independent by construction: every backend
+//! delivers exactly the messages the port map prescribes, in a state-independent
+//! order, so all backends report bit-identical [`RunReport`]s and outputs. The
+//! equivalence is enforced by property tests over [`Backend::smoke_set`].
 
 use crate::model::{AlgorithmFactory, NodeAlgorithm};
 use crate::runner::{RunOutcome, RunReport};
@@ -43,31 +40,31 @@ use anet_trace::{NoopSink, Phase, TraceEvent, TraceSink};
 use std::ops::Range;
 use std::time::Instant;
 
-/// How the synchronous round loop executes the per-node send/receive phases.
+/// How the synchronous round loop schedules the per-node send/receive phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Single-threaded reference execution.
+    /// Single-threaded execution: the send and receive phases run inline.
     #[default]
     Sequential,
-    /// Send and receive phases split across `threads` OS threads (scoped threads from
-    /// the standard library) in uniform node-count chunks; the routing phase stays
-    /// sequential, as it is cheap pointer shuffling. Semantically identical to
+    /// Send and receive phases split across `threads` OS threads (scoped threads
+    /// from the standard library) in chunks balanced by degree sum; the route step
+    /// stays sequential, as it is one linear pass. Semantically identical to
     /// [`Backend::Sequential`]. Prefer constructing via [`Backend::parallel`], which
-    /// normalizes the thread count; a raw `threads: 0` still executes with one thread
-    /// and reports itself as `par1`.
+    /// normalizes the thread count; a raw `threads: 0` still executes with one
+    /// thread and reports itself as `par1`.
     Parallel {
         /// Number of worker threads (clamped to at least 1 everywhere it is used).
         threads: usize,
     },
-    /// Message-batching execution: per-run flat outbox/inbox arenas indexed by the
-    /// graph's port-offset table, routed by one linear pass over a precomputed route
-    /// table. Zero per-round allocation; the fastest backend on routing-heavy
-    /// workloads (n ≳ 10⁵).
+    /// Message-batching execution: the arena loop with inline phases. Every
+    /// backend runs the arena loop, so this executes exactly like
+    /// [`Backend::Sequential`]; it keeps its own `batch` label so reports and
+    /// sweep artifacts keyed by label stay comparable.
     Batching,
     /// Chunk-size-adaptive parallel execution: worker count chosen from the graph
     /// size, degree sum and [`std::thread::available_parallelism`]; chunks balanced
-    /// by degree sum per phase. Falls back to sequential execution on graphs too
-    /// small to amortize thread spawning.
+    /// by degree sum. Falls back to inline phases on graphs too small to amortize
+    /// thread spawning.
     AdaptiveParallel,
     /// CONGEST-style capped-bandwidth execution: a round moves at most
     /// `bits_per_edge` serialised bits across each directed edge, so a view too
@@ -109,20 +106,6 @@ impl Backend {
         }
     }
 
-    /// The number of worker threads [`Backend::Parallel`] actually executes with
-    /// (`threads` clamped to at least 1, then capped by the calling thread's
-    /// [`crate::thread_budget`]); 1 for [`Backend::Sequential`] and
-    /// [`Backend::Batching`]. For [`Backend::AdaptiveParallel`] the count depends on
-    /// the graph, so this returns the machine ceiling
-    /// ([`std::thread::available_parallelism`]), again capped by the budget.
-    pub fn effective_threads(&self) -> usize {
-        match self {
-            Backend::Sequential | Backend::Batching | Backend::Capped { .. } => 1,
-            Backend::Parallel { threads } => (*threads).max(1).min(crate::thread_budget()),
-            Backend::AdaptiveParallel => available_parallelism().min(crate::thread_budget()),
-        }
-    }
-
     /// A short human-readable label (`seq`, `par4`, `batch`, `adaptive`, `cap64`)
     /// for reports and tables. The label reflects the *configured* backend:
     /// `Parallel { threads: 0 }` runs with one thread and therefore labels itself
@@ -156,7 +139,8 @@ impl Backend {
     /// Run `factory`'s algorithm on `graph` for `rounds` synchronous rounds.
     ///
     /// This is the *only* round loop in the crate: every public entry point (the
-    /// full-information collector, the `ElectionEngine` facade) funnels through here.
+    /// full-information collector, the metered transport, the `ElectionEngine`
+    /// facade) funnels through the arena loop behind it.
     /// Equivalent to [`Backend::run_traced`] with a [`NoopSink`]; the disabled probe
     /// costs one branch per phase and reads no clock.
     pub fn run<F>(
@@ -180,6 +164,10 @@ impl Backend {
     /// Tracing never changes what is computed: outputs and [`RunReport`]s are
     /// bit-identical with and without a recording sink, and per-round message
     /// counts are backend-independent (enforced by the equivalence suite).
+    ///
+    /// An arbitrary message type has no wire encoding, so [`Backend::Capped`]
+    /// runs here sequentially and uncapped; the full-information entry points
+    /// recognise it and take the metered route of [`crate::transport`] instead.
     pub fn run_traced<F>(
         &self,
         graph: &PortGraph,
@@ -190,38 +178,56 @@ impl Backend {
     where
         F: AlgorithmFactory,
     {
-        match self {
-            Backend::Batching => run_batched(graph, factory, rounds, sink),
-            Backend::Sequential => run_chunked(graph, factory, rounds, Vec::new(), sink),
-            Backend::Parallel { threads } => {
-                let threads = (*threads).max(1).min(crate::thread_budget());
-                run_chunked(
-                    graph,
-                    factory,
-                    rounds,
-                    uniform_chunks(graph.num_nodes(), threads),
-                    sink,
-                )
-            }
-            Backend::AdaptiveParallel => {
-                let offsets = graph.port_offsets();
-                let threads = adaptive_threads(graph.num_nodes(), offsets[graph.num_nodes()])
-                    .min(crate::thread_budget());
-                run_chunked(
-                    graph,
-                    factory,
-                    rounds,
-                    degree_balanced_chunks(&offsets, threads),
-                    sink,
-                )
-            }
-            // An arbitrary message type has no wire encoding, so there is nothing
-            // to cap: the generic entry point runs sequentially and uncapped. The
-            // full-information entry points (`run_full_information_traced` and the
-            // metered variants in `crate::transport`) recognise `Capped` and run
-            // the streaming metered loop instead — that is where round inflation
-            // happens.
-            Backend::Capped { .. } => run_chunked(graph, factory, rounds, Vec::new(), sink),
+        self.run_arena(graph, factory, rounds, &mut MovePass, sink)
+    }
+
+    /// The chunk plan of this backend's send and receive phases on a graph with
+    /// port-offset table `offsets`: consecutive node ranges balanced by degree
+    /// sum, at most [`crate::thread_budget`] of them. The empty plan runs both
+    /// phases inline.
+    pub(crate) fn chunk_plan(&self, offsets: &[usize]) -> Vec<Range<usize>> {
+        let n = offsets.len() - 1;
+        let threads = match self {
+            Backend::Sequential | Backend::Batching | Backend::Capped { .. } => 1,
+            Backend::Parallel { threads } => (*threads).max(1),
+            Backend::AdaptiveParallel => adaptive_threads(n, offsets[n]),
+        };
+        degree_balanced_chunks(offsets, threads.min(crate::thread_budget()))
+    }
+
+    /// Run `factory`'s algorithm through the arena round loop with this
+    /// backend's chunk plan and `route` as the route step. The arenas, the
+    /// offset and route tables and the node states are allocated here, once per
+    /// run; the returned report counts physical rounds.
+    pub(crate) fn run_arena<F, R>(
+        &self,
+        graph: &PortGraph,
+        factory: &F,
+        rounds: usize,
+        route: &mut R,
+        sink: &dyn TraceSink,
+    ) -> RunOutcome<<F::Algo as NodeAlgorithm>::Output>
+    where
+        F: AlgorithmFactory,
+        R: RouteStep<<F::Algo as NodeAlgorithm>::Message>,
+    {
+        let offsets = graph.port_offsets();
+        let table = graph.flat_route_table_with(&offsets);
+        let mut arena = Arena {
+            chunks: self.chunk_plan(&offsets),
+            out: vec![None; table.len()],
+            inbox: vec![None; table.len()],
+            offsets,
+            table,
+        };
+        let mut nodes: Vec<F::Algo> = graph
+            .nodes()
+            .map(|v| factory.create(graph.degree(v)))
+            .collect();
+        let report = arena.run_rounds(&mut nodes, rounds, route, sink);
+        RunOutcome {
+            outputs: nodes.iter().map(|n| n.output()).collect(),
+            report,
         }
     }
 }
@@ -229,66 +235,6 @@ impl Backend {
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.label())
-    }
-}
-
-/// Anything that can execute a distributed algorithm on a graph for a number of
-/// rounds. Implemented by [`Backend`]; higher layers accept `&impl Simulator` when
-/// they only need "some way to run rounds".
-pub trait Simulator {
-    /// Execute `factory`'s algorithm on `graph` for `rounds` synchronous rounds.
-    fn execute<F>(
-        &self,
-        graph: &PortGraph,
-        factory: &F,
-        rounds: usize,
-    ) -> RunOutcome<<F::Algo as NodeAlgorithm>::Output>
-    where
-        F: AlgorithmFactory;
-
-    /// [`execute`](Simulator::execute) with a trace probe. The default
-    /// implementation ignores the sink and delegates (a simulator without probes
-    /// still runs correctly — it just emits nothing); [`Backend`] overrides it
-    /// with the instrumented round loop.
-    fn execute_traced<F>(
-        &self,
-        graph: &PortGraph,
-        factory: &F,
-        rounds: usize,
-        sink: &dyn TraceSink,
-    ) -> RunOutcome<<F::Algo as NodeAlgorithm>::Output>
-    where
-        F: AlgorithmFactory,
-    {
-        let _ = sink;
-        self.execute(graph, factory, rounds)
-    }
-}
-
-impl Simulator for Backend {
-    fn execute<F>(
-        &self,
-        graph: &PortGraph,
-        factory: &F,
-        rounds: usize,
-    ) -> RunOutcome<<F::Algo as NodeAlgorithm>::Output>
-    where
-        F: AlgorithmFactory,
-    {
-        self.run(graph, factory, rounds)
-    }
-
-    fn execute_traced<F>(
-        &self,
-        graph: &PortGraph,
-        factory: &F,
-        rounds: usize,
-        sink: &dyn TraceSink,
-    ) -> RunOutcome<<F::Algo as NodeAlgorithm>::Output>
-    where
-        F: AlgorithmFactory,
-    {
-        self.run_traced(graph, factory, rounds, sink)
     }
 }
 
@@ -310,28 +256,10 @@ fn adaptive_threads(n: usize, total_ports: usize) -> usize {
         .clamp(1, n.max(1))
 }
 
-/// Uniform node-count chunks, exactly the historical `Parallel` chunking: `threads`
-/// ranges of `ceil(n / threads)` nodes (the last possibly shorter). A single chunk is
-/// returned as the empty plan, which the round loop runs inline.
-fn uniform_chunks(n: usize, threads: usize) -> Vec<Range<usize>> {
-    if threads <= 1 || n == 0 {
-        return Vec::new();
-    }
-    let chunk_size = n.div_ceil(threads).max(1);
-    let mut ranges = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + chunk_size).min(n);
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
 /// Chunks balanced by degree sum: consecutive node ranges each covering roughly
 /// `total_ports / threads` port slots, computed from the port-offset table. On
 /// irregular-degree graphs this keeps per-worker phase cost even where node-count
-/// chunking would not. Returns the empty plan (run inline) for a single chunk.
+/// chunking would not. Returns the empty plan (run inline) for one thread.
 fn degree_balanced_chunks(offsets: &[usize], threads: usize) -> Vec<Range<usize>> {
     let n = offsets.len() - 1;
     if threads <= 1 || n == 0 {
@@ -358,12 +286,7 @@ fn degree_balanced_chunks(offsets: &[usize], threads: usize) -> Vec<Range<usize>
 /// Record the elapsed time of one phase when the probe armed it (`start` is `Some`
 /// exactly when the sink is enabled — the disabled path reads no clock at all).
 // anet-lint: hot-path
-pub(crate) fn record_phase(
-    sink: &dyn TraceSink,
-    round: usize,
-    phase: Phase,
-    start: Option<Instant>,
-) {
+fn record_phase(sink: &dyn TraceSink, round: usize, phase: Phase, start: Option<Instant>) {
     if let Some(start) = start {
         sink.record(TraceEvent::PhaseTime {
             trace_id: 0,
@@ -374,341 +297,212 @@ pub(crate) fn record_phase(
     }
 }
 
-/// The chunked round loop shared by [`Backend::Sequential`], [`Backend::Parallel`]
-/// and [`Backend::AdaptiveParallel`]: an empty `chunks` plan runs every phase inline;
-/// otherwise send/receive are split over one scoped worker thread per range. Routing
-/// is always the sequential shared [`route_messages`] pass.
-fn run_chunked<F>(
-    graph: &PortGraph,
-    factory: &F,
-    rounds: usize,
-    chunks: Vec<Range<usize>>,
-    sink: &dyn TraceSink,
-) -> RunOutcome<<F::Algo as NodeAlgorithm>::Output>
-where
-    F: AlgorithmFactory,
-{
-    let mut nodes: Vec<F::Algo> = graph
-        .nodes()
-        .map(|v| factory.create(graph.degree(v)))
-        .collect();
-    let mut messages_delivered = 0usize;
-    // Inbox buffers are allocated once, up front, and reused every round: the
-    // routing phase clears and refills the slots in place, so the routing hot path
-    // performs no per-round allocation (this matters at n ≳ 10⁵, where one
-    // `Vec` per node per round used to dominate).
-    let mut inboxes: Vec<Vec<Option<<F::Algo as NodeAlgorithm>::Message>>> =
-        graph.nodes().map(|v| vec![None; graph.degree(v)]).collect();
-    // The probe: one hoisted flag; when disabled, the loop below performs no clock
-    // reads and constructs no events. All events are emitted by this coordinating
-    // thread, so a recording sink sees them in round order.
-    let tracing = sink.enabled();
-    let message_bytes = std::mem::size_of::<<F::Algo as NodeAlgorithm>::Message>() as u64;
-    if tracing {
-        sink.record(TraceEvent::RunStart {
-            trace_id: 0,
-            nodes: graph.num_nodes() as u64,
-            rounds: rounds as u64,
-        });
-    }
+/// How messages cross the edges between a round's send and receive phases.
+pub(crate) trait RouteStep<M> {
+    /// Called at the end of the send phase with the round's messages in `out`;
+    /// returns how many physical rounds (at least 1) they need to arrive.
+    fn load(&mut self, out: &mut [Option<M>]) -> usize;
 
-    for round in 1..=rounds {
-        if tracing {
-            sink.record(TraceEvent::RoundStart {
-                trace_id: 0,
-                round: round as u64,
-            });
-        }
-        // Send phase.
-        let phase_start = tracing.then(Instant::now);
-        let outboxes = if chunks.is_empty() {
-            nodes.iter_mut().map(|node| node.send(round)).collect()
-        } else {
-            parallel_send(&mut nodes, round, &chunks)
-        };
-        record_phase(sink, round, Phase::Send, phase_start);
-        // Routing phase (shared by every chunked backend; see the module docs).
-        let delivered_before = messages_delivered;
-        let phase_start = tracing.then(Instant::now);
-        route_messages(graph, &outboxes, &mut inboxes, &mut messages_delivered);
-        record_phase(sink, round, Phase::Route, phase_start);
-        // Receive phase.
-        let phase_start = tracing.then(Instant::now);
-        if chunks.is_empty() {
-            for (node, inbox) in nodes.iter_mut().zip(inboxes.iter_mut()) {
-                node.receive(round, inbox);
-            }
-        } else {
-            parallel_receive(&mut nodes, &mut inboxes, round, &chunks);
-        }
-        record_phase(sink, round, Phase::Receive, phase_start);
-        if tracing {
-            let delivered = (messages_delivered - delivered_before) as u64;
-            sink.record(TraceEvent::RoundEnd {
-                trace_id: 0,
-                round: round as u64,
-                messages: delivered,
-                payload_bytes: delivered * message_bytes,
-            });
-        }
-    }
-
-    if tracing {
-        sink.record(TraceEvent::RunEnd {
-            trace_id: 0,
-            rounds: rounds as u64,
-            messages: messages_delivered as u64,
-        });
-    }
-    RunOutcome {
-        outputs: nodes.iter().map(|n| n.output()).collect(),
-        report: RunReport {
-            rounds,
-            messages_delivered,
-        },
-    }
+    /// One physical round: deliver every message that arrives in it into
+    /// `inbox`, at the slot `table` maps its outbox slot to, and return the
+    /// messages delivered and the wire bits moved. After the last physical
+    /// round of a logical round every `out` slot must read `None` again: the
+    /// next send phase relies on it.
+    fn step(
+        &mut self,
+        table: &[usize],
+        out: &mut [Option<M>],
+        inbox: &mut [Option<M>],
+    ) -> (usize, u64);
 }
 
-/// The [`Backend::Batching`] round loop: flat outbox/inbox arenas indexed by the
-/// port-offset table, routed in one linear pass over the flat route table. The only
-/// allocations are the two arenas and the tables, once per run; every round after
-/// that reuses them in place (provided the algorithm overrides
-/// [`NodeAlgorithm::send_into`]; the default writes through a temporary from
-/// [`NodeAlgorithm::send`]).
-fn run_batched<F>(
-    graph: &PortGraph,
-    factory: &F,
-    rounds: usize,
-    sink: &dyn TraceSink,
-) -> RunOutcome<<F::Algo as NodeAlgorithm>::Output>
-where
-    F: AlgorithmFactory,
-{
-    let offsets = graph.port_offsets();
-    let route = graph.flat_route_table_with(&offsets);
-    let total = route.len();
-    let mut nodes: Vec<F::Algo> = graph
-        .nodes()
-        .map(|v| factory.create(graph.degree(v)))
-        .collect();
-    let mut out_arena: Vec<Option<<F::Algo as NodeAlgorithm>::Message>> = vec![None; total];
-    let mut in_arena: Vec<Option<<F::Algo as NodeAlgorithm>::Message>> = vec![None; total];
-    let mut messages_delivered = 0usize;
-    // Probe (see `run_chunked`): one hoisted flag, no clock reads when disabled.
-    let tracing = sink.enabled();
-    let message_bytes = std::mem::size_of::<<F::Algo as NodeAlgorithm>::Message>() as u64;
-    if tracing {
-        sink.record(TraceEvent::RunStart {
-            trace_id: 0,
-            nodes: graph.num_nodes() as u64,
-            rounds: rounds as u64,
-        });
+/// The unmetered route step: move each message to the far end of its edge in one
+/// linear pass over the flat route table, within the round it was sent.
+struct MovePass;
+
+impl<M> RouteStep<M> for MovePass {
+    fn load(&mut self, _out: &mut [Option<M>]) -> usize {
+        1
     }
 
-    let mut arenas = BatchArenas {
-        offsets: &offsets,
-        route: &route,
-        out: &mut out_arena,
-        inbox: &mut in_arena,
-    };
-    for round in 1..=rounds {
-        batched_round(
-            round,
-            &mut nodes,
-            &mut arenas,
-            sink,
-            message_bytes,
-            &mut messages_delivered,
-        );
-    }
-
-    if tracing {
-        sink.record(TraceEvent::RunEnd {
-            trace_id: 0,
-            rounds: rounds as u64,
-            messages: messages_delivered as u64,
-        });
-    }
-    RunOutcome {
-        outputs: nodes.iter().map(|n| n.output()).collect(),
-        report: RunReport {
-            rounds,
-            messages_delivered,
-        },
-    }
-}
-
-/// The flat per-run buffers of [`run_batched`], bundled so the round fn stays
-/// readable: the port-offset table, the flat route table, and the two message
-/// arenas the whole run reuses in place.
-struct BatchArenas<'a, M> {
-    offsets: &'a [usize],
-    route: &'a [usize],
-    out: &'a mut [Option<M>],
-    inbox: &'a mut [Option<M>],
-}
-
-/// One round of the batching backend: send into the outbox arena, route it into
-/// the inbox arena in a single linear pass, receive in place. This is the
-/// paper-benchmark hot path — the lint enforces that it never allocates (the
-/// arenas in `BatchArenas` are the only buffers it may touch).
-// anet-lint: hot-path
-fn batched_round<A: NodeAlgorithm>(
-    round: usize,
-    nodes: &mut [A],
-    arenas: &mut BatchArenas<'_, A::Message>,
-    sink: &dyn TraceSink,
-    message_bytes: u64,
-    messages_delivered: &mut usize,
-) {
-    let tracing = sink.enabled();
-    if tracing {
-        sink.record(TraceEvent::RoundStart {
-            trace_id: 0,
-            round: round as u64,
-        });
-    }
-    // Send phase: every node writes its arena slice directly.
-    let phase_start = tracing.then(Instant::now);
-    for (node, window) in nodes.iter_mut().zip(arenas.offsets.windows(2)) {
-        node.send_into(round, &mut arenas.out[window[0]..window[1]]);
-    }
-    record_phase(sink, round, Phase::Send, phase_start);
-    // Routing phase: clear the inbox arena (receivers may have left residue and
-    // silent ports must read `None`), then move each message to the far end of
-    // its edge — a cache-friendly linear pass over one buffer.
-    let delivered_before = *messages_delivered;
-    let phase_start = tracing.then(Instant::now);
-    for slot in arenas.inbox.iter_mut() {
-        *slot = None;
-    }
-    for (slot, &dest) in arenas.out.iter_mut().zip(arenas.route.iter()) {
-        if let Some(message) = slot.take() {
-            arenas.inbox[dest] = Some(message);
-            *messages_delivered += 1;
-        }
-    }
-    record_phase(sink, round, Phase::Route, phase_start);
-    // Receive phase: every node reads its arena slice in place.
-    let phase_start = tracing.then(Instant::now);
-    for (node, window) in nodes.iter_mut().zip(arenas.offsets.windows(2)) {
-        node.receive(round, &mut arenas.inbox[window[0]..window[1]]);
-    }
-    record_phase(sink, round, Phase::Receive, phase_start);
-    if tracing {
-        let delivered = (*messages_delivered - delivered_before) as u64;
-        sink.record(TraceEvent::RoundEnd {
-            trace_id: 0,
-            round: round as u64,
-            messages: delivered,
-            payload_bytes: delivered * message_bytes,
-        });
-    }
-}
-
-/// The routing phase of the chunked backends: `inbox[u][q] = outbox[v][p]` whenever
-/// `(u, q)` is across port `p` of `v`. Increments `messages_delivered` once per
-/// delivered message, and fills caller-owned inbox buffers in place instead of
-/// allocating fresh ones, so the round loop reuses one set of buffers for the whole
-/// run. ([`Backend::Batching`] performs the same routing as a linear pass over its
-/// flat arenas instead.)
-pub(crate) fn route_messages<M: Clone>(
-    graph: &PortGraph,
-    outboxes: &[Vec<Option<M>>],
-    inboxes: &mut [Vec<Option<M>>],
-    messages_delivered: &mut usize,
-) {
-    // Clear every slot first: receivers may have left arbitrary residue (taken or
-    // untaken messages from the previous round), and a port that receives nothing
-    // this round must read `None`.
-    for inbox in inboxes.iter_mut() {
+    // anet-lint: hot-path
+    fn step(
+        &mut self,
+        table: &[usize],
+        out: &mut [Option<M>],
+        inbox: &mut [Option<M>],
+    ) -> (usize, u64) {
+        // Clear the inbox first (receivers may have left residue, and a port
+        // that receives nothing this round must read `None`), then move.
         for slot in inbox.iter_mut() {
             *slot = None;
         }
+        let mut delivered = 0;
+        for (slot, &dest) in out.iter_mut().zip(table) {
+            if let Some(message) = slot.take() {
+                inbox[dest] = Some(message);
+                delivered += 1;
+            }
+        }
+        (delivered, 0)
     }
-    for v in graph.nodes() {
-        for (p, msg) in outboxes[v as usize].iter().enumerate() {
-            if let Some(msg) = msg {
-                if let Some((u, q)) = graph.neighbor(v, p as u32) {
-                    inboxes[u as usize][q as usize] = Some(msg.clone());
-                    *messages_delivered += 1;
+}
+
+/// The per-run buffers of the arena loop: the port-offset and flat route tables,
+/// the send/receive chunk plan, and the two message arenas every round reuses in
+/// place.
+struct Arena<M> {
+    offsets: Vec<usize>,
+    table: Vec<usize>,
+    chunks: Vec<Range<usize>>,
+    out: Vec<Option<M>>,
+    inbox: Vec<Option<M>>,
+}
+
+impl<M: Send> Arena<M> {
+    /// The round loop: `rounds` logical rounds of send → route → receive, where
+    /// the route step decides how many physical rounds each one spans. The send
+    /// phase lands in the first physical round of a logical round and the
+    /// receive phase in its last, so nodes never observe a partly delivered
+    /// round. Returns the physical round count and the delivered messages.
+    // anet-lint: hot-path
+    fn run_rounds<A, R>(
+        &mut self,
+        nodes: &mut [A],
+        rounds: usize,
+        route: &mut R,
+        sink: &dyn TraceSink,
+    ) -> RunReport
+    where
+        A: NodeAlgorithm<Message = M>,
+        R: RouteStep<M>,
+    {
+        // The probe: one hoisted flag; when disabled, the loop performs no clock
+        // reads and constructs no events. Every event is emitted by this thread,
+        // so a recording sink sees them in round order.
+        let tracing = sink.enabled();
+        let message_bytes = std::mem::size_of::<M>() as u64;
+        if tracing {
+            sink.record(TraceEvent::RunStart {
+                trace_id: 0,
+                nodes: nodes.len() as u64,
+                rounds: rounds as u64,
+            });
+        }
+        let Arena {
+            offsets,
+            table,
+            chunks,
+            out,
+            inbox,
+        } = self;
+        let mut physical = 0usize;
+        let mut messages_delivered = 0usize;
+        for round in 1..=rounds {
+            let mut span = 1;
+            let mut step = 0;
+            while step < span {
+                step += 1;
+                physical += 1;
+                if tracing {
+                    sink.record(TraceEvent::RoundStart {
+                        trace_id: 0,
+                        round: physical as u64,
+                    });
+                }
+                if step == 1 {
+                    let phase_start = tracing.then(Instant::now);
+                    run_phase(nodes, offsets, out, chunks, round, A::send_into);
+                    span = route.load(out);
+                    record_phase(sink, physical, Phase::Send, phase_start);
+                }
+                let phase_start = tracing.then(Instant::now);
+                let (delivered, bits) = route.step(table, out, inbox);
+                messages_delivered += delivered;
+                record_phase(sink, physical, Phase::Route, phase_start);
+                if step == span {
+                    let phase_start = tracing.then(Instant::now);
+                    run_phase(nodes, offsets, inbox, chunks, round, A::receive);
+                    record_phase(sink, physical, Phase::Receive, phase_start);
+                }
+                if tracing {
+                    sink.record(TraceEvent::RoundEnd {
+                        trace_id: 0,
+                        round: physical as u64,
+                        messages: delivered as u64,
+                        payload_bytes: delivered as u64 * message_bytes,
+                    });
+                    if bits > 0 {
+                        sink.record(TraceEvent::RoundWire {
+                            trace_id: 0,
+                            round: physical as u64,
+                            bits,
+                        });
+                    }
                 }
             }
         }
-    }
-}
-
-/// Split a mutable slice at the given contiguous ranges (which must cover
-/// `0..slice.len()` in order), yielding one sub-slice per range.
-fn split_by_ranges<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let mut parts = Vec::with_capacity(ranges.len());
-    let mut consumed = 0usize;
-    for range in ranges {
-        let (head, tail) = slice.split_at_mut(range.end - consumed);
-        consumed = range.end;
-        parts.push(head);
-        slice = tail;
-    }
-    debug_assert!(slice.is_empty(), "chunk plan must cover every node");
-    parts
-}
-
-/// Send phase split over scoped worker threads (one per chunk of the plan); outboxes
-/// are reassembled in node order.
-fn parallel_send<A: NodeAlgorithm>(
-    nodes: &mut [A],
-    round: usize,
-    chunks: &[Range<usize>],
-) -> Vec<Vec<Option<A::Message>>> {
-    let mut outboxes = Vec::with_capacity(nodes.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = split_by_ranges(nodes, chunks)
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter_mut()
-                        .map(|node| node.send(round))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            outboxes.extend(h.join().expect("send worker panicked"));
+        if tracing {
+            sink.record(TraceEvent::RunEnd {
+                trace_id: 0,
+                rounds: physical as u64,
+                messages: messages_delivered as u64,
+            });
         }
-    });
-    outboxes
+        RunReport {
+            rounds: physical,
+            messages_delivered,
+        }
+    }
 }
 
-/// Receive phase split over scoped worker threads, chunked identically to the send
-/// phase so each node's inbox buffer travels with its algorithm instance.
-fn parallel_receive<A: NodeAlgorithm>(
+/// Run one send or receive phase of round `round` over the chunk plan, handing
+/// each node its arena slice: inline over every node when the plan is empty,
+/// otherwise one thread per chunk — a scoped worker for each chunk but the
+/// last, which the calling thread runs itself instead of idling.
+// anet-lint: hot-path
+fn run_phase<A: Send, M: Send>(
     nodes: &mut [A],
-    inboxes: &mut [Vec<Option<A::Message>>],
-    round: usize,
+    offsets: &[usize],
+    arena: &mut [Option<M>],
     chunks: &[Range<usize>],
+    round: usize,
+    phase: impl Fn(&mut A, usize, &mut [Option<M>]) + Sync,
 ) {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = split_by_ranges(nodes, chunks)
-            .into_iter()
-            .zip(split_by_ranges(inboxes, chunks))
-            .map(|(node_chunk, inbox_chunk)| {
-                scope.spawn(move || {
-                    for (node, inbox) in node_chunk.iter_mut().zip(inbox_chunk.iter_mut()) {
-                        node.receive(round, inbox);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("receive worker panicked");
+    let run = |nodes: &mut [A], window: &[usize], mut slots: &mut [Option<M>]| {
+        for (node, ports) in nodes.iter_mut().zip(window.windows(2)) {
+            let (mine, rest) = slots.split_at_mut(ports[1] - ports[0]);
+            slots = rest;
+            phase(node, round, mine);
         }
+    };
+    let Some((last, spawned)) = chunks.split_last() else {
+        return run(nodes, offsets, arena);
+    };
+    std::thread::scope(|scope| {
+        let (mut nodes, mut arena) = (nodes, arena);
+        for range in spawned {
+            let (node_chunk, rest) = nodes.split_at_mut(range.len());
+            nodes = rest;
+            let (slots, rest) = arena.split_at_mut(offsets[range.end] - offsets[range.start]);
+            arena = rest;
+            let window = &offsets[range.start..=range.end];
+            let run = &run;
+            scope.spawn(move || run(node_chunk, window, slots));
+        }
+        run(nodes, &offsets[last.start..=last.end], arena);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// How many workers `backend` runs the send and receive phases with on a
+    /// graph with port-offset table `offsets` (the empty plan is one, inline).
+    fn workers(backend: Backend, offsets: &[usize]) -> usize {
+        backend.chunk_plan(offsets).len().max(1)
+    }
 
     #[test]
     fn parallel_constructor_normalizes_zero_threads() {
@@ -722,7 +516,7 @@ mod tests {
         // round loop, so its label must say `par1`, not `par0`.
         let raw = Backend::Parallel { threads: 0 };
         assert_eq!(raw.label(), "par1");
-        assert_eq!(raw.effective_threads(), 1);
+        assert_eq!(workers(raw, &[0, 2, 4, 6]), 1);
         assert_eq!(raw.label(), Backend::parallel(0).label());
         assert_eq!(Backend::Parallel { threads: 4 }.label(), "par4");
     }
@@ -748,16 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_chunks_cover_the_node_range() {
-        assert!(uniform_chunks(10, 1).is_empty());
-        assert!(uniform_chunks(0, 4).is_empty());
-        let chunks = uniform_chunks(10, 3);
-        assert_eq!(chunks, vec![0..4, 4..8, 8..10]);
-        let chunks = uniform_chunks(3, 7);
-        assert_eq!(chunks, vec![0..1, 1..2, 2..3]);
-    }
-
-    #[test]
     fn degree_balanced_chunks_split_by_port_count() {
         // A "heavy head": one node with 6 ports, then six nodes of 1 port. Node-count
         // chunking would put half the ports in the first worker; degree-balanced
@@ -772,20 +556,50 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_caps_effective_threads_but_not_labels() {
+    fn thread_budget_caps_chunk_plans_but_not_labels() {
+        // 2^16 nodes of degree 4: enough ports that the adaptive backend wants
+        // every hardware thread.
+        let offsets: Vec<usize> = (0..=1 << 16).map(|v| 4 * v).collect();
         crate::with_thread_budget(2, || {
-            assert_eq!(Backend::parallel(8).effective_threads(), 2);
+            assert_eq!(workers(Backend::parallel(8), &offsets), 2);
             assert_eq!(
-                Backend::AdaptiveParallel.effective_threads(),
+                workers(Backend::AdaptiveParallel, &offsets),
                 2.min(available_parallelism())
             );
-            // Sequential backends are unaffected (already below the cap).
-            assert_eq!(Backend::Sequential.effective_threads(), 1);
-            assert_eq!(Backend::Batching.effective_threads(), 1);
+            // Inline backends are unaffected (already below the cap).
+            assert_eq!(workers(Backend::Sequential, &offsets), 1);
+            assert_eq!(workers(Backend::Batching, &offsets), 1);
+            assert_eq!(workers(Backend::capped(8), &offsets), 1);
             // Labels stay budget-independent so report keys remain comparable.
             assert_eq!(Backend::parallel(8).label(), "par8");
         });
-        assert_eq!(Backend::parallel(8).effective_threads(), 8);
+        assert_eq!(workers(Backend::parallel(8), &offsets), 8);
+    }
+
+    #[test]
+    fn outbox_slots_read_none_on_entry() {
+        // Talks on port 0 in odd rounds only and checks the loop's contract:
+        // whatever it wrote the round before must be gone.
+        struct OddRounds(usize);
+        impl NodeAlgorithm for OddRounds {
+            type Message = usize;
+            type Output = usize;
+            fn send_into(&mut self, round: usize, outbox: &mut [Option<usize>]) {
+                assert!(outbox.iter().all(Option::is_none), "round {round}");
+                outbox[0] = (round % 2 == 1).then_some(round);
+            }
+            fn receive(&mut self, _round: usize, inbox: &mut [Option<usize>]) {
+                self.0 += inbox.iter().flatten().count();
+            }
+            fn output(&self) -> usize {
+                self.0
+            }
+        }
+        let g = anet_graph::generators::symmetric_ring(6).unwrap();
+        for backend in Backend::smoke_set() {
+            let out = backend.run(&g, &|_| OddRounds(0), 4);
+            assert_eq!(out.outputs, vec![2; 6], "{backend}");
+        }
     }
 
     #[test]

@@ -30,8 +30,7 @@ use anet_views::View;
 /// Message of the full-information algorithm: a shared handle to the sender's current
 /// view, tagged with the port the sender used (so the receiver learns the far-end port
 /// number of the connecting edge, which is part of the view encoding). Cloning the
-/// message is an `Arc` bump, so the parallel and batching backends move it around for
-/// free.
+/// message is an `Arc` bump, so a send costs one bump per port.
 pub type ViewMessage = (Port, View);
 
 /// Per-node state of the full-information algorithm.
@@ -62,15 +61,7 @@ impl NodeAlgorithm for ViewCollector {
     type Message = ViewMessage;
     type Output = View;
 
-    fn send(&mut self, _round: usize) -> Vec<Option<ViewMessage>> {
-        (0..self.degree)
-            .map(|p| Some((p as Port, self.view.clone())))
-            .collect()
-    }
-
     fn send_into(&mut self, _round: usize, outbox: &mut [Option<ViewMessage>]) {
-        // Arena-backend fast path: write the per-port messages straight into the
-        // engine-owned slots, skipping the intermediate vector of `send`.
         for (p, slot) in outbox.iter_mut().enumerate() {
             *slot = Some((p as Port, self.view.clone()));
         }

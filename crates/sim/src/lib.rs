@@ -10,12 +10,10 @@
 //!
 //! * [`model`] — the [`model::NodeAlgorithm`] / [`model::AlgorithmFactory`] traits that
 //!   distributed algorithms implement,
-//! * [`backend`] — the execution backends: [`Backend::Sequential`],
-//!   [`Backend::Parallel`], the arena-based [`Backend::Batching`] and the
-//!   chunk-size-adaptive [`Backend::AdaptiveParallel`] share one round structure
-//!   (send → route → receive) and differ only in how the phases are scheduled and
-//!   where the message buffers live; the [`Simulator`] trait abstracts over them for
-//!   higher layers such as the `ElectionEngine` facade in `anet-core`,
+//! * [`backend`] — the one round loop (send → route → receive over two flat
+//!   message arenas) and the execution backends: [`Backend::Sequential`],
+//!   [`Backend::Parallel`], [`Backend::Batching`] and [`Backend::AdaptiveParallel`]
+//!   differ only in how many worker threads the send and receive phases split over,
 //! * [`budget`] — scoped per-thread caps on backend worker counts
 //!   ([`with_thread_budget`]), so many concurrent election runs (the multi-tenant
 //!   service) don't oversubscribe the machine at `n × available_parallelism`,
@@ -46,7 +44,7 @@ pub mod pool;
 pub mod runner;
 pub mod transport;
 
-pub use backend::{Backend, Simulator};
+pub use backend::Backend;
 pub use budget::{thread_budget, with_thread_budget};
 pub use full_info::{
     run_full_information, run_full_information_on, run_full_information_traced, ViewCollector,

@@ -5,7 +5,7 @@
 /// A node instance is created by an [`AlgorithmFactory`] knowing only the node's degree
 /// (and whatever global information — e.g. oracle advice or a map of the graph — the
 /// factory itself was constructed with, which models information given identically to
-/// every node). In each round the engine calls [`NodeAlgorithm::send`], routes the
+/// every node). In each round the engine calls [`NodeAlgorithm::send_into`], routes the
 /// messages along the edges, and then calls [`NodeAlgorithm::receive`] with the
 /// messages that arrived, indexed by the *local* port they arrived on. After the
 /// allotted number of rounds, [`NodeAlgorithm::output`] is read.
@@ -15,31 +15,10 @@ pub trait NodeAlgorithm: Send {
     /// The node's final output.
     type Output: Clone + Send;
 
-    /// Produce the messages to send in round `round` (1-based): one optional message
-    /// per local port `0..degree`. Returning a shorter vector means "nothing on the
-    /// remaining ports".
-    fn send(&mut self, round: usize) -> Vec<Option<Self::Message>>;
-
-    /// Write the round-`round` messages directly into `outbox` (one slot per local
-    /// port, engine-owned and reused across rounds) instead of returning a fresh
-    /// vector. The arena-based backends ([`Backend::Batching`] and friends) call this
-    /// in their send phase; the default implementation delegates to
-    /// [`NodeAlgorithm::send`] and copies, so existing algorithms keep working —
-    /// override it to make the send phase allocation-free. Entries beyond
-    /// `outbox.len()` (i.e. beyond the node's degree) are dropped, exactly as the
-    /// routing phase drops them for [`NodeAlgorithm::send`].
-    ///
-    /// [`Backend::Batching`]: crate::Backend::Batching
-    fn send_into(&mut self, round: usize, outbox: &mut [Option<Self::Message>]) {
-        let mut messages = self.send(round);
-        let filled = messages.len().min(outbox.len());
-        for (slot, message) in outbox.iter_mut().zip(messages.drain(..filled)) {
-            *slot = message;
-        }
-        for slot in outbox[filled..].iter_mut() {
-            *slot = None;
-        }
-    }
+    /// Write the messages to send in round `round` (1-based) into `outbox`: one slot
+    /// per local port `0..degree`, owned by the engine and reused across rounds.
+    /// Every slot reads `None` on entry, so a port left untouched stays silent.
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<Self::Message>]);
 
     /// Consume the messages delivered in round `round`; `inbox[p]` is the message that
     /// arrived through local port `p`, if any. The slice is a buffer owned by the
@@ -91,9 +70,7 @@ mod tests {
         type Message = ();
         type Output = usize;
 
-        fn send(&mut self, _round: usize) -> Vec<Option<()>> {
-            Vec::new()
-        }
+        fn send_into(&mut self, _round: usize, _outbox: &mut [Option<()>]) {}
 
         fn receive(&mut self, _round: usize, _inbox: &mut [Option<()>]) {
             self.rounds_seen += 1;
@@ -108,7 +85,9 @@ mod tests {
     fn closures_are_factories() {
         let factory = |_degree: usize| Silent { rounds_seen: 0 };
         let mut node = factory.create(3);
-        assert!(node.send(1).is_empty());
+        let mut outbox = [None, None, None];
+        node.send_into(1, &mut outbox);
+        assert!(outbox.iter().all(Option::is_none));
         node.receive(1, &mut [None, None, None]);
         assert_eq!(node.output(), 1);
     }

@@ -1,9 +1,6 @@
 //! Run reports: the uniform result types of every backend.
 //!
-//! The synchronous round engine itself lives in [`crate::backend`]. The historical
-//! free-function entry points `run` / `run_parallel` went through a deprecation cycle
-//! and are gone; use [`Backend::run`](crate::Backend::run) (or the `ElectionEngine`
-//! facade in `anet-core`) instead.
+//! The synchronous round loop itself lives in [`crate::backend`].
 
 /// Statistics about a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +31,6 @@ mod tests {
     /// heard of. (Degrees are the only initial asymmetry available to anonymous nodes.)
     #[derive(Clone)]
     struct MaxDegreeFlood {
-        degree: usize,
         best: usize,
     }
 
@@ -42,8 +38,8 @@ mod tests {
         type Message = usize;
         type Output = usize;
 
-        fn send(&mut self, _round: usize) -> Vec<Option<usize>> {
-            vec![Some(self.best); self.degree]
+        fn send_into(&mut self, _round: usize, outbox: &mut [Option<usize>]) {
+            outbox.fill(Some(self.best));
         }
 
         fn receive(&mut self, _round: usize, inbox: &mut [Option<usize>]) {
@@ -58,10 +54,7 @@ mod tests {
     }
 
     fn flood_factory(degree: usize) -> MaxDegreeFlood {
-        MaxDegreeFlood {
-            degree,
-            best: degree,
-        }
+        MaxDegreeFlood { best: degree }
     }
 
     #[test]
@@ -123,7 +116,6 @@ mod tests {
     /// An algorithm that echoes what it receives, used to check that port routing is
     /// faithful (the message sent through port p of v arrives at the far end's port q).
     struct PortEcho {
-        degree: usize,
         /// `(round, port, payload)` triples received.
         log: Vec<(usize, usize, (u32, u32))>,
         node_tag: u32,
@@ -133,10 +125,10 @@ mod tests {
         type Message = (u32, u32); // (sender tag, sender port)
         type Output = Vec<(usize, usize, (u32, u32))>;
 
-        fn send(&mut self, _round: usize) -> Vec<Option<(u32, u32)>> {
-            (0..self.degree)
-                .map(|p| Some((self.node_tag, p as u32)))
-                .collect()
+        fn send_into(&mut self, _round: usize, outbox: &mut [Option<(u32, u32)>]) {
+            for (p, slot) in outbox.iter_mut().enumerate() {
+                *slot = Some((self.node_tag, p as u32));
+            }
         }
 
         fn receive(&mut self, round: usize, inbox: &mut [Option<(u32, u32)>]) {
@@ -159,8 +151,7 @@ mod tests {
         use std::sync::atomic::{AtomicU32, Ordering};
         let g = generators::paper_three_node_line();
         let counter = AtomicU32::new(0);
-        let factory = |degree: usize| PortEcho {
-            degree,
+        let factory = |_degree: usize| PortEcho {
             log: Vec::new(),
             node_tag: counter.fetch_add(1, Ordering::SeqCst),
         };

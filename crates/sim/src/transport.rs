@@ -7,7 +7,7 @@
 //! model actually charges for: *bits on the wire*. This module adds the metered
 //! execution mode: each message is encoded with a [`MessageCodec`], its exact
 //! serialised length is accounted into [`WireStats`] (and emitted as
-//! [`TraceEvent::RoundWire`] when a probe is attached), and the receiver decodes
+//! [`anet_trace::TraceEvent::RoundWire`] when a probe is attached), and the receiver decodes
 //! the bit string — the delivered view is the *decoded* value, so the codec's
 //! round-trip fidelity is exercised on every edge of every round, not assumed.
 //!
@@ -24,7 +24,12 @@
 //!   than one bit above [`MessageCodec::Dag`], and strictly below it wherever
 //!   successive views share structure.
 //!
-//! [`Backend::Capped`] reuses the same loop with a finite per-edge budget: a
+//! Metering is a route step of the one arena round loop in [`crate::backend`]:
+//! the send phase fills the outbox arena as on every backend, the wire route
+//! encodes it, transfers the bits edge by edge, and decodes each message into
+//! the inbox arena when its last bit arrives.
+//!
+//! [`Backend::Capped`] runs the same route with a finite per-edge budget: a
 //! *logical* round whose largest encoded message is `L` bits occupies
 //! `ceil(L / B)` *physical* rounds, each moving at most `B` bits per directed
 //! edge. Partial chunks live in per-edge stream state (the private `Link`), never in the
@@ -33,17 +38,15 @@
 //! and total message counts are therefore identical to the uncapped run; only the
 //! measured round count (and the per-round bit profile) inflates as `B` shrinks.
 
-use crate::backend::{record_phase, Backend};
-use crate::full_info::{ViewCollector, ViewMessage};
-use crate::model::NodeAlgorithm;
+use crate::backend::{Backend, RouteStep};
+use crate::full_info::{ViewCollectorFactory, ViewMessage};
 use crate::runner::{RunOutcome, RunReport};
 use anet_graph::{Port, PortGraph};
-use anet_trace::{Phase, TraceEvent, TraceSink};
+use anet_trace::TraceSink;
 use anet_views::dag_encoding::{decode_view_dag, encode_view_dag};
 use anet_views::delta_encoding::{decode_view_delta, encode_view_delta};
 use anet_views::encoding::{decode_view_interned, encode_view_interned};
 use anet_views::{BitString, View};
-use std::time::Instant;
 
 /// The wire format of a metered run: how a [`ViewMessage`] becomes bits.
 ///
@@ -133,30 +136,18 @@ impl WireStats {
 /// Per-directed-edge stream state: the current logical round's encoded message
 /// and how much of it is still in flight. The buffers are allocated once per run
 /// and refilled in place every logical round ([`BitString::clear`]), so the
-/// metered loop performs no per-round allocation beyond what the codecs
+/// metered route performs no per-round allocation beyond what the codecs
 /// themselves need to build bodies.
+#[derive(Default)]
 struct Link {
     /// The full wire string of this logical round's message: varint far-port tag
     /// followed by the codec body.
     wire: BitString,
-    /// Encoded length in bits; `0` marks an empty slot (no message this round).
-    total: u64,
     /// Bits not yet across. Delivery happens exactly when this reaches zero.
     remaining: u64,
-    /// Whether the completed message has been decoded into the inbox (partial
+    /// Whether the link holds a message not yet decoded into the inbox (partial
     /// streams are represented here, never as inbox entries).
-    delivered: bool,
-}
-
-impl Link {
-    fn new() -> Link {
-        Link {
-            wire: BitString::new(),
-            total: 0,
-            remaining: 0,
-            delivered: true,
-        }
-    }
+    pending: bool,
 }
 
 /// Encode one message into its link: varint port tag, then the codec body.
@@ -172,9 +163,8 @@ fn encode_link(codec: MessageCodec, port: Port, view: &View, base: Option<&View>
     for bit in body.iter() {
         link.wire.push_bit(bit);
     }
-    link.total = link.wire.len() as u64;
-    link.remaining = link.total;
-    link.delivered = false;
+    link.remaining = link.wire.len() as u64;
+    link.pending = true;
 }
 
 /// Decode a fully-arrived link back into a message. The body bits are copied into
@@ -219,14 +209,13 @@ fn encode_round(
         match slot.take() {
             Some((port, view)) => {
                 encode_link(codec, port, &view, base.as_ref(), link);
-                if link.total > max_bits {
-                    max_bits = link.total;
+                if link.remaining > max_bits {
+                    max_bits = link.remaining;
                 }
             }
             None => {
-                link.total = 0;
                 link.remaining = 0;
-                link.delivered = true;
+                link.pending = false;
             }
         }
     }
@@ -250,6 +239,52 @@ fn transfer_round(cap: u64, links: &mut [Link], per_edge_bits: &mut [u64]) -> u6
     bits_now
 }
 
+/// The metered route step: per-directed-edge stream state plus the run's bit
+/// accounting. The buffers are sized once per run, like the arenas.
+struct WireRoute {
+    codec: MessageCodec,
+    /// Bits a directed edge may carry per physical round (`u64::MAX` uncapped).
+    chunk: u64,
+    links: Vec<Link>,
+    /// The receiver-side delta bases: the last view decoded on each directed edge.
+    bases: Vec<Option<View>>,
+    per_edge_bits: Vec<u64>,
+    per_round_bits: Vec<u64>,
+    scratch: BitString,
+}
+
+impl RouteStep<ViewMessage> for WireRoute {
+    fn load(&mut self, out: &mut [Option<ViewMessage>]) -> usize {
+        let max_bits = encode_round(self.codec, out, &self.bases, &mut self.links);
+        max_bits.div_ceil(self.chunk).max(1) as usize
+    }
+
+    fn step(
+        &mut self,
+        table: &[usize],
+        _out: &mut [Option<ViewMessage>],
+        inbox: &mut [Option<ViewMessage>],
+    ) -> (usize, u64) {
+        let bits = transfer_round(self.chunk, &mut self.links, &mut self.per_edge_bits);
+        // Deliver every stream whose last chunk just arrived: decode against the
+        // base the receiver holds, then that decoded view *becomes* the base for
+        // the next logical round on this edge.
+        let mut completed = 0;
+        for (i, link) in self.links.iter_mut().enumerate() {
+            if link.pending && link.remaining == 0 {
+                let base = self.bases[i].as_ref();
+                let (port, view) = decode_link(self.codec, link, base, &mut self.scratch);
+                inbox[table[i]] = Some((port, view.clone()));
+                self.bases[i] = Some(view);
+                link.pending = false;
+                completed += 1;
+            }
+        }
+        self.per_round_bits.push(bits);
+        (completed, bits)
+    }
+}
+
 /// Run the full-information algorithm for `rounds` *logical* rounds with every
 /// message serialised through `codec`, returning the collected views together
 /// with exact bit accounting. With `bits_per_edge: Some(B)` the run is
@@ -258,10 +293,11 @@ fn transfer_round(cap: u64, links: &mut [Link], per_edge_bits: &mut [u64]) -> u6
 /// physical rounds, and `report.rounds` counts *physical* rounds. With `None`
 /// every message crosses in the round it was sent and physical == logical.
 ///
-/// The loop is sequential: metering serialises every message anyway, and the
-/// collected views are backend-independent (the equivalence tests pin outputs
-/// against every unmetered backend), so there is nothing for worker threads to
-/// overlap that the codec work would not immediately re-serialise.
+/// The send and receive phases run inline: metering serialises every message
+/// anyway, and the collected views are backend-independent (the equivalence
+/// tests pin outputs against every unmetered backend), so there is nothing for
+/// worker threads to overlap that the codec work would not immediately
+/// re-serialise.
 pub fn run_metered(
     graph: &PortGraph,
     rounds: usize,
@@ -270,136 +306,25 @@ pub fn run_metered(
     sink: &dyn TraceSink,
 ) -> (RunOutcome<View>, WireStats) {
     let cap = bits_per_edge.map(|b| b.max(1));
-    let offsets = graph.port_offsets();
-    let route = graph.flat_route_table_with(&offsets);
-    let slots = route.len();
-    let mut nodes: Vec<ViewCollector> = graph
-        .nodes()
-        .map(|v| ViewCollector::new(graph.degree(v)))
-        .collect();
-    // All per-edge state is allocated once and reused every round, exactly like
-    // the batching backend's arenas: out/inbox slots, stream links, and the
-    // receiver-side delta bases (the last view decoded on each directed edge).
-    let mut out: Vec<Option<ViewMessage>> = vec![None; slots];
-    let mut inbox: Vec<Option<ViewMessage>> = vec![None; slots];
-    let mut links: Vec<Link> = (0..slots).map(|_| Link::new()).collect();
-    let mut bases: Vec<Option<View>> = vec![None; slots];
-    let mut per_edge_bits = vec![0u64; slots];
-    let mut per_round_bits: Vec<u64> = Vec::new();
-    let mut scratch = BitString::new();
-    let mut messages_delivered = 0usize;
-    let mut physical = 0usize;
-    let tracing = sink.enabled();
-    let message_bytes = std::mem::size_of::<ViewMessage>() as u64;
-    if tracing {
-        // `rounds` here is the *logical* plan; on a capped run the physical count
-        // is only known at RunEnd.
-        sink.record(TraceEvent::RunStart {
-            trace_id: 0,
-            nodes: graph.num_nodes() as u64,
-            rounds: rounds as u64,
-        });
-    }
-
-    for round in 1..=rounds {
-        // First physical round of the block: send + encode.
-        physical += 1;
-        if tracing {
-            sink.record(TraceEvent::RoundStart {
-                trace_id: 0,
-                round: physical as u64,
-            });
-        }
-        let phase_start = tracing.then(Instant::now);
-        for (v, node) in nodes.iter_mut().enumerate() {
-            node.send_into(round, &mut out[offsets[v]..offsets[v + 1]]);
-        }
-        let max_bits = encode_round(codec, &mut out, &bases, &mut links);
-        record_phase(sink, physical, Phase::Send, phase_start);
-
-        // How many physical rounds this logical round occupies.
-        let (chunk, span) = match cap {
-            None => (u64::MAX, 1),
-            Some(b) => (b, max_bits.div_ceil(b).max(1)),
-        };
-        for step in 1..=span {
-            if step > 1 {
-                physical += 1;
-                if tracing {
-                    sink.record(TraceEvent::RoundStart {
-                        trace_id: 0,
-                        round: physical as u64,
-                    });
-                }
-            }
-            let phase_start = tracing.then(Instant::now);
-            let bits_now = transfer_round(chunk, &mut links, &mut per_edge_bits);
-            // Deliver every stream whose last chunk just arrived: decode against
-            // the base the receiver holds, then that decoded view *becomes* the
-            // base for the next logical round on this edge.
-            let mut completed = 0u64;
-            for i in 0..slots {
-                let link = &links[i];
-                if link.total > 0 && link.remaining == 0 && !link.delivered {
-                    let (port, view) = decode_link(codec, link, bases[i].as_ref(), &mut scratch);
-                    inbox[route[i]] = Some((port, view.clone()));
-                    bases[i] = Some(view);
-                    links[i].delivered = true;
-                    completed += 1;
-                }
-            }
-            messages_delivered += completed as usize;
-            record_phase(sink, physical, Phase::Route, phase_start);
-            // The receive phase runs once per logical round, after every edge has
-            // drained — nodes never observe a partially-streamed neighbourhood.
-            if step == span {
-                let phase_start = tracing.then(Instant::now);
-                for (v, node) in nodes.iter_mut().enumerate() {
-                    node.receive(round, &mut inbox[offsets[v]..offsets[v + 1]]);
-                }
-                record_phase(sink, physical, Phase::Receive, phase_start);
-            }
-            per_round_bits.push(bits_now);
-            if tracing {
-                sink.record(TraceEvent::RoundEnd {
-                    trace_id: 0,
-                    round: physical as u64,
-                    messages: completed,
-                    payload_bytes: completed * message_bytes,
-                });
-                if bits_now > 0 {
-                    sink.record(TraceEvent::RoundWire {
-                        trace_id: 0,
-                        round: physical as u64,
-                        bits: bits_now,
-                    });
-                }
-            }
-        }
-    }
-
-    if tracing {
-        sink.record(TraceEvent::RunEnd {
-            trace_id: 0,
-            rounds: physical as u64,
-            messages: messages_delivered as u64,
-        });
-    }
-    (
-        RunOutcome {
-            outputs: nodes.iter().map(|n| n.output()).collect(),
-            report: RunReport {
-                rounds: physical,
-                messages_delivered,
-            },
-        },
-        WireStats {
-            codec,
-            bits_per_edge_cap: cap,
-            per_round_bits,
-            per_edge_bits,
-        },
-    )
+    let slots = 2 * graph.num_edges();
+    let mut wire = WireRoute {
+        codec,
+        chunk: cap.unwrap_or(u64::MAX),
+        links: std::iter::repeat_with(Link::default).take(slots).collect(),
+        bases: vec![None; slots],
+        per_edge_bits: vec![0; slots],
+        per_round_bits: Vec::new(),
+        scratch: BitString::new(),
+    };
+    let outcome =
+        Backend::Sequential.run_arena(graph, &ViewCollectorFactory, rounds, &mut wire, sink);
+    let stats = WireStats {
+        codec,
+        bits_per_edge_cap: cap,
+        per_round_bits: wire.per_round_bits,
+        per_edge_bits: wire.per_edge_bits,
+    };
+    (outcome, stats)
 }
 
 /// [`crate::run_full_information_traced`] in metered mode: collect `B^rounds(v)`

@@ -8,11 +8,9 @@
 use four_shades::graph::{generators, GraphBuilder, PortGraph};
 use four_shades::sim::{Backend, NodeAlgorithm, ViewCollectorFactory};
 
-/// Flood-max over degrees; relies on the *default* `send_into` (the trait-provided
-/// copy from `send`), so this exercises the arena backends' fallback path.
+/// Flood-max over degrees: every node writes one message on every port.
 #[derive(Clone)]
 struct Flood {
-    degree: usize,
     best: usize,
 }
 
@@ -20,8 +18,8 @@ impl NodeAlgorithm for Flood {
     type Message = usize;
     type Output = usize;
 
-    fn send(&mut self, _round: usize) -> Vec<Option<usize>> {
-        vec![Some(self.best); self.degree]
+    fn send_into(&mut self, _round: usize, outbox: &mut [Option<usize>]) {
+        outbox.fill(Some(self.best));
     }
 
     fn receive(&mut self, _round: usize, inbox: &mut [Option<usize>]) {
@@ -36,16 +34,13 @@ impl NodeAlgorithm for Flood {
 }
 
 fn flood_factory(degree: usize) -> Flood {
-    Flood {
-        degree,
-        best: degree,
-    }
+    Flood { best: degree }
 }
 
 /// A sender that only talks on even ports in even rounds (and odd ports in odd
-/// rounds), returning a deliberately *short* outbox vector: exercises the
-/// "missing trailing ports mean silence" contract on every backend, which the arena
-/// backends must reproduce by clearing the remaining slots.
+/// rounds), and leaves the last port untouched in odd rounds: exercises the
+/// "untouched ports mean silence" contract on every backend, which the round
+/// loop keeps by handing every outbox slot over as `None`.
 struct Sparse {
     degree: usize,
     log: Vec<(usize, usize, u64)>,
@@ -55,16 +50,13 @@ impl NodeAlgorithm for Sparse {
     type Message = u64;
     type Output = Vec<(usize, usize, u64)>;
 
-    fn send(&mut self, round: usize) -> Vec<Option<u64>> {
-        (0..self.degree.saturating_sub(round % 2))
-            .map(|p| {
-                if p % 2 == round % 2 {
-                    Some((round * 1000 + p) as u64)
-                } else {
-                    None
-                }
-            })
-            .collect()
+    fn send_into(&mut self, round: usize, outbox: &mut [Option<u64>]) {
+        let talking = self.degree.saturating_sub(round % 2);
+        for (p, slot) in outbox.iter_mut().enumerate().take(talking) {
+            if p % 2 == round % 2 {
+                *slot = Some((round * 1000 + p) as u64);
+            }
+        }
     }
 
     fn receive(&mut self, round: usize, inbox: &mut [Option<u64>]) {

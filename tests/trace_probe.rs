@@ -7,7 +7,11 @@ use four_shades::constructions::{GClass, UClass};
 use four_shades::graph::generators;
 use four_shades::graph::PortGraph;
 use four_shades::prelude::*;
-use four_shades::trace::{Recorder, RoundProfile, Tagged, TraceEvent};
+use four_shades::sim::full_info::ViewMessage;
+use four_shades::sim::{
+    run_full_information_traced, run_metered, MessageCodec, ViewCollectorFactory,
+};
+use four_shades::trace::{Phase, Recorder, RoundProfile, Tagged, TraceEvent};
 use four_shades::workloads::{chrome_trace_json, parse_trace, TraceFile};
 use std::sync::Arc;
 
@@ -149,4 +153,111 @@ fn recorded_streams_round_trip_through_the_versioned_artifact() {
     assert!(rendered.contains("\"displayTimeUnit\""));
     // One slice per phase per round plus per-run metadata: never empty here.
     assert!(rendered.contains("\"ph\": \"X\""));
+}
+
+/// The event stream a run on `nodes` nodes must emit, `ns` fields zeroed.
+/// `spans[r]` is the number of physical rounds logical round `r + 1` occupies,
+/// and `ends[p]` the `(messages, wire bits)` of physical round `p + 1`.
+fn expected_layout(nodes: u64, spans: &[usize], ends: &[(u64, u64)]) -> Vec<TraceEvent> {
+    let message_bytes = std::mem::size_of::<ViewMessage>() as u64;
+    let phase = |round, phase| TraceEvent::PhaseTime {
+        trace_id: 0,
+        round,
+        phase,
+        ns: 0,
+    };
+    let mut events = vec![TraceEvent::RunStart {
+        trace_id: 0,
+        nodes,
+        rounds: spans.len() as u64,
+    }];
+    let mut physical = 0u64;
+    for &span in spans {
+        for step in 1..=span {
+            physical += 1;
+            let (messages, bits) = ends[physical as usize - 1];
+            events.push(TraceEvent::RoundStart {
+                trace_id: 0,
+                round: physical,
+            });
+            if step == 1 {
+                events.push(phase(physical, Phase::Send));
+            }
+            events.push(phase(physical, Phase::Route));
+            if step == span {
+                events.push(phase(physical, Phase::Receive));
+            }
+            events.push(TraceEvent::RoundEnd {
+                trace_id: 0,
+                round: physical,
+                messages,
+                payload_bytes: messages * message_bytes,
+            });
+            if bits > 0 {
+                events.push(TraceEvent::RoundWire {
+                    trace_id: 0,
+                    round: physical,
+                    bits,
+                });
+            }
+        }
+    }
+    events.push(TraceEvent::RunEnd {
+        trace_id: 0,
+        rounds: physical,
+        messages: ends.iter().map(|&(messages, _)| messages).sum(),
+    });
+    events
+}
+
+/// A recorder's events with every phase timing zeroed.
+fn without_timings(recorder: &Recorder) -> Vec<TraceEvent> {
+    let mut events = recorder.drain();
+    for event in &mut events {
+        if let TraceEvent::PhaseTime { ns, .. } = event {
+            *ns = 0;
+        }
+    }
+    events
+}
+
+/// Golden layout of the round loop's event stream on the paper's three-node
+/// line over two logical rounds: which phase lands in which physical round,
+/// on every smoke backend, on a metered run and on a capped run whose views
+/// stream over several physical rounds.
+#[test]
+fn trace_layout_is_pinned_for_every_backend_and_the_metered_transport() {
+    let g = generators::paper_three_node_line();
+    let rounds = 2;
+    let unmetered = expected_layout(3, &[1, 1], &[(4, 0), (4, 0)]);
+    for backend in Backend::smoke_set() {
+        let recorder = Recorder::new();
+        backend.run_traced(&g, &ViewCollectorFactory, rounds, &recorder);
+        assert_eq!(without_timings(&recorder), unmetered, "{backend}");
+    }
+
+    let recorder = Recorder::new();
+    run_metered(&g, rounds, MessageCodec::Dag, None, &recorder);
+    let metered = expected_layout(3, &[1, 1], &[(4, 100), (4, 158)]);
+    assert_eq!(without_timings(&recorder), metered, "metered dag");
+
+    let recorder = Recorder::new();
+    run_full_information_traced(&g, rounds, Backend::capped(8), &recorder, |v| v.degree());
+    let capped = expected_layout(
+        3,
+        &[4, 6],
+        &[
+            (0, 32),
+            (0, 32),
+            (2, 32),
+            (2, 4),
+            (0, 32),
+            (0, 32),
+            (0, 32),
+            (0, 32),
+            (2, 24),
+            (2, 6),
+        ],
+    );
+    assert_eq!(without_timings(&recorder), capped, "cap8");
 }

@@ -14,6 +14,7 @@
 
 use four_shades::election::engine::MessageCodec;
 use four_shades::prelude::*;
+use four_shades::sim::run_metered;
 use four_shades::workloads::{RandomRegularFamily, TorusFamily};
 
 /// Small, irregular-enough instances: one random 3-regular graph and one
@@ -196,4 +197,31 @@ fn advice_pairs_meter_their_wire_too() {
         assert_eq!(metered.advice_bits, plain.advice_bits, "{codec}");
         assert!(metered.wire.as_ref().unwrap().total_bits() > 0, "{codec}");
     }
+}
+
+#[test]
+fn wire_bit_totals_are_pinned_on_the_bench_instances() {
+    // The absolute totals the transport bench records, on its own instances: a
+    // route or codec change that moved a delta base or a standalone fallback
+    // would shift them even where metered and unmetered verdicts still agree.
+    let rr = RandomRegularFamily::new(3, vec![96], 0xA5EED).generate(96);
+    let torus = TorusFamily::generate(9, 9);
+    let expected = [
+        (MessageCodec::Tree, 30240, 231984, 716),
+        (MessageCodec::Dag, 55656, 106272, 328),
+        (MessageCodec::Delta, 56178, 83592, 258),
+    ];
+    for (codec, rr_bits, torus_bits, torus_max_edge) in expected {
+        let (_, stats) = run_metered(&rr, 3, codec, None, &NoopSink);
+        assert_eq!(stats.total_bits(), rr_bits, "rr3 n96 r3 via {codec}");
+        let (_, stats) = run_metered(&torus, 4, codec, None, &NoopSink);
+        assert_eq!(stats.total_bits(), torus_bits, "torus 9x9 r4 via {codec}");
+        assert_eq!(
+            stats.max_edge_bits(),
+            torus_max_edge,
+            "torus 9x9 r4 via {codec}"
+        );
+    }
+    let (outcome, _) = run_metered(&rr, 3, MessageCodec::Dag, Some(64), &NoopSink);
+    assert_eq!(outcome.report.rounds, 4, "rr3 n96 r3 under a 64-bit cap");
 }
