@@ -8,7 +8,7 @@
 
 use anet_bench::Harness;
 use anet_constructions::JClass;
-use anet_election::engine::{Backend, CppeSolver, Solver};
+use anet_election::engine::{CppeSolver, RunContext, Solver};
 use anet_election::tasks::Task;
 
 fn main() {
@@ -21,7 +21,11 @@ fn main() {
         let solver = CppeSolver::new(member, class.k);
         h.bench(&format!("gadgets{gadgets}_n{n}"), 10, || {
             solver
-                .solve(&graph, Task::CompletePortPathElection, Backend::Sequential)
+                .solve(
+                    &graph,
+                    Task::CompletePortPathElection,
+                    &RunContext::default(),
+                )
                 .unwrap()
                 .outputs
                 .len()

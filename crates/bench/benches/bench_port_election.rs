@@ -8,7 +8,7 @@
 
 use anet_bench::Harness;
 use anet_constructions::UClass;
-use anet_election::engine::{Backend, PortElectionSolver, Solver};
+use anet_election::engine::{PortElectionSolver, RunContext, Solver};
 use anet_election::tasks::Task;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         let solver = PortElectionSolver::new(k);
         h.bench(&format!("d{delta}_k{k}_n{}", g.num_nodes()), 10, || {
             solver
-                .solve(&g, Task::PortElection, Backend::Sequential)
+                .solve(&g, Task::PortElection, &RunContext::default())
                 .unwrap()
                 .outputs
                 .len()

@@ -9,13 +9,13 @@
 
 use anet_bench::Harness;
 use anet_constructions::GClass;
-use anet_election::engine::{AdviceSolver, Backend, Solver};
+use anet_election::engine::{AdviceSolver, RunContext, Solver};
 use anet_election::tasks::Task;
 use anet_graph::generators;
 
 fn solve(g: &anet_graph::PortGraph) -> usize {
     AdviceSolver::theorem_2_2()
-        .solve(g, Task::Selection, Backend::Sequential)
+        .solve(g, Task::Selection, &RunContext::default())
         .unwrap()
         .advice_bits
         .unwrap()

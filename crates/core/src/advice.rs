@@ -7,16 +7,16 @@
 //! pair (advice, `B^r(v)`) to the node's output: the augmented truncated view is
 //! everything a node can learn in `r` rounds.
 //!
-//! [`run_with_advice_on`] executes an (oracle, algorithm) pair end to end: the oracle
+//! [`run_with_advice`] executes an (oracle, algorithm) pair end to end: the oracle
 //! inspects the graph, the number of rounds is derived from the advice (the paper's
 //! algorithms all do this — e.g. the Theorem 2.2 algorithm reads the height of the
 //! encoded view), the LOCAL simulator's full-information collector gathers `B^r(v)` at
 //! every node, and the algorithm's decision function produces the outputs.
 //!
 //! ```
-//! use anet_election::advice::{run_with_advice_on, FnAlgorithm, FnOracle};
+//! use anet_election::advice::{run_with_advice, FnAlgorithm, FnOracle};
+//! use anet_election::engine::RunContext;
 //! use anet_election::tasks::NodeOutput;
-//! use anet_sim::Backend;
 //! use anet_views::{BitString, View};
 //!
 //! // "The leader is the node that sees degree 4 at its own position" — a 0-round,
@@ -29,17 +29,17 @@
 //!         if view.degree() == 4 { NodeOutput::Leader } else { NodeOutput::NonLeader }
 //!     },
 //! };
-//! let run = run_with_advice_on(&g, &oracle, &algo, Backend::Sequential);
-//! assert_eq!(run.advice_bits(), 0);
+//! let run = run_with_advice(&g, &oracle, &algo, &RunContext::default());
+//! assert_eq!(run.advice_bits, Some(0));
 //! assert_eq!(run.outputs.iter().filter(|o| **o == NodeOutput::Leader).count(), 1);
 //! // Opaque advice carries no per-codec sizes (contrast the Theorem 2.2 oracle).
 //! assert_eq!((run.advice_tree_bits, run.advice_dag_bits), (None, None));
 //! ```
 
+use crate::engine::{RunContext, SolverRun};
 use crate::map_algorithms::run_full_information_wired;
 use crate::tasks::NodeOutput;
 use anet_graph::PortGraph;
-use anet_sim::Backend;
 use anet_views::{BitString, View};
 
 /// An oracle's advice together with its size under both view codecs.
@@ -98,82 +98,21 @@ pub trait AdviceAlgorithm {
     fn decide(&self, advice: &BitString, view: &View) -> NodeOutput;
 }
 
-/// The result of running an (oracle, algorithm) pair on a graph.
-#[derive(Debug, Clone)]
-pub struct AdviceRun {
-    /// The advice string produced by the oracle.
-    pub advice: BitString,
-    /// Size the advice's view takes under the tree codec, when the oracle reports it
-    /// (see [`OracleAdvice`]).
-    pub advice_tree_bits: Option<usize>,
-    /// Size the advice's view takes under the shared-DAG codec, when reported.
-    pub advice_dag_bits: Option<usize>,
-    /// The number of rounds the algorithm ran.
-    pub rounds: usize,
-    /// Per-node outputs, indexed by node.
-    pub outputs: Vec<NodeOutput>,
-    /// Total messages delivered by the underlying full-information simulation.
-    pub messages_delivered: usize,
-    /// Per-round / per-edge bits put on the wire, when the simulation went through
-    /// the metered transport (an explicit codec request or a capped backend).
-    pub wire: Option<anet_sim::WireStats>,
-}
-
-impl AdviceRun {
-    /// Size of advice in bits (the quantity every bound of the paper is about).
-    pub fn advice_bits(&self) -> usize {
-        self.advice.len()
-    }
-}
-
-/// Execute `oracle` and `algorithm` on `graph` through the LOCAL simulator, on an
-/// explicit execution [`Backend`]. The backend only changes how rounds are scheduled;
-/// advice, outputs and message accounting are backend-independent.
-pub fn run_with_advice_on<O, A>(
+/// Execute `oracle` and `algorithm` on `graph` through the LOCAL simulator under
+/// `ctx`. The oracle runs first and is neither traced nor metered; the algorithm's
+/// view-collection rounds run on `ctx.backend`, emit round-level trace events into
+/// `ctx.trace` and, when `ctx.wire` names a codec (or the backend is capped), put
+/// their messages through the metered transport. The returned [`SolverRun`] carries
+/// the advice length in `advice_bits` and its per-codec view sizes when the oracle
+/// reports them (see [`OracleAdvice`]). Advice, outputs and message accounting are
+/// the same under every context; only a capped backend moves `rounds`, to the
+/// physical count of the bandwidth-limited stream.
+pub fn run_with_advice<O, A>(
     graph: &PortGraph,
     oracle: &O,
     algorithm: &A,
-    backend: Backend,
-) -> AdviceRun
-where
-    O: Oracle,
-    A: AdviceAlgorithm,
-{
-    run_with_advice_traced(graph, oracle, algorithm, backend, &anet_trace::NoopSink)
-}
-
-/// [`run_with_advice_on`] with a trace probe: the algorithm's view-collection rounds
-/// emit round-level [`anet_trace::TraceEvent`]s into `sink` (the oracle runs before
-/// any communication and is not traced). With [`anet_trace::NoopSink`] this *is*
-/// `run_with_advice_on`.
-pub fn run_with_advice_traced<O, A>(
-    graph: &PortGraph,
-    oracle: &O,
-    algorithm: &A,
-    backend: Backend,
-    sink: &dyn anet_trace::TraceSink,
-) -> AdviceRun
-where
-    O: Oracle,
-    A: AdviceAlgorithm,
-{
-    run_with_advice_wired(graph, oracle, algorithm, backend, sink, None)
-}
-
-/// [`run_with_advice_traced`] with an optional wire codec: when `wire` is `Some`
-/// (or the backend is [`anet_sim::Backend::Capped`], which is only meaningful when
-/// bits are counted), the view-collection rounds serialise every message through
-/// the metered transport and the returned [`AdviceRun`] carries the resulting
-/// [`anet_sim::WireStats`]. With `wire = None` on an ordinary backend this *is*
-/// `run_with_advice_traced`.
-pub fn run_with_advice_wired<O, A>(
-    graph: &PortGraph,
-    oracle: &O,
-    algorithm: &A,
-    backend: Backend,
-    sink: &dyn anet_trace::TraceSink,
-    wire: Option<anet_sim::MessageCodec>,
-) -> AdviceRun
+    ctx: &RunContext<'_>,
+) -> SolverRun
 where
     O: Oracle,
     A: AdviceAlgorithm,
@@ -185,19 +124,11 @@ where
     } = oracle.advise_with_sizes(graph);
     let rounds = algorithm.rounds(&advice);
     let decide = |view: &View| algorithm.decide(&advice, view);
-    let (outputs, report, wire_stats) =
-        run_full_information_wired(graph, rounds, backend, sink, wire, decide);
-    AdviceRun {
-        advice,
+    SolverRun {
+        advice_bits: Some(advice.len()),
         advice_tree_bits: tree_bits,
         advice_dag_bits: dag_bits,
-        // Identical to the advice-derived `rounds` on every ordinary backend;
-        // under `Backend::Capped` the simulator reports the inflated physical
-        // round count of the bandwidth-limited stream.
-        rounds: report.rounds,
-        outputs,
-        messages_delivered: report.messages_delivered,
-        wire: wire_stats,
+        ..run_full_information_wired(graph, rounds, ctx, decide)
     }
 }
 
@@ -257,8 +188,8 @@ mod tests {
                 }
             },
         };
-        let run = run_with_advice_on(&g, &oracle, &algo, Backend::Sequential);
-        assert_eq!(run.advice_bits(), 0);
+        let run = run_with_advice(&g, &oracle, &algo, &RunContext::default());
+        assert_eq!(run.advice_bits, Some(0));
         assert_eq!(run.rounds, 0);
         assert_eq!(run.messages_delivered, 0);
         assert_eq!(verify(Task::Selection, &g, &run.outputs).unwrap().leader, 0);
@@ -276,9 +207,9 @@ mod tests {
             rounds: |advice: &BitString| advice.reader().read_uint(4).unwrap() as usize,
             decide: |_: &BitString, _: &View| NodeOutput::NonLeader,
         };
-        let run = run_with_advice_on(&g, &oracle, &algo, Backend::Sequential);
+        let run = run_with_advice(&g, &oracle, &algo, &RunContext::default());
         assert_eq!(run.rounds, 3);
-        assert_eq!(run.advice_bits(), 4);
+        assert_eq!(run.advice_bits, Some(4));
         // 6 nodes × 2 ports × 3 rounds messages.
         assert_eq!(run.messages_delivered, 36);
         // (Deliberately unsolvable: the ring is symmetric, so no leader can emerge.)
@@ -296,7 +227,7 @@ mod tests {
             rounds: |_: &BitString| 2usize,
             decide: |_: &BitString, view: &View| NodeOutput::FirstPort(view.degree() % 2),
         };
-        let run = run_with_advice_on(&g, &oracle, &algo, Backend::Sequential);
+        let run = run_with_advice(&g, &oracle, &algo, &RunContext::default());
         assert!(run.outputs.windows(2).all(|w| w[0] == w[1]));
     }
 }

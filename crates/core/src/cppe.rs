@@ -16,7 +16,7 @@
 //! structural results verified in `anet-constructions` (no node has a unique view at
 //! depth `k−1`).
 
-use crate::map_algorithms::MapRun;
+use crate::engine::SolverRun;
 use crate::tasks::NodeOutput;
 use anet_constructions::component::Side;
 use anet_constructions::j_class::JMember;
@@ -24,8 +24,9 @@ use anet_graph::{GraphError, NodeId, Port, Result};
 use std::collections::{HashMap, VecDeque};
 
 /// Solve CPPE on a member of `J_{μ,k}` in `k = member`'s class parameter rounds,
-/// given the map. Returns the per-node outputs (leader = `ρ_0`).
-pub fn solve_cppe_on_j(member: &JMember, k: usize) -> Result<MapRun> {
+/// given the map. Returns the per-node outputs (leader = `ρ_0`); the decision is
+/// evaluated analytically, so nothing is simulated, traced or metered.
+pub fn solve_cppe_on_j(member: &JMember, k: usize) -> Result<SolverRun> {
     let graph = &member.labeled.graph;
     let count = member.num_gadgets();
     if count < 2 {
@@ -106,12 +107,15 @@ pub fn solve_cppe_on_j(member: &JMember, k: usize) -> Result<MapRun> {
         outputs.push(NodeOutput::FullPath(full));
     }
 
-    Ok(MapRun {
+    Ok(SolverRun {
         rounds: k,
         outputs,
         // The paper's algorithm gathers B^k(v) by full-information flooding, costing
         // two messages per edge per round; the decision itself sends nothing more.
         messages_delivered: 2 * graph.num_edges() * k,
+        advice_bits: None,
+        advice_tree_bits: None,
+        advice_dag_bits: None,
         // Lemma 4.8 splices pre-computed paths from the map; no assignment search.
         search: anet_views::SearchStats::default(),
         // Analytic solver: nothing is simulated, so nothing crosses a wire.

@@ -17,11 +17,20 @@
 //! println!("{} rounds, {} messages", report.rounds, report.messages_delivered);
 //! ```
 //!
-//! The engine replaced the three historical, disconnected entry points
-//! (`anet_sim::run`, `anet_sim::run_parallel`, `anet_election::advice::run_with_advice`
-//! — all removed after their deprecation cycle) plus the per-task free functions
-//! (`solve_with_map`, `solve_port_election_on_u`, `solve_cppe_on_j`,
-//! `solve_selection_min_time`) behind a single builder:
+//! The library surface has three layers, each built on the next:
+//!
+//! * the **builder** ([`Election::task`] → [`ElectionBuilder`]) configures a run, verifies
+//!   its outputs and reports them;
+//! * a **solver** ([`Solver::solve`]) runs one algorithm family on a graph under a
+//!   [`RunContext`] — the backend, plus the optional shared interner, trace sink and wire
+//!   codec the builder attaches;
+//! * each algorithm family has **one public function** that takes the same context and
+//!   returns a [`SolverRun`]: [`crate::map_algorithms::solve_with_map`],
+//!   [`crate::advice::run_with_advice`],
+//!   [`crate::port_election::solve_port_election_on_u`] and (analytic, so context-free)
+//!   [`crate::cppe::solve_cppe_on_j`].
+//!
+//! A builder run is configured along three axes and returns one report:
 //!
 //! * the **task** is one of the paper's four shades ([`Task`]);
 //! * the **solver** is any [`Solver`] — the map-based minimum-time baseline
@@ -127,12 +136,16 @@ pub struct SolverRun {
     pub wire: Option<WireStats>,
 }
 
-/// Cross-cutting execution context the engine threads to [`Solver::solve_ctx`]:
-/// process-wide resources a run may share with concurrent runs. Everything here is
-/// optional and purely an execution concern — a solver given the default (empty)
-/// context computes exactly the same outputs.
+/// How a run executes, threaded by the engine to [`Solver::solve`] and taken by every
+/// algorithm's entry function: the backend, plus process-wide resources a run may
+/// share with concurrent runs. Everything here is purely an execution concern — the
+/// outputs are the same under every context. The default is a sequential, unshared,
+/// untraced, unmetered run.
 #[derive(Clone, Copy, Default)]
 pub struct RunContext<'a> {
+    /// The execution backend the simulated rounds run on (default:
+    /// [`Backend::Sequential`]). Analytic solvers simulate nothing and ignore it.
+    pub backend: Backend,
     /// A process-wide concurrent view interner. Solvers that hash-cons views (the
     /// map solver's `build_all` + canonicalization pass) intern through this table
     /// instead of a run-private one, so concurrent runs on overlapping graph
@@ -164,6 +177,7 @@ impl<'a> RunContext<'a> {
 impl std::fmt::Debug for RunContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunContext")
+            .field("backend", &self.backend)
             .field("shared_interner", &self.shared_interner.is_some())
             .field("trace", &self.trace.is_some())
             .field("wire", &self.wire)
@@ -172,7 +186,7 @@ impl std::fmt::Debug for RunContext<'_> {
 }
 
 /// A leader-election solver: anything that can produce per-node outputs for a task on
-/// a graph, running its communication on a given [`Backend`].
+/// a graph, executing under a [`RunContext`].
 ///
 /// Implementations in this crate: [`MapSolver`] (minimum-time, knows the map),
 /// [`AdviceSolver`] (oracle/algorithm pairs, e.g. Theorem 2.2), [`PortElectionSolver`]
@@ -181,7 +195,9 @@ pub trait Solver {
     /// Display name used in reports and tables.
     fn name(&self) -> String;
 
-    /// Solve (or attempt) `task` on `graph`, executing rounds on `backend`.
+    /// Solve (or attempt) `task` on `graph`, executing rounds on `ctx.backend` and
+    /// routing views, trace events and wire bits through the rest of the context.
+    /// The context must never change *what* is computed, only how it executes.
     ///
     /// A solver may ignore `task` and return outputs for the strongest shade it knows
     /// how to produce; the engine weakens them to the requested task per Fact 1.1.
@@ -189,24 +205,8 @@ pub trait Solver {
         &self,
         graph: &PortGraph,
         task: Task,
-        backend: Backend,
-    ) -> Result<SolverRun, EngineError>;
-
-    /// [`solve`](Solver::solve) with a [`RunContext`]. The default implementation
-    /// ignores the context and delegates, so existing solvers are unaffected;
-    /// solvers that can exploit shared resources (e.g. [`MapSolver`] and the
-    /// shared interner) override this. The engine always calls `solve_ctx`; the
-    /// context must never change *what* is computed, only what is shared.
-    fn solve_ctx(
-        &self,
-        graph: &PortGraph,
-        task: Task,
-        backend: Backend,
         ctx: &RunContext<'_>,
-    ) -> Result<SolverRun, EngineError> {
-        let _ = ctx;
-        self.solve(graph, task, backend)
-    }
+    ) -> Result<SolverRun, EngineError>;
 }
 
 /// Entry point of the facade: `Election::task(…)` starts a builder.
@@ -339,6 +339,7 @@ impl ElectionBuilder {
         // sink. Untraced runs take the `None` branch and pay nothing.
         let recorder = (self.profile || self.trace.is_some()).then(Recorder::new);
         let ctx = RunContext {
+            backend: self.backend,
             shared_interner: self.shared_interner.as_deref(),
             trace: recorder.as_ref().map(|r| r as &dyn TraceSink),
             wire: self.wire,
@@ -347,11 +348,27 @@ impl ElectionBuilder {
             .as_ref()
             .and(self.shared_interner.as_ref())
             .map(|t| t.stats());
-        let solve = || solver.solve_ctx(graph, self.task, self.backend, &ctx);
+        let solve = || solver.solve(graph, self.task, &ctx);
         let run = match self.thread_budget {
             Some(budget) => anet_sim::with_thread_budget(budget, solve)?,
             None => solve()?,
         };
+        // Fact 1.1: adapt outputs of a stronger shade to the requested task. If the
+        // shapes neither match nor weaken, keep the raw outputs and let the verifier
+        // report `WrongShape`.
+        let matches_task = run
+            .outputs
+            .iter()
+            .all(|o| o.task().is_none_or(|t| t == self.task));
+        let outputs = if matches_task {
+            run.outputs
+        } else {
+            tasks::weaken_outputs(&run.outputs, self.task).unwrap_or(run.outputs)
+        };
+        // Wall time covers the solve and the Fact 1.1 adaptation only: forwarding
+        // trace events to the caller's sink and verifying are not part of the
+        // algorithm being measured.
+        let wall_time = start.elapsed();
         let round_profile = recorder.map(|recorder| {
             // Interner traffic attributable to this run, from table-counter
             // snapshots (exact when runs don't overlap; see
@@ -372,21 +389,6 @@ impl ElectionBuilder {
             }
             RoundProfile::from_events(&events)
         });
-        // Fact 1.1: adapt outputs of a stronger shade to the requested task. If the
-        // shapes neither match nor weaken, keep the raw outputs and let the verifier
-        // report `WrongShape`.
-        let matches_task = run
-            .outputs
-            .iter()
-            .all(|o| o.task().is_none_or(|t| t == self.task));
-        let outputs = if matches_task {
-            run.outputs
-        } else {
-            tasks::weaken_outputs(&run.outputs, self.task).unwrap_or(run.outputs)
-        };
-        // Wall time covers the solve (and Fact 1.1 adaptation) only; verification can
-        // dominate on large graphs and is not part of the algorithm being measured.
-        let wall_time = start.elapsed();
         let verdict = tasks::verify(self.task, graph, &outputs);
         Ok(ElectionReport {
             task: self.task,
@@ -464,8 +466,11 @@ pub struct ElectionReport {
     pub outputs: Vec<NodeOutput>,
     /// The verifier's verdict on the outputs.
     pub verdict: Result<ElectionOutcome, TaskError>,
-    /// Wall-clock time of the solve (oracle + simulation + decision), excluding
-    /// verification.
+    /// Wall-clock time of the solver's whole run plus the Fact 1.1 weakening: for the
+    /// map solver that is refinement, the assignment search, view building and the
+    /// simulation; for advice pairs the oracle, the simulation and the decisions.
+    /// It excludes verification and the forwarding of trace events to a
+    /// [`trace_sink`](ElectionBuilder::trace_sink).
     pub wall_time: Duration,
     /// The run's round-level profile — per-round message counts, shallow payload
     /// bytes and per-phase nanoseconds — when the builder requested

@@ -1,27 +1,14 @@
 //! The built-in [`Solver`] implementations: one per algorithm family of the paper.
 
-use super::{Backend, EngineError, RunContext, Solver, SolverRun};
-use crate::advice::{run_with_advice_on, run_with_advice_wired, AdviceAlgorithm, Oracle};
+use super::{EngineError, RunContext, Solver, SolverRun};
+use crate::advice::{run_with_advice, AdviceAlgorithm, Oracle};
 use crate::cppe::solve_cppe_on_j;
-use crate::map_algorithms::{solve_with_map_on, solve_with_map_wired, MapRun};
-use crate::port_election::{solve_port_election_on_u_wired, solve_port_election_on_u_with};
+use crate::map_algorithms::solve_with_map;
+use crate::port_election::solve_port_election_on_u;
 use crate::selection::{SelectionAlgorithm, SelectionOracle};
 use crate::tasks::Task;
 use anet_constructions::j_class::JMember;
 use anet_graph::PortGraph;
-
-fn map_run_to_solver_run(run: MapRun) -> SolverRun {
-    SolverRun {
-        rounds: run.rounds,
-        outputs: run.outputs,
-        messages_delivered: run.messages_delivered,
-        advice_bits: None,
-        advice_tree_bits: None,
-        advice_dag_bits: None,
-        search: run.search,
-        wire: run.wire,
-    }
-}
 
 /// The minimum-time map-based baseline: solves any of the four shades on any feasible
 /// graph in exactly its election index `ψ_Z(G)` rounds, assuming every node knows the
@@ -55,35 +42,10 @@ impl Solver for MapSolver {
         &self,
         graph: &PortGraph,
         task: Task,
-        backend: Backend,
-    ) -> Result<SolverRun, EngineError> {
-        solve_with_map_on(graph, task, self.max_paths, backend)
-            .map(map_run_to_solver_run)
-            .map_err(|e| EngineError::solver(self.name(), e))
-    }
-
-    fn solve_ctx(
-        &self,
-        graph: &PortGraph,
-        task: Task,
-        backend: Backend,
         ctx: &RunContext<'_>,
     ) -> Result<SolverRun, EngineError> {
-        // The map solver is the view-heavy one: route its `build_all` +
-        // canonicalization pass through the process-wide interner when given one,
-        // its simulation rounds through the context's trace probe, and its
-        // messages through the context's wire codec when the run is metered.
-        solve_with_map_wired(
-            graph,
-            task,
-            self.max_paths,
-            backend,
-            ctx.shared_interner,
-            ctx.trace_sink(),
-            ctx.wire,
-        )
-        .map(map_run_to_solver_run)
-        .map_err(|e| EngineError::solver(self.name(), e))
+        solve_with_map(graph, task, self.max_paths, ctx)
+            .map_err(|e| EngineError::solver(self.name(), e))
     }
 }
 
@@ -157,42 +119,9 @@ where
         &self,
         graph: &PortGraph,
         _task: Task,
-        backend: Backend,
-    ) -> Result<SolverRun, EngineError> {
-        let run = run_with_advice_on(graph, &self.oracle, &self.algorithm, backend);
-        Ok(advice_run_to_solver_run(run))
-    }
-
-    fn solve_ctx(
-        &self,
-        graph: &PortGraph,
-        _task: Task,
-        backend: Backend,
         ctx: &RunContext<'_>,
     ) -> Result<SolverRun, EngineError> {
-        let run = run_with_advice_wired(
-            graph,
-            &self.oracle,
-            &self.algorithm,
-            backend,
-            ctx.trace_sink(),
-            ctx.wire,
-        );
-        Ok(advice_run_to_solver_run(run))
-    }
-}
-
-fn advice_run_to_solver_run(run: crate::advice::AdviceRun) -> SolverRun {
-    SolverRun {
-        rounds: run.rounds,
-        messages_delivered: run.messages_delivered,
-        advice_bits: Some(run.advice.len()),
-        advice_tree_bits: run.advice_tree_bits,
-        advice_dag_bits: run.advice_dag_bits,
-        // Advice pairs decide from (advice, view): there is no assignment search.
-        search: anet_views::SearchStats::default(),
-        wire: run.wire,
-        outputs: run.outputs,
+        Ok(run_with_advice(graph, &self.oracle, &self.algorithm, ctx))
     }
 }
 
@@ -220,22 +149,9 @@ impl Solver for PortElectionSolver {
         &self,
         graph: &PortGraph,
         _task: Task,
-        backend: Backend,
-    ) -> Result<SolverRun, EngineError> {
-        solve_port_election_on_u_with(graph, self.k, backend)
-            .map(map_run_to_solver_run)
-            .map_err(|e| EngineError::solver(self.name(), e))
-    }
-
-    fn solve_ctx(
-        &self,
-        graph: &PortGraph,
-        _task: Task,
-        backend: Backend,
         ctx: &RunContext<'_>,
     ) -> Result<SolverRun, EngineError> {
-        solve_port_election_on_u_wired(graph, self.k, backend, ctx.trace_sink(), ctx.wire)
-            .map(map_run_to_solver_run)
+        solve_port_election_on_u(graph, self.k, ctx)
             .map_err(|e| EngineError::solver(self.name(), e))
     }
 }
@@ -247,8 +163,8 @@ impl Solver for PortElectionSolver {
 /// (the map would not describe the network).
 ///
 /// The paper's algorithm is a function of `B^k(v)`; this implementation evaluates that
-/// function analytically from the map instead of simulating the flood, so the engine's
-/// [`Backend`] has no effect on it (message accounting is the flood's closed form,
+/// function analytically from the map instead of simulating the flood, so the
+/// [`RunContext`] has no effect on it (message accounting is the flood's closed form,
 /// `2mk`). `ElectionReport.backend` therefore records the *configured* backend only.
 pub struct CppeSolver {
     member: JMember,
@@ -276,7 +192,7 @@ impl Solver for CppeSolver {
         &self,
         graph: &PortGraph,
         _task: Task,
-        _backend: Backend,
+        _ctx: &RunContext<'_>,
     ) -> Result<SolverRun, EngineError> {
         if *graph != self.member.labeled.graph {
             return Err(EngineError::solver(
@@ -284,9 +200,7 @@ impl Solver for CppeSolver {
                 "the graph is not the J member this solver's map describes",
             ));
         }
-        solve_cppe_on_j(&self.member, self.k)
-            .map(map_run_to_solver_run)
-            .map_err(|e| EngineError::solver(self.name(), e))
+        solve_cppe_on_j(&self.member, self.k).map_err(|e| EngineError::solver(self.name(), e))
     }
 }
 

@@ -40,7 +40,7 @@ pub mod port_election;
 pub mod selection;
 pub mod tasks;
 
-pub use advice::{AdviceAlgorithm, AdviceRun, Oracle};
+pub use advice::{AdviceAlgorithm, Oracle};
 pub use engine::{
     AdviceSolver, Backend, BatchRow, BatchRunner, CppeSolver, Election, ElectionBuilder,
     ElectionReport, EngineError, MapSolver, PortElectionSolver, RunContext, Solver, SolverRun,

@@ -10,38 +10,17 @@
 //!
 //! These algorithms serve two purposes in the reproduction: they are the baseline that
 //! *defines* minimum time in experiment E1, and they realise the upper-bound halves of
-//! Lemmas 2.7 / 3.9 / 4.9 on arbitrary (small) feasible graphs.
+//! Lemmas 2.7 / 3.9 / 4.9 on arbitrary feasible graphs — since the class-quotient
+//! assignment search, at 10⁴ nodes and beyond.
 
+use crate::engine::{Backend, MessageCodec, RunContext, SolverRun};
 use crate::tasks::{NodeOutput, Task};
 use anet_graph::PortGraph;
-use anet_sim::{Backend, MessageCodec, RunReport, WireStats};
 use anet_views::election_index::{
     cppe_assignment_with, pe_assignment_with, ppe_assignment_with, IndexError,
 };
-use anet_views::{
-    InternerHandle, QuotientSearch, Refinement, SearchStats, SharedViewInterner, View,
-};
+use anet_views::{InternerHandle, QuotientSearch, Refinement, View};
 use std::collections::HashMap;
-
-/// Result of a map-based run.
-#[derive(Debug, Clone)]
-pub struct MapRun {
-    /// Rounds used (= the election index of the task on this graph).
-    pub rounds: usize,
-    /// Per-node outputs.
-    pub outputs: Vec<NodeOutput>,
-    /// Messages delivered by the underlying full-information simulation.
-    pub messages_delivered: usize,
-    /// Cost counters of the map-side assignment search (classes expanded by the
-    /// quotient BFS, candidate paths explored). Zero for algorithms that read the
-    /// assignment off the map analytically instead of searching for it.
-    pub search: SearchStats,
-    /// Per-round / per-edge bits actually put on the wire, when the run went
-    /// through the metered transport (an explicit codec request or a
-    /// [`Backend::Capped`] backend). `None` for the zero-serialisation fast path
-    /// and for analytic solvers that never simulate.
-    pub wire: Option<anet_sim::WireStats>,
-}
 
 /// Errors of the map-based solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,83 +54,23 @@ impl From<IndexError> for MapSolveError {
 }
 
 /// Solve `task` on `graph` in minimum time, assuming every node knows the map.
-/// `max_paths` bounds the simple-path enumeration used for PPE / CPPE.
+/// `max_paths` bounds the candidate-path budget of the PPE / CPPE assignment search.
 ///
-/// Convenience wrapper over [`solve_with_map_on`] with the sequential backend.
+/// The run uses `ψ_Z(graph)` rounds: the returned [`SolverRun`] carries them (the
+/// inflated physical count under [`Backend::Capped`]) with the search counters and no
+/// advice. The context picks the backend the full-information simulation runs on, and
+/// optionally a process-wide [`anet_views::SharedViewInterner`] for the map-side
+/// `build_all` and canonicalisation pass (concurrent runs on overlapping graph
+/// families then dedup their view DAGs against each other), a trace sink for the
+/// simulated rounds (the map-side precomputation is not traced) and a wire codec that
+/// meters every message. Outputs and message accounting are the same under every
+/// context.
 pub fn solve_with_map(
     graph: &PortGraph,
     task: Task,
     max_paths: usize,
-) -> Result<MapRun, MapSolveError> {
-    solve_with_map_on(graph, task, max_paths, Backend::Sequential)
-}
-
-/// [`solve_with_map`] on an explicit execution [`Backend`]: the full-information
-/// simulation that realises the decision function runs on the chosen backend. Outputs,
-/// rounds and message accounting are backend-independent.
-pub fn solve_with_map_on(
-    graph: &PortGraph,
-    task: Task,
-    max_paths: usize,
-    backend: Backend,
-) -> Result<MapRun, MapSolveError> {
-    solve_with_map_shared(graph, task, max_paths, backend, None)
-}
-
-/// [`solve_with_map_on`] with an optional process-wide [`SharedViewInterner`]: when
-/// given, the map-side `build_all` pass and the per-run canonicalization intern
-/// through the shared table (via a per-run [`InternerHandle`] memo) instead of a
-/// run-private [`anet_views::ViewInterner`]. Concurrent runs on isomorphic or
-/// overlapping graph families then dedup their view DAGs against each other — the
-/// cross-tenant sharing the election service measures as its interner hit-rate.
-/// Outputs are identical either way; only allocation sharing changes.
-pub fn solve_with_map_shared(
-    graph: &PortGraph,
-    task: Task,
-    max_paths: usize,
-    backend: Backend,
-    shared: Option<&SharedViewInterner>,
-) -> Result<MapRun, MapSolveError> {
-    solve_with_map_traced(
-        graph,
-        task,
-        max_paths,
-        backend,
-        shared,
-        &anet_trace::NoopSink,
-    )
-}
-
-/// [`solve_with_map_shared`] with a trace probe: the full-information simulation that
-/// realises the decision function emits round-level [`anet_trace::TraceEvent`]s into
-/// `sink` (the map-side precomputation is not simulated and therefore not traced).
-/// With [`anet_trace::NoopSink`] this *is* `solve_with_map_shared`.
-pub fn solve_with_map_traced(
-    graph: &PortGraph,
-    task: Task,
-    max_paths: usize,
-    backend: Backend,
-    shared: Option<&SharedViewInterner>,
-    sink: &dyn anet_trace::TraceSink,
-) -> Result<MapRun, MapSolveError> {
-    solve_with_map_wired(graph, task, max_paths, backend, shared, sink, None)
-}
-
-/// [`solve_with_map_traced`] with an optional wire codec: when `wire` is `Some`
-/// (or the backend is [`Backend::Capped`], which is only meaningful when bits are
-/// counted), the full-information simulation serialises every message through the
-/// metered transport and the returned [`MapRun`] carries the resulting
-/// [`anet_sim::WireStats`]. With `wire = None` on an ordinary backend this *is*
-/// `solve_with_map_traced`: same outputs, same message accounting, no bit meter.
-pub fn solve_with_map_wired(
-    graph: &PortGraph,
-    task: Task,
-    max_paths: usize,
-    backend: Backend,
-    shared: Option<&SharedViewInterner>,
-    sink: &dyn anet_trace::TraceSink,
-    wire: Option<anet_sim::MessageCodec>,
-) -> Result<MapRun, MapSolveError> {
+    ctx: &RunContext<'_>,
+) -> Result<SolverRun, MapSolveError> {
     let refinement = Refinement::compute(graph, None);
     // One quotient search serves every (depth, leader) attempt: the class quotient
     // is cached per depth and the leader BFS per leader, so walking many candidate
@@ -225,7 +144,7 @@ pub fn solve_with_map_wired(
     // nodes (the collector's output is a shared DAG), after which the table hit is
     // pointer-equal — without this, a positive equality check would walk the full
     // unfolded Θ(Δ^rounds) tree, since collector- and map-built views share no Arcs.
-    let mut interner = match shared {
+    let mut interner = match ctx.shared_interner {
         Some(table) => InternerHandle::shared(table),
         None => InternerHandle::own(),
     };
@@ -244,42 +163,38 @@ pub fn solve_with_map_wired(
             .cloned()
             .expect("every view observed in the run appears in the map")
     };
-    let (outputs, report, wire_stats) =
-        run_full_information_wired(graph, rounds, backend, sink, wire, decide);
-
-    // `report.rounds` equals the logical depth on every ordinary backend; under
-    // `Backend::Capped` the simulator streams large views across several physical
-    // rounds and reports the inflated physical count — which is the round number
-    // the CONGEST-style accounting is about, so it is what MapRun carries.
-    Ok(MapRun {
-        rounds: report.rounds,
-        outputs,
-        messages_delivered: report.messages_delivered,
+    let run = run_full_information_wired(graph, rounds, ctx, decide);
+    Ok(SolverRun {
         search: search.stats(),
-        wire: wire_stats,
+        ..run
     })
 }
 
-/// Collect `B^rounds(v)` on `backend` and apply `decide`, serialising every
-/// message through `wire` when it is `Some`. A bandwidth-capped backend is only
-/// meaningful with bits on the wire, so it forces metering under the default
-/// codec even without an explicit request. The shared tail of every `*_wired`
-/// solver in this crate.
-pub(crate) fn run_full_information_wired<O, D>(
+/// Collect `B^rounds(v)` on `ctx.backend`, apply `decide`, and report the run with
+/// no advice and no search. Every message goes through the metered transport when
+/// `ctx.wire` names a codec; a bandwidth-capped backend is only meaningful with bits
+/// on the wire, so it forces metering under the default codec. The shared tail of
+/// every simulating solver in this crate.
+///
+/// `rounds` of the result is the logical depth on every ordinary backend; under
+/// [`Backend::Capped`] the simulator streams large views across several physical
+/// rounds and reports the inflated physical count, which is the round number the
+/// CONGEST-style accounting is about.
+pub(crate) fn run_full_information_wired<D>(
     graph: &PortGraph,
     rounds: usize,
-    backend: Backend,
-    sink: &dyn anet_trace::TraceSink,
-    wire: Option<MessageCodec>,
+    ctx: &RunContext<'_>,
     decide: D,
-) -> (Vec<O>, RunReport, Option<WireStats>)
+) -> SolverRun
 where
-    O: Clone + Send,
-    D: Fn(&View) -> O,
+    D: Fn(&View) -> NodeOutput,
 {
-    let codec =
-        wire.or_else(|| matches!(backend, Backend::Capped { .. }).then(MessageCodec::default));
-    match codec {
+    let backend = ctx.backend;
+    let sink = ctx.trace_sink();
+    let codec = ctx
+        .wire
+        .or_else(|| matches!(backend, Backend::Capped { .. }).then(MessageCodec::default));
+    let (outputs, report, wire) = match codec {
         Some(codec) => {
             let (outputs, report, stats) =
                 anet_sim::run_full_information_metered(graph, rounds, backend, codec, sink, decide);
@@ -290,6 +205,16 @@ where
                 anet_sim::run_full_information_traced(graph, rounds, backend, sink, decide);
             (outputs, report, None)
         }
+    };
+    SolverRun {
+        rounds: report.rounds,
+        outputs,
+        messages_delivered: report.messages_delivered,
+        advice_bits: None,
+        advice_tree_bits: None,
+        advice_dag_bits: None,
+        search: anet_views::SearchStats::default(),
+        wire,
     }
 }
 
@@ -302,7 +227,7 @@ pub fn measured_indices(
 ) -> Result<[Option<usize>; 4], MapSolveError> {
     let mut out = [None, None, None, None];
     for (slot, task) in Task::ALL.iter().enumerate() {
-        out[slot] = match solve_with_map(graph, *task, max_paths) {
+        out[slot] = match solve_with_map(graph, *task, max_paths, &RunContext::default()) {
             Ok(run) => Some(run.rounds),
             Err(MapSolveError::Unsolvable(_)) => None,
             Err(e @ MapSolveError::Budget(_)) => return Err(e),
@@ -320,7 +245,7 @@ mod tests {
 
     fn check_all_tasks(graph: &PortGraph) {
         for task in Task::ALL {
-            match solve_with_map(graph, task, 20_000) {
+            match solve_with_map(graph, task, 20_000, &RunContext::default()) {
                 Ok(run) => {
                     verify(task, graph, &run.outputs)
                         .unwrap_or_else(|e| panic!("{task} outputs invalid: {e}"));
@@ -358,7 +283,13 @@ mod tests {
         let g = generators::paper_three_node_line();
         check_all_tasks(&g);
         // The paper quotes ψ_CPPE = 1 for this graph.
-        let run = solve_with_map(&g, Task::CompletePortPathElection, 100).unwrap();
+        let run = solve_with_map(
+            &g,
+            Task::CompletePortPathElection,
+            100,
+            &RunContext::default(),
+        )
+        .unwrap();
         assert_eq!(run.rounds, 1);
     }
 
@@ -373,7 +304,7 @@ mod tests {
         let g = generators::symmetric_ring(5).unwrap();
         for task in Task::ALL {
             assert_eq!(
-                solve_with_map(&g, task, 100).unwrap_err(),
+                solve_with_map(&g, task, 100, &RunContext::default()).unwrap_err(),
                 MapSolveError::Unsolvable(task)
             );
         }
@@ -395,7 +326,7 @@ mod tests {
     #[test]
     fn map_run_reports_simulation_cost() {
         let g = generators::oriented_ring(&[true, true, false, true, false]).unwrap();
-        let run = solve_with_map(&g, Task::Selection, 100).unwrap();
+        let run = solve_with_map(&g, Task::Selection, 100, &RunContext::default()).unwrap();
         assert_eq!(
             run.messages_delivered,
             2 * g.num_edges() * run.rounds,

@@ -19,58 +19,26 @@
 //! algorithm is executed here exactly like every other algorithm in this crate:
 //! through the full-information simulator, with a decision closure.
 
-use crate::map_algorithms::{run_full_information_wired, MapRun};
+use crate::engine::{RunContext, SolverRun};
+use crate::map_algorithms::run_full_information_wired;
 use crate::tasks::NodeOutput;
 use anet_graph::{GraphError, NodeId, PortGraph};
-use anet_sim::Backend;
 use anet_views::{View, ViewInterner};
 use std::collections::HashMap;
 
 /// Solve Port Election on a member of `U_{Δ,k}` in `k` rounds, given the map.
 ///
 /// `graph` must be (port-isomorphic to) a member of `U_{Δ,k}`; `k` is the class
-/// parameter (equal to `ψ_S = ψ_PE` of the graph, Lemma 3.9).
-///
-/// Convenience wrapper over [`solve_port_election_on_u_with`] with the sequential
-/// backend.
-pub fn solve_port_election_on_u(graph: &PortGraph, k: usize) -> Result<MapRun, GraphError> {
-    solve_port_election_on_u_with(graph, k, Backend::Sequential)
-}
-
-/// [`solve_port_election_on_u`] on an explicit execution [`Backend`].
-pub fn solve_port_election_on_u_with(
+/// parameter (equal to `ψ_S = ψ_PE` of the graph, Lemma 3.9). The `k`
+/// view-collection rounds run on `ctx.backend`, emit trace events into `ctx.trace`
+/// and are metered when `ctx.wire` names a codec (or the backend is capped, which
+/// also inflates `rounds` to the physical count). Lemma 3.9 reads the ports off the
+/// map's structure, so the run reports no advice and no search.
+pub fn solve_port_election_on_u(
     graph: &PortGraph,
     k: usize,
-    backend: Backend,
-) -> Result<MapRun, GraphError> {
-    solve_port_election_on_u_traced(graph, k, backend, &anet_trace::NoopSink)
-}
-
-/// [`solve_port_election_on_u_with`] with a trace probe: the `k` view-collection
-/// rounds emit round-level [`anet_trace::TraceEvent`]s into `sink`. With
-/// [`anet_trace::NoopSink`] this *is* `solve_port_election_on_u_with`.
-pub fn solve_port_election_on_u_traced(
-    graph: &PortGraph,
-    k: usize,
-    backend: Backend,
-    sink: &dyn anet_trace::TraceSink,
-) -> Result<MapRun, GraphError> {
-    solve_port_election_on_u_wired(graph, k, backend, sink, None)
-}
-
-/// [`solve_port_election_on_u_traced`] with an optional wire codec: when `wire` is
-/// `Some` (or the backend is [`Backend::Capped`], which is only meaningful when
-/// bits are counted), the `k` view-collection rounds serialise every message
-/// through the metered transport and the returned [`MapRun`] carries the
-/// resulting [`anet_sim::WireStats`]. With `wire = None` on an ordinary backend
-/// this *is* `solve_port_election_on_u_traced`.
-pub fn solve_port_election_on_u_wired(
-    graph: &PortGraph,
-    k: usize,
-    backend: Backend,
-    sink: &dyn anet_trace::TraceSink,
-    wire: Option<anet_sim::MessageCodec>,
-) -> Result<MapRun, GraphError> {
+    ctx: &RunContext<'_>,
+) -> Result<SolverRun, GraphError> {
     let max_deg = graph.max_degree();
     if max_deg < 7 || max_deg.is_multiple_of(2) {
         return Err(GraphError::invalid(
@@ -157,18 +125,7 @@ pub fn solve_port_election_on_u_wired(
         )
     };
 
-    let (outputs, report, wire_stats) =
-        run_full_information_wired(graph, k, backend, sink, wire, decide);
-    Ok(MapRun {
-        // `k` on every ordinary backend; the inflated physical count under
-        // `Backend::Capped`, where large views stream across several rounds.
-        rounds: report.rounds,
-        outputs,
-        messages_delivered: report.messages_delivered,
-        // Lemma 3.9 reads the ports off the map's structure; no assignment search.
-        search: anet_views::SearchStats::default(),
-        wire: wire_stats,
-    })
+    Ok(run_full_information_wired(graph, k, ctx, decide))
 }
 
 /// First port of a shortest path (ties broken by port order) from `v` to the nearest
@@ -225,7 +182,7 @@ mod tests {
         ] {
             let member = class.member(&sigma).unwrap();
             let g = &member.labeled.graph;
-            let run = solve_port_election_on_u(g, class.k).unwrap();
+            let run = solve_port_election_on_u(g, class.k, &RunContext::default()).unwrap();
             assert_eq!(run.rounds, class.k);
             let outcome = verify(Task::PortElection, g, &run.outputs)
                 .unwrap_or_else(|e| panic!("σ = {sigma:?}: {e}"));
@@ -241,7 +198,7 @@ mod tests {
         let class = UClass::new(4, 1).unwrap();
         let member = class.member(&[2u32; 9]).unwrap();
         let g = &member.labeled.graph;
-        let run = solve_port_election_on_u(g, class.k).unwrap();
+        let run = solve_port_election_on_u(g, class.k, &RunContext::default()).unwrap();
         let s = weaken_outputs(&run.outputs, Task::Selection).unwrap();
         assert!(verify(Task::Selection, g, &s).is_ok());
     }
@@ -249,7 +206,7 @@ mod tests {
     #[test]
     fn rejects_maps_that_are_not_u_members() {
         let g = anet_graph::generators::star(3).unwrap();
-        assert!(solve_port_election_on_u(&g, 1).is_err());
+        assert!(solve_port_election_on_u(&g, 1, &RunContext::default()).is_err());
     }
 
     #[test]
@@ -257,8 +214,8 @@ mod tests {
         let class = UClass::new(4, 1).unwrap();
         let member = class.member(&[1u32; 9]).unwrap();
         let g = &member.labeled.graph;
-        let a = solve_port_election_on_u(g, class.k).unwrap();
-        let b = solve_port_election_on_u(g, class.k).unwrap();
+        let a = solve_port_election_on_u(g, class.k, &RunContext::default()).unwrap();
+        let b = solve_port_election_on_u(g, class.k, &RunContext::default()).unwrap();
         assert_eq!(a.outputs, b.outputs);
     }
 }

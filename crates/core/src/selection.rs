@@ -7,10 +7,9 @@
 //! equals the decoded view. Correctness follows from Proposition 2.1: at depth
 //! `ψ_S(G)` a unique-view node exists, and exactly one node's view matches the advice.
 
-use crate::advice::{AdviceAlgorithm, AdviceRun, Oracle, OracleAdvice};
+use crate::advice::{AdviceAlgorithm, Oracle, OracleAdvice};
 use crate::tasks::NodeOutput;
 use anet_graph::PortGraph;
-use anet_sim::Backend;
 use anet_views::dag_encoding::encode_view_dag;
 use anet_views::election_index::psi_s_with;
 use anet_views::encoding::{encode_view_interned, tree_encoded_size_bits};
@@ -127,33 +126,6 @@ impl AdviceAlgorithm for SelectionAlgorithm {
     }
 }
 
-/// Convenience: run the Theorem 2.2 pair on a graph (sequential backend).
-pub fn solve_selection_min_time(graph: &PortGraph) -> AdviceRun {
-    solve_selection_min_time_on(graph, Backend::Sequential)
-}
-
-/// Run the Theorem 2.2 pair on a graph, on an explicit execution [`Backend`]
-/// (tree-codec advice; see [`solve_selection_min_time_with`] for the codec axis).
-pub fn solve_selection_min_time_on(graph: &PortGraph, backend: Backend) -> AdviceRun {
-    solve_selection_min_time_with(graph, ViewCodec::Tree, backend)
-}
-
-/// Run the Theorem 2.2 pair shipping the encoded view under an explicit
-/// [`ViewCodec`], on an explicit execution [`Backend`]. The decision function (and
-/// hence the outputs) is codec-independent; only `advice_bits` changes.
-pub fn solve_selection_min_time_with(
-    graph: &PortGraph,
-    codec: ViewCodec,
-    backend: Backend,
-) -> AdviceRun {
-    crate::advice::run_with_advice_on(
-        graph,
-        &SelectionOracle { codec },
-        &SelectionAlgorithm { codec },
-        backend,
-    )
-}
-
 /// The paper's bound on the advice used by this oracle, in bits (Theorem 2.2 statement
 /// with explicit constants as implemented here): the encoded view has at most
 /// `1 + Σ_{d≤ψ} Δ^d` tree nodes, each contributing one degree field, plus one far-port
@@ -173,25 +145,32 @@ pub fn selection_advice_upper_bound_bits(delta: usize, psi_s: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advice::run_with_advice;
+    use crate::engine::{RunContext, SolverRun};
     use crate::tasks::{verify, Task};
     use anet_graph::generators;
     use anet_views::election_index::psi_s;
     use anet_views::encoding::decode_view;
 
+    /// The Theorem 2.2 pair under one codec, on the default context.
+    fn run_pair(graph: &PortGraph, codec: ViewCodec) -> SolverRun {
+        let (oracle, algorithm) = (SelectionOracle { codec }, SelectionAlgorithm { codec });
+        run_with_advice(graph, &oracle, &algorithm, &RunContext::default())
+    }
+
     fn check_on(graph: &PortGraph) {
         let expected_rounds = psi_s(graph).expect("graph must have finite ψ_S");
-        let run = solve_selection_min_time(graph);
+        let run = run_pair(graph, ViewCodec::Tree);
         assert_eq!(run.rounds, expected_rounds, "runs in exactly ψ_S rounds");
         let outcome = verify(Task::Selection, graph, &run.outputs).expect("solves Selection");
         // The elected leader is a node with a unique view at depth ψ_S.
         let refinement = Refinement::compute(graph, None);
         assert!(refinement.is_unique(outcome.leader, expected_rounds));
         // Advice within the upper bound.
+        let bits = run.advice_bits.unwrap();
         assert!(
-            run.advice_bits()
-                <= selection_advice_upper_bound_bits(graph.max_degree(), expected_rounds),
-            "{} bits exceeds the bound",
-            run.advice_bits()
+            bits <= selection_advice_upper_bound_bits(graph.max_degree(), expected_rounds),
+            "{bits} bits exceeds the bound"
         );
     }
 
@@ -230,7 +209,7 @@ mod tests {
     #[test]
     fn zero_round_case_uses_no_communication() {
         let g = generators::star(3).unwrap();
-        let run = solve_selection_min_time(&g);
+        let run = run_pair(&g, ViewCodec::Tree);
         assert_eq!(run.rounds, 0);
         assert_eq!(run.messages_delivered, 0);
         assert!(verify(Task::Selection, &g, &run.outputs).is_ok());
@@ -250,15 +229,15 @@ mod tests {
             if psi_s(&g).is_none() {
                 continue;
             }
-            let tree_run = solve_selection_min_time_with(&g, ViewCodec::Tree, Backend::Sequential);
-            let dag_run = solve_selection_min_time_with(&g, ViewCodec::Dag, Backend::Sequential);
+            let tree_run = run_pair(&g, ViewCodec::Tree);
+            let dag_run = run_pair(&g, ViewCodec::Dag);
             // Same election, same rounds — only the wire form of the advice differs.
             assert_eq!(tree_run.outputs, dag_run.outputs);
             assert_eq!(tree_run.rounds, dag_run.rounds);
             assert!(verify(Task::Selection, &g, &dag_run.outputs).is_ok());
             // Both runs report both sizes, and each ships its own codec's size.
-            assert_eq!(tree_run.advice_tree_bits, Some(tree_run.advice_bits()));
-            assert_eq!(dag_run.advice_dag_bits, Some(dag_run.advice_bits()));
+            assert_eq!(tree_run.advice_tree_bits, tree_run.advice_bits);
+            assert_eq!(dag_run.advice_dag_bits, dag_run.advice_bits);
             assert_eq!(tree_run.advice_dag_bits, dag_run.advice_dag_bits);
             assert_eq!(tree_run.advice_tree_bits, dag_run.advice_tree_bits);
         }

@@ -1,7 +1,7 @@
 //! Behavioural tests of the election service: admission, backpressure, panic
 //! containment, cross-tenant interner sharing, and worker-count independence.
 
-use anet_election::engine::{EngineError, MapSolver, Solver, SolverRun};
+use anet_election::engine::{EngineError, MapSolver, RunContext, Solver, SolverRun};
 use anet_election::tasks::Task;
 use anet_graph::{generators, PortGraph};
 use anet_service::{
@@ -126,10 +126,10 @@ impl Solver for SleepySolver {
         &self,
         graph: &PortGraph,
         task: Task,
-        backend: Backend,
+        ctx: &RunContext<'_>,
     ) -> Result<SolverRun, EngineError> {
         std::thread::sleep(self.0);
-        MapSolver::default().solve(graph, task, backend)
+        MapSolver::default().solve(graph, task, ctx)
     }
 }
 

@@ -79,31 +79,8 @@ impl Solver for GuardedAdviceSolver {
         &self,
         graph: &PortGraph,
         task: Task,
-        backend: Backend,
-    ) -> Result<SolverRun, EngineError> {
-        if psi_s(graph).is_none() {
-            return Err(EngineError::Solver {
-                solver: self.name(),
-                message: "unsolvable: no view class of multiplicity 1 (infinite Selection index)"
-                    .to_string(),
-            });
-        }
-        match self.codec {
-            ViewCodec::Tree => AdviceSolver::theorem_2_2().solve(graph, task, backend),
-            ViewCodec::Dag => AdviceSolver::theorem_2_2_dag().solve(graph, task, backend),
-        }
-    }
-
-    fn solve_ctx(
-        &self,
-        graph: &PortGraph,
-        task: Task,
-        backend: Backend,
         ctx: &RunContext<'_>,
     ) -> Result<SolverRun, EngineError> {
-        // Forward the run context explicitly: the guard must not swallow the
-        // engine's trace probe (profiled sweeps) or shared interner on the way to
-        // the inner advice solver.
         if psi_s(graph).is_none() {
             return Err(EngineError::Solver {
                 solver: self.name(),
@@ -112,8 +89,8 @@ impl Solver for GuardedAdviceSolver {
             });
         }
         match self.codec {
-            ViewCodec::Tree => AdviceSolver::theorem_2_2().solve_ctx(graph, task, backend, ctx),
-            ViewCodec::Dag => AdviceSolver::theorem_2_2_dag().solve_ctx(graph, task, backend, ctx),
+            ViewCodec::Tree => AdviceSolver::theorem_2_2().solve(graph, task, ctx),
+            ViewCodec::Dag => AdviceSolver::theorem_2_2_dag().solve(graph, task, ctx),
         }
     }
 }
@@ -569,7 +546,7 @@ mod tests {
         let symmetric = TorusFamily::generate(3, 3);
         for codec in [ViewCodec::Tree, ViewCodec::Dag] {
             let err = GuardedAdviceSolver { codec }
-                .solve(&symmetric, Task::Selection, Backend::Sequential)
+                .solve(&symmetric, Task::Selection, &RunContext::default())
                 .unwrap_err();
             assert!(matches!(err, EngineError::Solver { .. }));
         }

@@ -3,7 +3,11 @@
 //! construction families (`G_{Δ,k}`, `U_{Δ,k}`, `J_{μ,k}`).
 
 use four_shades::constructions::{GClass, JClass, UClass};
+use four_shades::graph::PortGraph;
 use four_shades::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// All four shades solved through the engine on a `G_{4,1}` member, with the
 /// map-based minimum-time solver, on every backend.
@@ -164,24 +168,98 @@ fn batch_sweep_respects_the_hierarchy_on_g_members() {
     }
 }
 
-/// The advice framework's backend-explicit entry point agrees with the facade (the
-/// deprecated shims `anet_sim::run`, `anet_sim::run_parallel` and
-/// `advice::run_with_advice` are gone; `run_with_advice_on` is the remaining low-level
-/// way to run an oracle/algorithm pair outside the engine).
+/// Each algorithm has one public entry function taking the same `RunContext` the
+/// engine builds; called directly under the default context, every one of them
+/// agrees with `Election::run` on the matching solver.
 #[test]
-fn advice_entry_point_agrees_with_the_engine() {
-    let g = four_shades::graph::generators::star(5).unwrap();
-    let low_level = four_shades::election::advice::run_with_advice_on(
-        &g,
-        &four_shades::election::selection::SelectionOracle::tree(),
-        &four_shades::election::selection::SelectionAlgorithm::tree(),
-        Backend::Sequential,
-    );
-    let new = Election::task(Task::Selection)
-        .solver(AdviceSolver::theorem_2_2())
+fn entry_functions_agree_with_the_engine() {
+    use four_shades::election::selection::{SelectionAlgorithm, SelectionOracle};
+    use four_shades::election::{advice, cppe, map_algorithms, port_election};
+    let ctx = RunContext::default();
+    let ring =
+        four_shades::graph::generators::oriented_ring(&[true, true, false, true, false]).unwrap();
+    let u_class = UClass::new(4, 1).unwrap();
+    let u = u_class.member(&[2u32; 9]).unwrap().labeled.graph;
+    let j_class = JClass::new(2, 4).unwrap();
+    let j = j_class.template(Some(3)).unwrap();
+    let max_paths = MapSolver::default().max_paths;
+    let mut table: Vec<(String, &PortGraph, SolverRun, ElectionBuilder)> = Task::ALL
+        .into_iter()
+        .map(|task| {
+            (
+                format!("solve_with_map {task}"),
+                &ring,
+                map_algorithms::solve_with_map(&ring, task, max_paths, &ctx).unwrap(),
+                Election::task(task).solver(MapSolver::default()),
+            )
+        })
+        .collect();
+    table.push((
+        "run_with_advice".into(),
+        &ring,
+        advice::run_with_advice(
+            &ring,
+            &SelectionOracle::tree(),
+            &SelectionAlgorithm::tree(),
+            &ctx,
+        ),
+        Election::task(Task::Selection).solver(AdviceSolver::theorem_2_2()),
+    ));
+    table.push((
+        "solve_port_election_on_u".into(),
+        &u,
+        port_election::solve_port_election_on_u(&u, u_class.k, &ctx).unwrap(),
+        Election::task(Task::PortElection).solver(PortElectionSolver::new(u_class.k)),
+    ));
+    table.push((
+        "solve_cppe_on_j".into(),
+        &j.labeled.graph,
+        cppe::solve_cppe_on_j(&j, j_class.k).unwrap(),
+        Election::task(Task::CompletePortPathElection).solver(CppeSolver::new(
+            j_class.template(Some(3)).unwrap(),
+            j_class.k,
+        )),
+    ));
+    for (name, graph, run, engine) in &table {
+        let report = engine.run(graph).unwrap();
+        assert!(report.solved(), "{name}: {}", report.summary());
+        assert_eq!(run.outputs, report.outputs, "{name}");
+        assert_eq!(run.rounds, report.rounds, "{name}");
+        assert_eq!(run.messages_delivered, report.messages_delivered, "{name}");
+        assert_eq!(run.advice_bits, report.advice_bits, "{name}");
+    }
+}
+
+/// A trace sink that takes 20 ms per event.
+#[derive(Default)]
+struct SlowSink {
+    events: AtomicU32,
+}
+
+impl TraceSink for SlowSink {
+    fn record(&self, _event: TraceEvent) {
+        std::thread::sleep(Duration::from_millis(20));
+        self.events.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// `wall_time` measures the solve, not the caller's sink: the engine forwards the
+/// recorded events after reading the clock.
+#[test]
+fn wall_time_excludes_trace_forwarding() {
+    let g =
+        four_shades::graph::generators::oriented_ring(&[true, true, false, true, false]).unwrap();
+    let sink = Arc::new(SlowSink::default());
+    let report = Election::task(Task::Selection)
+        .solver(MapSolver::default())
+        .trace_sink(sink.clone())
         .run(&g)
         .unwrap();
-    assert_eq!(low_level.outputs, new.outputs);
-    assert_eq!(low_level.rounds, new.rounds);
-    assert_eq!(low_level.advice.len(), new.advice_bits.unwrap());
+    let events = sink.events.load(Ordering::Relaxed);
+    assert!(events > 0, "the traced run forwards its events");
+    assert!(
+        report.wall_time < Duration::from_millis(20) * events,
+        "{:?} for {events} events",
+        report.wall_time
+    );
 }

@@ -12,6 +12,7 @@
 //! * the accounting itself — per-round sums, per-edge sums, and the total must
 //!   all reconcile, capped or not.
 
+use four_shades::constructions::UClass;
 use four_shades::election::engine::MessageCodec;
 use four_shades::prelude::*;
 use four_shades::sim::run_metered;
@@ -197,6 +198,40 @@ fn advice_pairs_meter_their_wire_too() {
         assert_eq!(metered.advice_bits, plain.advice_bits, "{codec}");
         assert!(metered.wire.as_ref().unwrap().total_bits() > 0, "{codec}");
     }
+}
+
+#[test]
+fn the_lemma_3_9_solver_honours_every_codec_and_a_cap() {
+    // The Port Election solver collects its views through the same seam: on a
+    // 450-node U_{4,1} member, metering and profiling observe the run, and a
+    // 16-bit cap streams its one logical round across two physical ones.
+    let class = UClass::new(4, 1).unwrap();
+    let g = class.member(&[2u32; 9]).unwrap().labeled.graph;
+    assert_eq!(g.num_nodes(), 450);
+    let election = || Election::task(Task::PortElection).solver(PortElectionSolver::new(class.k));
+    let plain = election().run(&g).unwrap();
+    assert!(plain.solved(), "{}", plain.summary());
+    for codec in MessageCodec::ALL {
+        let metered = election().metered(codec).profiled().run(&g).unwrap();
+        assert_eq!(metered.outputs, plain.outputs, "{codec}");
+        assert_eq!(metered.rounds, plain.rounds, "{codec}");
+        assert_eq!(
+            metered.messages_delivered, plain.messages_delivered,
+            "{codec}"
+        );
+        let wire = metered.wire.as_ref().expect("metered run");
+        let profile = metered.round_profile.as_ref().expect("profiled run");
+        assert_eq!(wire.total_bits(), profile.total_wire_bits(), "{codec}");
+        assert_eq!(
+            profile.total_messages(),
+            metered.messages_delivered as u64,
+            "{codec}"
+        );
+    }
+    let capped = election().backend(Backend::capped(16)).run(&g).unwrap();
+    assert_eq!(verdict(&capped), verdict(&plain));
+    assert_eq!(capped.wire.as_ref().unwrap().bits_per_edge_cap, Some(16));
+    assert_eq!((plain.rounds, capped.rounds), (1, 2), "rounds inflate only");
 }
 
 #[test]
