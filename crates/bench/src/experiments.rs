@@ -27,8 +27,8 @@ fn opt(x: Option<usize>) -> String {
 
 /// The election indices measured by running the map-based minimum-time solver for
 /// every task through the engine (`None` = unsolvable on this graph). Only genuine
-/// infeasibility maps to `None`; any other solver failure (e.g. the simple-path
-/// enumeration budget) panics, matching `measured_indices`'s loud error path.
+/// infeasibility maps to `None`; any other solver failure (e.g. the exhausted
+/// search budget) panics, matching `measured_indices`'s loud error path.
 fn engine_measured_indices(g: &PortGraph) -> [Option<usize>; 4] {
     let mut out = [None; 4];
     for (slot, task) in Task::ALL.iter().enumerate() {

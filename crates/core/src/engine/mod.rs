@@ -451,9 +451,10 @@ pub struct ElectionReport {
     /// Total messages delivered.
     pub messages_delivered: usize,
     /// Search-cost counters of the map-side assignment search: quotient classes
-    /// expanded by the route BFS and candidate paths explored (lifted routes,
-    /// per-member shortest paths, joint search steps, enumerated fallbacks). Zero
-    /// for solvers that never search for an assignment.
+    /// expanded by the route BFS and search work (candidate paths tested,
+    /// guided-merge operations and joint-search steps; see
+    /// [`anet_views::SearchStats`]). Zero for solvers that never search for an
+    /// assignment.
     pub search: anet_views::SearchStats,
     /// Bits actually put on the wire, per round and per directed edge, when the
     /// run was metered ([`ElectionBuilder::metered`] or a [`Backend::Capped`]

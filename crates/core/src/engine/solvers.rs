@@ -15,12 +15,12 @@ use anet_graph::PortGraph;
 /// map (Lemmas 2.7 / 3.9 / 4.9, upper-bound halves).
 #[derive(Debug, Clone, Copy)]
 pub struct MapSolver {
-    /// Budget for the simple-path enumeration behind the PPE / CPPE assignments.
+    /// Budget for the search work per class behind the PPE / CPPE assignments.
     pub max_paths: usize,
 }
 
 impl MapSolver {
-    /// A map solver with an explicit path-enumeration budget.
+    /// A map solver with an explicit search budget.
     pub fn new(max_paths: usize) -> Self {
         MapSolver { max_paths }
     }

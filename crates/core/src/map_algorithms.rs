@@ -17,7 +17,7 @@ use crate::engine::{Backend, MessageCodec, RunContext, SolverRun};
 use crate::tasks::{NodeOutput, Task};
 use anet_graph::PortGraph;
 use anet_views::election_index::{
-    cppe_assignment_with, pe_assignment_with, ppe_assignment_with, IndexError,
+    cppe_election, pe_election, ppe_election, psi_s_with, IndexError,
 };
 use anet_views::{InternerHandle, QuotientSearch, Refinement, View};
 use std::collections::HashMap;
@@ -27,7 +27,8 @@ use std::collections::HashMap;
 pub enum MapSolveError {
     /// The task is not solvable on this graph at any time bound (infeasible graph).
     Unsolvable(Task),
-    /// The simple-path enumeration budget was exhausted (PPE / CPPE on large graphs).
+    /// The PPE search ran out of its path budget (`max_paths`) at the least depth
+    /// it could not settle. The CPPE search never exhausts it.
     Budget(IndexError),
 }
 
@@ -54,11 +55,16 @@ impl From<IndexError> for MapSolveError {
 }
 
 /// Solve `task` on `graph` in minimum time, assuming every node knows the map.
-/// `max_paths` bounds the candidate-path budget of the PPE / CPPE assignment search.
+/// `max_paths` bounds the search work per class of the PPE / CPPE assignment search.
 ///
-/// The run uses `ψ_Z(graph)` rounds: the returned [`SolverRun`] carries them (the
-/// inflated physical count under [`Backend::Capped`]) with the search counters and no
-/// advice. The context picks the backend the full-information simulation runs on, and
+/// The depth, leader and assignment come from the least-depth loop that also defines
+/// `ψ_Z` in [`anet_views::election_index`], so the run uses `ψ_Z(graph)` rounds
+/// whenever `ψ_Z` resolves. [`MapSolveError::Budget`] is returned when some leader at
+/// the least unsettled depth exhausted the budget and no leader there succeeded; the
+/// remaining leaders of that depth are still tried, find-only, before the error is
+/// returned. The returned [`SolverRun`] carries the rounds (the inflated physical
+/// count under [`Backend::Capped`]) with the search counters and no advice. The
+/// context picks the backend the full-information simulation runs on, and
 /// optionally a process-wide [`anet_views::SharedViewInterner`] for the map-side
 /// `build_all` and canonicalisation pass (concurrent runs on overlapping graph
 /// families then dedup their view DAGs against each other), a trace sink for the
@@ -72,68 +78,28 @@ pub fn solve_with_map(
     ctx: &RunContext<'_>,
 ) -> Result<SolverRun, MapSolveError> {
     let refinement = Refinement::compute(graph, None);
-    // One quotient search serves every (depth, leader) attempt: the class quotient
-    // is cached per depth and the leader BFS per leader, so walking many candidate
-    // leaders at one depth re-prepares in O(1) amortised instead of re-enumerating.
     let mut search = QuotientSearch::new(graph, &refinement);
-
-    // Find the minimum depth and a per-node output assignment computed from the map.
-    let mut chosen: Option<(usize, Vec<NodeOutput>)> = None;
-    'depths: for h in 0..=refinement.stable_depth() {
-        for leader in refinement.unique_nodes_at(h) {
-            let outputs = match task {
-                Task::Selection => Some(
-                    graph
-                        .nodes()
-                        .map(|v| {
-                            if v == leader {
-                                NodeOutput::Leader
-                            } else {
-                                NodeOutput::NonLeader
-                            }
-                        })
-                        .collect::<Vec<_>>(),
-                ),
-                Task::PortElection => {
-                    pe_assignment_with(&mut search, h, leader).map(|assignment| {
-                        graph
-                            .nodes()
-                            .map(|v| match assignment[v as usize] {
-                                None => NodeOutput::Leader,
-                                Some(p) => NodeOutput::FirstPort(p),
-                            })
-                            .collect()
-                    })
-                }
-                Task::PortPathElection => ppe_assignment_with(&mut search, h, leader, max_paths)?
-                    .map(|assignment| {
-                        graph
-                            .nodes()
-                            .map(|v| match &assignment[v as usize] {
-                                None => NodeOutput::Leader,
-                                Some(seq) => NodeOutput::PortPath(seq.clone()),
-                            })
-                            .collect()
-                    }),
-                Task::CompletePortPathElection => {
-                    cppe_assignment_with(&mut search, h, leader, max_paths)?.map(|assignment| {
-                        graph
-                            .nodes()
-                            .map(|v| match &assignment[v as usize] {
-                                None => NodeOutput::Leader,
-                                Some(seq) => NodeOutput::FullPath(seq.clone()),
-                            })
-                            .collect()
-                    })
+    // The minimum depth and a per-node output assignment computed from the map.
+    let chosen = match task {
+        Task::Selection => psi_s_with(&refinement).map(|h| {
+            let leader = refinement.unique_nodes_at(h)[0];
+            let role = |v| {
+                if v == leader {
+                    NodeOutput::Leader
+                } else {
+                    NodeOutput::NonLeader
                 }
             };
-            if let Some(outputs) = outputs {
-                chosen = Some((h, outputs));
-                break 'depths;
-            }
+            (h, graph.nodes().map(role).collect())
+        }),
+        Task::PortElection => {
+            pe_election(&mut search).map(|(h, _, a)| (h, outputs(a, NodeOutput::FirstPort)))
         }
-    }
-
+        Task::PortPathElection => ppe_election(&mut search, max_paths)?
+            .map(|(h, _, a)| (h, outputs(a, NodeOutput::PortPath))),
+        Task::CompletePortPathElection => cppe_election(&mut search, max_paths)?
+            .map(|(h, _, a)| (h, outputs(a, NodeOutput::FullPath))),
+    };
     let (rounds, per_node) = chosen.ok_or(MapSolveError::Unsolvable(task))?;
 
     // Turn the per-node assignment into a genuine view-function and run it through the
@@ -168,6 +134,14 @@ pub fn solve_with_map(
         search: search.stats(),
         ..run
     })
+}
+
+/// Per-node outputs of an assignment: the one unassigned node is the leader.
+fn outputs<T>(assignment: Vec<Option<T>>, wrap: fn(T) -> NodeOutput) -> Vec<NodeOutput> {
+    assignment
+        .into_iter()
+        .map(|a| a.map_or(NodeOutput::Leader, wrap))
+        .collect()
 }
 
 /// Collect `B^rounds(v)` on `ctx.backend`, apply `decide`, and report the run with

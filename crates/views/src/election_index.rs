@@ -23,7 +23,7 @@
 //! ## How the strong indices are computed
 //!
 //! The per-class candidate search runs on the class quotient graph ([`crate::quotient`])
-//! as a ladder of stages, cheapest and most scalable first:
+//! as a ladder of four stages, cheapest and most scalable first:
 //!
 //! 1. **Uniform route lift** — BFS over the quotient's uniform edges yields one
 //!    route per class whose lifted port sequence is valid for *every* member by
@@ -41,16 +41,14 @@
 //!    graph, then rides a shortest path to the leader that avoids every walk's
 //!    earlier nodes. The result is only ever used after exact re-validation, so
 //!    the heuristic cannot affect soundness — only which instances resolve.
-//!    The merged prefix is leader-independent and cached across the leaders of
-//!    one depth.
+//!    The merged prefix is leader-independent, so it is cached on the
+//!    [`QuotientSearch`], keyed by depth and path budget, and computed once for
+//!    all the leaders of one depth.
 //! 4. **Joint bounded search** — a DFS over synchronized walks, pruning any
 //!    branch where a walk revisits a node, loses its port, or reaches the leader
 //!    before the others. Exhausting it is a sound proof that no common sequence
-//!    exists; exceeding `max_paths` explored steps falls through to stage 5.
-//! 5. **Bounded enumeration** (the original implementation) — enumerate simple
-//!    paths from the class representative, capped at `max_paths`, with
-//!    [`IndexError::PathBudgetExceeded`] as the typed escape hatch when the cap
-//!    is hit without an answer.
+//!    exists; exceeding `max_paths` explored steps returns
+//!    [`IndexError::PathBudgetExceeded`], the typed escape hatch.
 //!
 //! For CPPE the ladder collapses: a complete port sequence `((p_1,q_1) … (p_L,q_L))`
 //! replayed *backward* from the leader is deterministic — the incoming port `q_L`
@@ -59,6 +57,12 @@
 //! or more members can never share one. CPPE assignments therefore exist exactly
 //! at the depths where every view class is a singleton, where stage 2 always
 //! succeeds; no bounded search is ever needed and `ψ_CPPE` is exact at any scale.
+//!
+//! One depth × leader loop serves every index and the map solver:
+//! [`pe_election`], [`ppe_election`] and [`cppe_election`] return the least depth,
+//! the first unique node at it that can lead, and the per-node assignment. A
+//! budget error waits for the end of its depth, since a later leader's success
+//! there still gives the least depth; the remaining leaders only look for one.
 //!
 //! The pre-quotient implementations are kept as `*_enumerated` — the oracle for
 //! the equivalence tests and the baseline for the `bench_index` benchmark.
@@ -224,28 +228,8 @@ pub fn pe_assignment_with(
 pub fn psi_pe(g: &PortGraph) -> Option<usize> {
     let r = Refinement::compute(g, None);
     let mut search = QuotientSearch::new(g, &r);
-    psi_pe_with(&mut search)
+    pe_election(&mut search).map(|(h, ..)| h)
 }
-
-/// [`psi_pe`] on a caller-owned search (so one search serves all four indices).
-pub fn psi_pe_with(search: &mut QuotientSearch<'_>) -> Option<usize> {
-    let r = search.refinement();
-    for h in 0..=r.stable_depth() {
-        for leader in r.unique_nodes_at(h) {
-            if pe_assignment_with(search, h, leader).is_some() {
-                return Some(h);
-            }
-        }
-    }
-    None
-}
-
-/// Node count above which the legacy simple-path enumeration (stage 5) is never
-/// consulted: generating `max_paths` simple paths on graphs this large takes
-/// unbounded time and memory per path, so its budget is reported as exceeded up
-/// front. Below the ceiling the ladder's answers are a strict superset of the
-/// pre-quotient implementation's; the equivalence corpora all sit well under it.
-const ENUMERATION_CEILING: usize = 512;
 
 /// Which strong shade a candidate sequence is validated against.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -277,36 +261,26 @@ fn candidate_valid_for_all(
     }
 }
 
-/// Outcome of the joint synchronized-walk search (stage 3).
-enum Joint {
-    /// A common sequence, as the first member's full port pairs.
-    Found(Vec<(Port, Port)>),
-    /// The search exhausted all synchronized walks: no common sequence exists.
-    NoneExists,
-    /// The step budget was hit before an answer.
-    Budget,
-}
-
-/// Stage 3: DFS over synchronized walks of all members. Every member follows the
-/// same outgoing port at every step (for [`Shade::Cppe`], the far ports must also
-/// agree); a branch is pruned when a member's walk revisits one of its own nodes,
-/// a port is missing, or a member reaches the leader before the others (its walk
-/// would have to revisit the leader later). A sequence is found exactly when all
-/// walks reach the leader simultaneously — by construction it is then valid for
-/// every member. Exhausting the search soundly proves no common sequence exists:
-/// any valid sequence induces synchronized walks surviving every prune.
+/// Stage 4: DFS over synchronized walks of all members. Every member follows the
+/// same outgoing port at every step; a branch is pruned when a member's walk
+/// revisits one of its own nodes, a port is missing, or a member reaches the
+/// leader before the others (its walk would have to revisit the leader later). A
+/// sequence is found exactly when all walks reach the leader simultaneously — by
+/// construction it is then valid for every member, and returned as the first
+/// member's full port pairs. Exhausting the search (`Ok(None)`) soundly proves no
+/// common sequence exists: any valid sequence induces synchronized walks
+/// surviving every prune. Only PPE classes get here: a CPPE class past stage 2 is
+/// a singleton, and stage 2 always assigns singletons.
 ///
-/// `explored` counts generated joint steps; exceeding `max_states` aborts with
-/// [`Joint::Budget`] (the caller then falls back to plain enumeration, keeping
-/// the original budget semantics).
+/// `explored` counts generated joint steps; exceeding `max_paths` of them
+/// returns the budget error.
 fn joint_search(
     g: &PortGraph,
     members: &[NodeId],
     leader: NodeId,
-    shade: Shade,
-    max_states: usize,
+    max_paths: usize,
     explored: &mut usize,
-) -> Joint {
+) -> Result<Option<Vec<(Port, Port)>>, IndexError> {
     let n = g.num_nodes();
     let k = members.len();
     let mut cur: Vec<NodeId> = members.to_vec();
@@ -318,16 +292,15 @@ fn joint_search(
     match joint_step(
         g,
         leader,
-        shade,
-        max_states,
+        max_paths,
         explored,
         &mut cur,
         &mut on_walk,
         &mut seq,
     ) {
-        JointStep::Found => Joint::Found(seq),
-        JointStep::Exhausted => Joint::NoneExists,
-        JointStep::Budget => Joint::Budget,
+        JointStep::Found => Ok(Some(seq)),
+        JointStep::Exhausted => Ok(None),
+        JointStep::Budget => Err(IndexError::PathBudgetExceeded { max_paths }),
     }
 }
 
@@ -337,11 +310,9 @@ enum JointStep {
     Budget,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn joint_step(
     g: &PortGraph,
     leader: NodeId,
-    shade: Shade,
     max_states: usize,
     explored: &mut usize,
     cur: &mut [NodeId],
@@ -359,15 +330,14 @@ fn joint_step(
         if *explored > max_states {
             return JointStep::Budget;
         }
-        // Materialise the joint step; prune on missing ports or (CPPE) far-port
-        // disagreement.
+        // Materialise the joint step; prune on missing ports.
         let mut nexts: Vec<NodeId> = Vec::with_capacity(k);
         nexts.push(u0);
         let mut ok = true;
         for &c in cur.iter().skip(1) {
             match g.neighbor(c, p) {
-                Some((u, q)) if shade == Shade::Ppe || q == q0 => nexts.push(u),
-                _ => {
+                Some((u, _)) => nexts.push(u),
+                None => {
                     ok = false;
                     break;
                 }
@@ -397,7 +367,7 @@ fn joint_step(
             on_walk[i * n + *next as usize] = true;
             std::mem::swap(&mut cur[i], next);
         }
-        let step = joint_step(g, leader, shade, max_states, explored, cur, on_walk, seq);
+        let step = joint_step(g, leader, max_states, explored, cur, on_walk, seq);
         for (i, &u) in nexts.iter().enumerate() {
             // `nexts` now holds the previous positions; undo the swap and flags.
             on_walk[i * n + cur[i] as usize] = false;
@@ -415,6 +385,7 @@ fn joint_step(
 
 /// A leader-independent merged prefix produced by the guided finder: a common
 /// port script that drives every member of one class onto a single node.
+#[derive(Debug)]
 struct MergedPrefix {
     /// The script as the first member's `(outgoing, incoming)` pairs.
     script: Vec<(Port, Port)>,
@@ -442,14 +413,19 @@ impl MergedPrefix {
     }
 }
 
-/// Per-depth cache of guided-merge prefixes, keyed by class id. The merge is
-/// leader-independent, so one computation serves every candidate leader of a
-/// depth; only the leader-avoidance check and the final suffix are per-leader.
-#[derive(Default)]
-struct MergeCache {
-    depth: Option<usize>,
+/// The guided-merge cache a [`QuotientSearch`] carries: per class id, the merge
+/// outcome at one (depth, path budget). The merge is leader-independent, so one
+/// computation serves every candidate leader of a depth; only the
+/// leader-avoidance check and the final suffix are per-leader. The budget is
+/// part of the key because an outcome found short of budget (`Unknown`) would
+/// be wrong under a larger one.
+#[derive(Debug, Default)]
+pub(crate) struct MergeCache {
+    key: Option<(usize, usize)>,
     /// Some class at this depth was proved sequence-free: the whole depth is
     /// refuted for every leader, so later leaders return `Ok(None)` instantly.
+    /// A PPE refutation refutes CPPE too, since a CPPE sequence projects to a
+    /// PPE one.
     refuted: bool,
     by_class: std::collections::HashMap<u32, MergeOutcome>,
     /// Landmark tables are depth-independent, computed once per cache lifetime.
@@ -460,9 +436,9 @@ struct MergeCache {
 }
 
 impl MergeCache {
-    fn reset(&mut self, depth: usize) {
-        if self.depth != Some(depth) {
-            self.depth = Some(depth);
+    fn reset(&mut self, depth: usize, max_paths: usize) {
+        if self.key != Some((depth, max_paths)) {
+            self.key = Some((depth, max_paths));
             self.refuted = false;
             self.by_class.clear();
         }
@@ -477,6 +453,7 @@ impl MergeCache {
 /// ports (walk down the potential) and prunes depth-limited search — essential
 /// on large-diameter graphs (e.g. circulants) where class partners start
 /// hundreds of hops apart and blind search in the pair graph is hopeless.
+#[derive(Debug)]
 struct Landmarks {
     dists: Vec<Vec<u32>>,
 }
@@ -716,6 +693,7 @@ fn merge_dfs(
 /// BFS levels differ by exactly one). Reset is sparse: only words touched by
 /// the previous search are zeroed, so a probe costs proportional to the
 /// component it explored, not to `n²`.
+#[derive(Debug)]
 struct PairScratch {
     words: Vec<u64>,
     touched: Vec<u32>,
@@ -1154,6 +1132,7 @@ fn exhaustive_merge_dfs(
 }
 
 /// Outcome of [`guided_merge`] for one class.
+#[derive(Debug)]
 enum MergeOutcome {
     /// A common prefix merging every member was found and committed.
     Merged(MergedPrefix),
@@ -1286,13 +1265,12 @@ fn path_avoiding(g: &PortGraph, from: NodeId, to: NodeId, banned: &[bool]) -> Op
     None
 }
 
-/// Stage 4 / 5 (and the `*_enumerated` oracle): candidate-sequence search by bounded
-/// simple-path enumeration from the class representative, as before the quotient
-/// search existed — except that the enumeration now also carries a DFS *step*
-/// budget (see [`simple_paths`]), so topologies whose dead-end wandering used to
-/// spin forever without completing a single path (shuffled circulants from ~256
-/// nodes) now surface the typed budget error instead of hanging. `explored`
-/// counts tested candidates.
+/// The `*_enumerated` oracles' candidate-sequence search: bounded simple-path
+/// enumeration from the class representative, as before the quotient search
+/// existed — except that the enumeration now also carries a DFS *step* budget (see
+/// [`simple_paths`]), so topologies whose dead-end wandering used to spin forever
+/// without completing a single path (shuffled circulants from ~256 nodes) surface
+/// the typed budget error instead of hanging. `explored` counts tested candidates.
 fn common_sequence<T, F>(
     g: &PortGraph,
     class: &[NodeId],
@@ -1347,29 +1325,28 @@ fn merge_outcome_cached<'c>(
 }
 
 /// The shared PPE/CPPE assignment driver: per class, run the candidate ladder
-/// (uniform route → member shortest paths → guided merge → joint search →
-/// bounded enumeration) and assign the first candidate valid for every member.
-/// Returns full port pairs per node; PPE projects to outgoing ports afterwards.
+/// (uniform route → member shortest paths → guided merge → joint search) and
+/// assign the first candidate valid for every member. Returns full port pairs
+/// per node; PPE projects to outgoing ports afterwards.
 ///
-/// With `find_only` set, the sound-but-expensive refutation stages (joint
-/// search, enumeration) are skipped: an unresolved class yields the budget
-/// error rather than burning the budget again. [`psi_strong_with`] switches to
-/// this mode for the remaining leaders of a depth once one leader has already
-/// produced an error — at that point only a *success* can change the depth's
-/// outcome, so refutation work on further leaders is wasted.
+/// With `find_only` set, the sound-but-expensive joint search is skipped: an
+/// unresolved class yields the budget error rather than burning the budget
+/// again. [`least_depth_election`] switches to this mode for the remaining
+/// leaders of a depth once one leader has already produced an error — at that
+/// point only a *success* can change the depth's outcome, so refutation work on
+/// further leaders is wasted.
 fn strong_assignment_inner(
     search: &mut QuotientSearch<'_>,
     depth: usize,
     leader: NodeId,
     max_paths: usize,
     shade: Shade,
-    cache: &mut MergeCache,
     find_only: bool,
 ) -> Result<Option<CppeAssignment>, IndexError> {
-    cache.reset(depth);
+    search.merge.reset(depth, max_paths);
     // Some earlier leader's run proved a class at this depth sequence-free;
     // the proof is leader-independent, so every leader's answer here is known.
-    if cache.refuted {
+    if search.merge.refuted {
         return Ok(None);
     }
     // The CPPE collapse (backward determinism, see the module docs): a class
@@ -1383,28 +1360,26 @@ fn strong_assignment_inner(
     search.prepare(depth, leader);
     let g = search.graph();
     let classes = search.refinement().classes_at(depth);
-    // Refute hunt (PPE): before assigning anything, probe the multi-member
-    // classes largest first for an exact sequence-free proof — the joint
-    // simple-script tree thins geometrically with the member count, so the
-    // largest classes conclude fastest, and a single refutation settles this
-    // depth for every leader at once. Without it, an unresolved class
-    // encountered first would turn a (provably) refuted depth into a budget
-    // error.
-    if shade == Shade::Ppe {
-        let mut multi: Vec<&Vec<NodeId>> = classes
-            .iter()
-            .filter(|c| c.len() >= 4 && !c.contains(&leader))
-            .collect();
-        multi.sort_unstable_by_key(|c| std::cmp::Reverse(c.len()));
-        for class in multi {
-            let class_id = search.quotient().class_of(class[0]);
-            let (outcome, ops) = merge_outcome_cached(cache, g, class_id, class, max_paths);
-            let refuted = matches!(outcome, MergeOutcome::NoSequence);
-            search.stats_mut().paths_explored += ops;
-            if refuted {
-                cache.refuted = true;
-                return Ok(None);
-            }
+    // Refute hunt: before assigning anything, probe the multi-member classes
+    // largest first for an exact sequence-free proof — the joint simple-script
+    // tree thins geometrically with the member count, so the largest classes
+    // conclude fastest, and a single refutation settles this depth for every
+    // leader at once. Without it, an unresolved class encountered first would
+    // turn a (provably) refuted depth into a budget error. Only PPE classes
+    // have several members here (CPPE got past the collapse above).
+    let mut multi: Vec<&Vec<NodeId>> = classes
+        .iter()
+        .filter(|c| c.len() >= 4 && !c.contains(&leader))
+        .collect();
+    multi.sort_unstable_by_key(|c| std::cmp::Reverse(c.len()));
+    for class in multi {
+        let class_id = search.quotient().class_of(class[0]);
+        let (outcome, ops) = merge_outcome_cached(&mut search.merge, g, class_id, class, max_paths);
+        let refuted = matches!(outcome, MergeOutcome::NoSequence);
+        search.stats.paths_explored += ops;
+        if refuted {
+            search.merge.refuted = true;
+            return Ok(None);
         }
     }
     let mut out: Vec<Option<Vec<(Port, Port)>>> = vec![None; g.num_nodes()];
@@ -1420,7 +1395,7 @@ fn strong_assignment_inner(
         // re-validated as defense-in-depth).
         let class_id = search.quotient().class_of(class[0]);
         if let Some(pairs) = search.route_full(class_id) {
-            search.stats_mut().paths_explored += 1;
+            search.stats.paths_explored += 1;
             if candidate_valid_for_all(g, &class, leader, &pairs, shade) {
                 found = Some(pairs);
             } else {
@@ -1432,7 +1407,7 @@ fn strong_assignment_inner(
         if found.is_none() {
             for &m in &class {
                 if let Some(pairs) = search.concrete_path_full(m) {
-                    search.stats_mut().paths_explored += 1;
+                    search.stats.paths_explored += 1;
                     if candidate_valid_for_all(g, &class, leader, &pairs, shade) {
                         found = Some(pairs);
                         break;
@@ -1440,89 +1415,59 @@ fn strong_assignment_inner(
                 }
             }
         }
-        // Stage 3 (PPE only; pointless for CPPE after the collapse above): the
-        // guided merge finder, with the leader-independent prefix cached across
-        // the leaders of this depth.
-        if found.is_none() && shade == Shade::Ppe && class.len() > 1 {
-            let (outcome, ops) = merge_outcome_cached(cache, g, class_id, &class, max_paths);
-            let is_refuted = matches!(outcome, MergeOutcome::NoSequence);
-            search.stats_mut().paths_explored += ops;
-            if is_refuted {
+        // Stage 3 (PPE only: a CPPE class gets here only as a singleton, which
+        // stage 2 always assigns): the guided merge finder, with the
+        // leader-independent prefix cached on the search.
+        if found.is_none() && class.len() > 1 {
+            let (outcome, ops) =
+                merge_outcome_cached(&mut search.merge, g, class_id, &class, max_paths);
+            search.stats.paths_explored += ops;
+            match outcome {
                 // The refutation is exact and leader-independent: no common
                 // sequence merges this class for any leader at this depth.
-                cache.refuted = true;
-                return Ok(None);
-            }
-            let (outcome, _) = merge_outcome_cached(cache, g, class_id, &class, max_paths);
-            if let MergeOutcome::Merged(prefix) = outcome {
+                MergeOutcome::NoSequence => {
+                    search.merge.refuted = true;
+                    return Ok(None);
+                }
                 // Per-leader parts: none of the walks may have touched the
                 // leader, and a suffix to it must avoid all of them.
-                if prefix.endpoint == leader {
+                MergeOutcome::Merged(prefix) if prefix.endpoint == leader => {
                     let pairs = prefix.script.clone();
                     if candidate_valid_for_all(g, &class, leader, &pairs, shade) {
                         found = Some(pairs);
                     }
-                } else if !prefix.visited_union[leader as usize] {
+                }
+                MergeOutcome::Merged(prefix) if !prefix.visited_union[leader as usize] => {
                     let mut banned = prefix.visited_union.clone();
                     banned[prefix.endpoint as usize] = false;
                     if let Some(path) = path_avoiding(g, prefix.endpoint, leader, &banned) {
                         let mut pairs = prefix.script.clone();
                         pairs.extend(g.full_ports_of_path(&path));
-                        search.stats_mut().paths_explored += 1;
+                        search.stats.paths_explored += 1;
                         if candidate_valid_for_all(g, &class, leader, &pairs, shade) {
                             found = Some(pairs);
                         }
                     }
                 }
+                MergeOutcome::Merged(_) | MergeOutcome::Unknown => {}
             }
         }
         // Stage 4: joint synchronized-walk search — sound in both directions
-        // when it completes within the step budget.
+        // when it completes within the step budget; past it, the typed escape
+        // hatch fires.
         if found.is_none() {
             if find_only {
                 return Err(IndexError::PathBudgetExceeded { max_paths });
             }
             let mut explored = 0usize;
-            let joint = joint_search(g, &class, leader, shade, max_paths, &mut explored);
-            search.stats_mut().paths_explored += explored;
-            match joint {
-                Joint::Found(pairs) => {
+            let joint = joint_search(g, &class, leader, max_paths, &mut explored);
+            search.stats.paths_explored += explored;
+            match joint? {
+                Some(pairs) => {
                     debug_assert!(candidate_valid_for_all(g, &class, leader, &pairs, shade));
                     found = Some(pairs);
                 }
-                Joint::NoneExists => return Ok(None),
-                Joint::Budget if g.num_nodes() > ENUMERATION_CEILING => {
-                    // Beyond the ceiling the legacy enumeration cannot finish
-                    // meaningfully (each of the `max_paths` simple paths can be
-                    // thousands of nodes long), so its budget is deemed exceeded
-                    // up front and the typed escape hatch fires directly.
-                    return Err(IndexError::PathBudgetExceeded { max_paths });
-                }
-                Joint::Budget => {
-                    // Stage 5: the original bounded enumeration, with its exact
-                    // budget semantics (the typed escape hatch).
-                    let mut explored = 0usize;
-                    let res = common_sequence(
-                        g,
-                        &class,
-                        leader,
-                        max_paths,
-                        &mut explored,
-                        |g, path| g.full_ports_of_path(path),
-                        |g, v, pairs: &Vec<(Port, Port)>| match shade {
-                            Shade::Ppe => {
-                                let ports: Vec<Port> = pairs.iter().map(|&(p, _)| p).collect();
-                                ppe_sequence_is_valid(g, v, &ports, leader)
-                            }
-                            Shade::Cppe => cppe_sequence_is_valid(g, v, pairs, leader),
-                        },
-                    );
-                    search.stats_mut().paths_explored += explored;
-                    match res? {
-                        Some(pairs) => found = Some(pairs),
-                        None => return Ok(None),
-                    }
-                }
+                None => return Ok(None),
             }
         }
         let pairs = found.expect("every arm either assigns or returns");
@@ -1547,33 +1492,31 @@ pub fn ppe_assignment(
     ppe_assignment_with(&mut search, depth, leader, max_paths)
 }
 
-/// [`ppe_assignment`] on a reusable [`QuotientSearch`].
+/// [`ppe_assignment`] on a reusable [`QuotientSearch`], sharing its guided-merge
+/// cache with every other call on the same search.
 pub fn ppe_assignment_with(
     search: &mut QuotientSearch<'_>,
     depth: usize,
     leader: NodeId,
     max_paths: usize,
 ) -> Result<Option<Vec<Option<Vec<Port>>>>, IndexError> {
-    let mut cache = MergeCache::default();
-    let full = strong_assignment_inner(
-        search,
-        depth,
-        leader,
-        max_paths,
-        Shade::Ppe,
-        &mut cache,
-        false,
-    )?;
-    Ok(full.map(|out| {
-        out.into_iter()
-            .map(|seq| seq.map(|pairs| pairs.into_iter().map(|(p, _)| p).collect()))
-            .collect()
-    }))
+    strong_assignment_inner(search, depth, leader, max_paths, Shade::Ppe, false)
+        .map(|full| full.map(outgoing_ports))
 }
 
-/// Per-node CPPE output assignment: `None` for the leader, the full (outgoing,
-/// incoming) port sequence of a simple path to the leader otherwise.
-pub type CppeAssignment = Vec<Option<Vec<(Port, Port)>>>;
+/// The PPE projection of a full-pair assignment: outgoing ports only.
+fn outgoing_ports(full: CppeAssignment) -> Vec<Option<Vec<Port>>> {
+    full.into_iter()
+        .map(|seq| seq.map(|pairs| pairs.into_iter().map(|(p, _)| p).collect()))
+        .collect()
+}
+
+/// The full (outgoing, incoming) port sequence of a path, one pair per edge.
+pub type FullPath = Vec<(Port, Port)>;
+
+/// Per-node CPPE output assignment: `None` for the leader, the full port sequence
+/// of a simple path to the leader otherwise.
+pub type CppeAssignment = Vec<Option<FullPath>>;
 
 /// For a fixed depth and candidate leader, the Complete Port Path Election output
 /// assignment (pairs of ports per edge). `Ok(None)` if no assignment exists.
@@ -1595,85 +1538,93 @@ pub fn cppe_assignment_with(
     leader: NodeId,
     max_paths: usize,
 ) -> Result<Option<CppeAssignment>, IndexError> {
-    let mut cache = MergeCache::default();
-    strong_assignment_inner(
-        search,
-        depth,
-        leader,
-        max_paths,
-        Shade::Cppe,
-        &mut cache,
-        false,
-    )
+    strong_assignment_inner(search, depth, leader, max_paths, Shade::Cppe, false)
 }
 
-/// The depth loop shared by `ψ_PPE` and `ψ_CPPE`: at each depth try every unique
-/// node as leader. A budget error at one leader no longer aborts the whole
-/// computation immediately: a *success* at the same depth still soundly gives
-/// the index (the depth is viable, and all smaller depths were fully resolved),
-/// so the error is only propagated once the depth ends without a success.
-fn psi_strong_with(
+/// A least-depth election on the map: the depth, the first unique node at that
+/// depth that can lead, and the per-node assignment (`None` at the leader).
+pub type Elected<T> = (usize, NodeId, Vec<Option<T>>);
+
+/// The one depth × leader loop behind every ψ and the map solver: at each depth,
+/// least first, try every unique node as leader and return the first `assign`
+/// success. A budget error does not end the search at once: a success later at
+/// the same depth still soundly gives the least depth (every smaller depth was
+/// fully resolved), so the error is returned only when its depth ends without
+/// one, and the remaining leaders of that depth run find-only (the last
+/// argument of `assign`).
+fn least_depth_election<T>(
     search: &mut QuotientSearch<'_>,
-    max_paths: usize,
-    shade: Shade,
-) -> Result<Option<usize>, IndexError> {
+    mut assign: impl FnMut(
+        &mut QuotientSearch<'_>,
+        usize,
+        NodeId,
+        bool,
+    ) -> Result<Option<Vec<Option<T>>>, IndexError>,
+) -> Result<Option<Elected<T>>, IndexError> {
     let r = search.refinement();
-    let mut cache = MergeCache::default();
     for h in 0..=r.stable_depth() {
         let mut deferred: Option<IndexError> = None;
         for leader in r.unique_nodes_at(h) {
-            // After the first unresolved leader only a success can still change
-            // this depth's outcome: probe the rest in find-only mode.
-            let find_only = deferred.is_some();
-            match strong_assignment_inner(
-                search, h, leader, max_paths, shade, &mut cache, find_only,
-            ) {
-                Ok(Some(_)) => return Ok(Some(h)),
+            match assign(search, h, leader, deferred.is_some()) {
+                Ok(Some(assignment)) => return Ok(Some((h, leader, assignment))),
                 Ok(None) => {}
                 Err(e) => {
-                    if deferred.is_none() {
-                        deferred = Some(e);
-                    }
+                    deferred.get_or_insert(e);
                 }
             }
         }
         if let Some(e) = deferred {
-            // Some leader at this depth is unresolved: a deeper answer would not
-            // be the least depth, so refuse to conclude.
             return Err(e);
         }
     }
     Ok(None)
 }
 
+/// The least-depth Port Election on the search's graph (`None` if the graph
+/// admits none): its depth is `ψ_PE`.
+pub fn pe_election(search: &mut QuotientSearch<'_>) -> Option<Elected<Port>> {
+    // The PE assignment has no budget, so the loop never errs.
+    least_depth_election(search, |s, h, leader, _| {
+        Ok(pe_assignment_with(s, h, leader))
+    })
+    .unwrap_or(None)
+}
+
+/// The least-depth Port Path Election on the search's graph, whose depth is
+/// `ψ_PPE`; `max_paths` bounds the search work per class.
+pub fn ppe_election(
+    search: &mut QuotientSearch<'_>,
+    max_paths: usize,
+) -> Result<Option<Elected<Vec<Port>>>, IndexError> {
+    least_depth_election(search, |s, h, leader, find_only| {
+        strong_assignment_inner(s, h, leader, max_paths, Shade::Ppe, find_only)
+            .map(|full| full.map(outgoing_ports))
+    })
+}
+
+/// The least-depth Complete Port Path Election on the search's graph, whose
+/// depth is `ψ_CPPE`.
+pub fn cppe_election(
+    search: &mut QuotientSearch<'_>,
+    max_paths: usize,
+) -> Result<Option<Elected<FullPath>>, IndexError> {
+    least_depth_election(search, |s, h, leader, find_only| {
+        strong_assignment_inner(s, h, leader, max_paths, Shade::Cppe, find_only)
+    })
+}
+
 /// `ψ_PPE(G)`: exact Port Path Election index.
 pub fn psi_ppe(g: &PortGraph, max_paths: usize) -> Result<Option<usize>, IndexError> {
     let r = Refinement::compute(g, None);
     let mut search = QuotientSearch::new(g, &r);
-    psi_ppe_with(&mut search, max_paths)
-}
-
-/// [`psi_ppe`] on a caller-owned search.
-pub fn psi_ppe_with(
-    search: &mut QuotientSearch<'_>,
-    max_paths: usize,
-) -> Result<Option<usize>, IndexError> {
-    psi_strong_with(search, max_paths, Shade::Ppe)
+    Ok(ppe_election(&mut search, max_paths)?.map(|(h, ..)| h))
 }
 
 /// `ψ_CPPE(G)`: exact Complete Port Path Election index.
 pub fn psi_cppe(g: &PortGraph, max_paths: usize) -> Result<Option<usize>, IndexError> {
     let r = Refinement::compute(g, None);
     let mut search = QuotientSearch::new(g, &r);
-    psi_cppe_with(&mut search, max_paths)
-}
-
-/// [`psi_cppe`] on a caller-owned search.
-pub fn psi_cppe_with(
-    search: &mut QuotientSearch<'_>,
-    max_paths: usize,
-) -> Result<Option<usize>, IndexError> {
-    psi_strong_with(search, max_paths, Shade::Cppe)
+    Ok(cppe_election(&mut search, max_paths)?.map(|(h, ..)| h))
 }
 
 /// Compute all four election indices (exact).
@@ -1690,9 +1641,9 @@ pub fn compute_all_with_stats(
     let s = psi_s(g);
     let r = Refinement::compute(g, None);
     let mut search = QuotientSearch::new(g, &r);
-    let pe = psi_pe_with(&mut search);
-    let ppe = psi_ppe_with(&mut search, max_paths)?;
-    let cppe = psi_cppe_with(&mut search, max_paths)?;
+    let pe = pe_election(&mut search).map(|(h, ..)| h);
+    let ppe = ppe_election(&mut search, max_paths)?.map(|(h, ..)| h);
+    let cppe = cppe_election(&mut search, max_paths)?.map(|(h, ..)| h);
     Ok((ElectionIndices { s, pe, ppe, cppe }, search.stats()))
 }
 
@@ -1980,8 +1931,8 @@ mod tests {
     fn path_budget_error_is_reported() {
         // A 4-cycle with a pendant node: at depth 0 the three degree-2 cycle nodes form
         // one class with no uniform quotient edge and no common shortest-path
-        // candidate, so the search degrades to the joint walk and then to plain
-        // enumeration — and with a budget of 1 both stages exceed it, so the
+        // candidate, so the search degrades to the guided merge and then to the
+        // joint walk — and with a budget of 1 the joint walk's budget fires, so the
         // computation must refuse to conclude (the typed escape hatch).
         use anet_graph::GraphBuilder;
         let mut b = GraphBuilder::with_nodes(5);

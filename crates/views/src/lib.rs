@@ -33,8 +33,8 @@
 //!   the new DAG table entries (never more than one bit over the DAG format),
 //! * [`paths`] — simple-path utilities underlying the PE / PPE / CPPE verifiers,
 //! * [`quotient`] — the view-class quotient graph of a refinement depth and the
-//!   reusable [`QuotientSearch`] (leader BFS, uniform-route lifting, search-cost
-//!   counters) that the election-index computations run on,
+//!   reusable [`QuotientSearch`] (leader BFS, uniform-route lifting, the guided-merge
+//!   cache, search-cost counters) that the election-index computations run on,
 //! * [`election_index`] — feasibility (all views distinct) and the election indices
 //!   `ψ_S`, `ψ_PE`, `ψ_PPE`, `ψ_CPPE` of the four shades of leader election.
 //!

@@ -16,7 +16,8 @@
 //!   `expand_routes` inner loop, registered with anet-lint's `hot-path-alloc`
 //!   pass) yielding one representative route per class, plus a concrete BFS from
 //!   the leader yielding per-node shortest-path candidates and the PE distance
-//!   certificate.
+//!   certificate, and the cache of `election_index`'s leader-independent
+//!   guided-merge outcomes.
 //!
 //! **Why uniform routes lift soundly.** Let the route from class `c` use only
 //! uniform edges. Following the route's port sequence from *any* member of `c`
@@ -30,17 +31,19 @@
 //! `ppe_sequence_is_valid`/`cppe_sequence_is_valid` predicates as
 //! defense-in-depth.
 
+use crate::election_index::MergeCache;
 use crate::refinement::Refinement;
 use anet_graph::{NodeId, Port, PortGraph};
 
 /// Cost counters of one assignment search, surfaced all the way into
-/// `ElectionReport` and the sweep JSON (schema `anet-workloads/v3`).
+/// `ElectionReport` and the sweep JSON (schema `anet-workloads/v4`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Quotient classes expanded by the route BFS (one count per queue pop).
     pub classes_expanded: usize,
-    /// Candidate paths tested: lifted routes, per-member shortest paths, joint
-    /// search steps, and enumerated fallback paths.
+    /// Search work: candidate paths tested (lifted routes, per-member shortest
+    /// paths, guided-merge suffixes), guided-merge operations, and joint-search
+    /// steps. The merge operations are most of the count.
     pub paths_explored: usize,
 }
 
@@ -183,8 +186,10 @@ impl ClassQuotient {
 }
 
 /// Reusable search state over a `(graph, refinement)` pair: caches the quotient
-/// per depth and the two BFS passes per leader, so the `ψ` loops over
-/// `(depth, leader)` pairs pay construction once per coordinate change.
+/// per depth, the two BFS passes per leader, and the PPE guided-merge outcomes
+/// per (depth, path budget), so the `ψ` loops over `(depth, leader)` pairs pay
+/// construction once per coordinate change and each leader-independent merge
+/// outcome once per depth.
 #[derive(Debug)]
 pub struct QuotientSearch<'a> {
     g: &'a PortGraph,
@@ -204,7 +209,9 @@ pub struct QuotientSearch<'a> {
     route_port: Vec<Port>,
     /// Arena for the route BFS queue.
     class_queue: Vec<u32>,
-    stats: SearchStats,
+    pub(crate) stats: SearchStats,
+    /// The guided-merge cache of `election_index`'s PPE ladder.
+    pub(crate) merge: MergeCache,
 }
 
 impl<'a> QuotientSearch<'a> {
@@ -223,6 +230,7 @@ impl<'a> QuotientSearch<'a> {
             route_port: Vec::new(),
             class_queue: Vec::new(),
             stats: SearchStats::default(),
+            merge: MergeCache::default(),
         }
     }
 
@@ -272,12 +280,6 @@ impl<'a> QuotientSearch<'a> {
     /// Counters accumulated so far.
     pub fn stats(&self) -> SearchStats {
         self.stats
-    }
-
-    /// Mutable access to the counters (the assignment drivers in
-    /// `election_index` record candidate tests here).
-    pub fn stats_mut(&mut self) -> &mut SearchStats {
-        &mut self.stats
     }
 
     /// Concrete BFS distance from `v` to the prepared leader (`None` if
@@ -437,11 +439,11 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_ring_collapses_to_one_class_with_no_uniform_edges() {
-        // All four nodes share one class; port 0 leads member 0 to 1 but member 1
-        // to 2 — same class, but the far ports at the two receiving ends differ
-        // only when labellings are asymmetric. On the symmetric ring everything
-        // agrees, so the single self-loop class is uniform.
+    fn symmetric_ring_collapses_to_one_uniform_self_loop_class() {
+        // All four nodes share one class, so every edge leads back into it. Each
+        // member's port 0 goes clockwise and arrives at port 1 (port 1 arrives at
+        // port 0), so every member agrees on (far port, target class) at each
+        // port: every edge of the single self-loop class is uniform.
         let g = generators::symmetric_ring(4).unwrap();
         let r = Refinement::compute(&g, None);
         let q = ClassQuotient::build(&g, &r, r.stable_depth());

@@ -18,9 +18,9 @@
 //!   shipped, which equals one of the two for the Theorem 2.2 pairs.
 //! * `anet-workloads/v3` — adds per-cell `classes_expanded` and
 //!   `paths_explored`: the cost counters of the map-side assignment search
-//!   (quotient classes popped by the route BFS, candidate paths tested). Zero for
-//!   solvers that never search for an assignment; `null` only when the cell has no
-//!   report at all.
+//!   (quotient classes popped by the route BFS; search work, see
+//!   `anet_views::SearchStats`). Zero for solvers that never search for an
+//!   assignment; `null` only when the cell has no report at all.
 //! * `anet-workloads/v4` (current) — adds the wire-metering fields: `wire_codec`
 //!   (the message codec a metered cell serialised through), `wire_cap` (the
 //!   bits-per-edge-per-round cap of a `Backend::Capped` run), `wire_bits` (total

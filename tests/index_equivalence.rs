@@ -19,11 +19,11 @@ use four_shades::graph::{generators, PortGraph};
 use four_shades::prelude::*;
 use four_shades::views::election_index::{
     cppe_assignment, cppe_assignment_enumerated, pe_assignment, pe_assignment_enumerated,
-    ppe_assignment, ppe_assignment_enumerated, psi_cppe, psi_cppe_enumerated, psi_ppe,
-    psi_ppe_enumerated, IndexError,
+    ppe_assignment, ppe_assignment_enumerated, ppe_assignment_with, ppe_election, psi_cppe,
+    psi_cppe_enumerated, psi_ppe, psi_ppe_enumerated, IndexError,
 };
 use four_shades::views::paths::{cppe_sequence_is_valid, ppe_sequence_is_valid};
-use four_shades::views::Refinement;
+use four_shades::views::{QuotientSearch, Refinement};
 use four_shades::workloads::{CirculantFamily, HypercubeFamily, RandomRegularFamily, TorusFamily};
 
 /// The shared path budget (the map solver's default).
@@ -195,4 +195,58 @@ fn random_regular_psi_equivalence_property() {
             &psi_cppe(&g, BUDGET),
         );
     }
+}
+
+/// The map solver runs ψ's own least-depth loop: it resolves what `psi_ppe`
+/// resolves, in ψ_PPE rounds, and reports the search work of `ppe_election` on a
+/// fresh search.
+#[test]
+fn the_map_solver_resolves_what_psi_resolves_with_psis_search_work() {
+    let ppe = Election::task(Task::PortPathElection).solver(MapSolver::default());
+    // bench_index's circulant n=256.
+    let circulant = CirculantFamily::powers_of_two(vec![256], 3)
+        .shuffled(41)
+        .instances(1)
+        .remove(0)
+        .graph;
+    let psi = psi_ppe(&circulant, BUDGET);
+    assert_eq!(psi, Ok(Some(1)));
+    let report = ppe
+        .run(&circulant)
+        .expect("ψ_PPE resolves, so the solver does");
+    assert!(report.solved());
+    assert_eq!(Some(report.rounds), psi.unwrap());
+    // The smoke grid's rr-16.
+    let rr = RandomRegularFamily::new(3, vec![16], 0xA5EED)
+        .instances(1)
+        .remove(0)
+        .graph;
+    let r = Refinement::compute(&rr, None);
+    let mut search = QuotientSearch::new(&rr, &r);
+    let (depth, _, _) = ppe_election(&mut search, BUDGET)
+        .unwrap()
+        .expect("rr-16 admits a PPE");
+    let report = ppe.run(&rr).unwrap();
+    assert_eq!(report.rounds, depth);
+    assert_eq!(report.search, search.stats());
+}
+
+/// The search's guided-merge cache is keyed by path budget as well as depth: an
+/// outcome left inconclusive by a starved budget never answers for a larger one.
+#[test]
+fn cached_merge_outcomes_do_not_outlive_their_budget() {
+    let g = RandomRegularFamily::new(3, vec![128], 0xA5EED)
+        .instances(1)
+        .remove(0)
+        .graph;
+    let r = Refinement::compute(&g, None);
+    let mut reused = QuotientSearch::new(&g, &r);
+    assert_eq!(
+        ppe_assignment_with(&mut reused, 2, 0, 1),
+        Err(IndexError::PathBudgetExceeded { max_paths: 1 })
+    );
+    let after = ppe_assignment_with(&mut reused, 2, 0, BUDGET);
+    let fresh = ppe_assignment_with(&mut QuotientSearch::new(&g, &r), 2, 0, BUDGET);
+    assert!(matches!(fresh, Ok(Some(_))), "{fresh:?}");
+    assert_eq!(after, fresh);
 }
