@@ -15,11 +15,11 @@ use anet_election::engine::{
     PortElectionSolver,
 };
 use anet_election::selection::SelectionOracle;
-use anet_election::tasks::{NodeOutput, Task};
+use anet_election::tasks::Task;
 use anet_election::{bounds, Oracle};
-use anet_graph::{NodeId, PortGraph};
+use anet_graph::PortGraph;
 use anet_views::election_index::{psi_s, psi_s_with};
-use anet_views::{paths, JointRefinement, Refinement};
+use anet_views::{JointRefinement, Refinement};
 
 fn opt(x: Option<usize>) -> String {
     x.map(|v| v.to_string()).unwrap_or_else(|| "∞".to_string())
@@ -320,47 +320,6 @@ pub fn e4_u_class(params: &[(usize, usize)]) -> Table {
         ]);
     }
     table
-}
-
-/// Verify a CPPE output assignment on a (possibly large) graph by checking the leader
-/// count exactly and the path condition on every node if the graph is small, or on all
-/// `ρ`-like high-degree nodes plus an evenly spread sample otherwise. Returns
-/// `(checked_nodes, all_valid)`.
-pub fn verify_cppe_sampled(
-    graph: &PortGraph,
-    outputs: &[NodeOutput],
-    sample: usize,
-) -> (usize, bool) {
-    let leaders: Vec<NodeId> = graph
-        .nodes()
-        .filter(|&v| outputs[v as usize] == NodeOutput::Leader)
-        .collect();
-    if leaders.len() != 1 {
-        return (0, false);
-    }
-    let leader = leaders[0];
-    let candidates: Vec<NodeId> = if graph.num_nodes() <= sample {
-        graph.nodes().collect()
-    } else {
-        let step = graph.num_nodes() / sample;
-        graph.nodes().step_by(step.max(1)).collect()
-    };
-    let mut checked = 0usize;
-    for v in candidates {
-        if v == leader {
-            continue;
-        }
-        checked += 1;
-        match &outputs[v as usize] {
-            NodeOutput::FullPath(pairs) => {
-                if !paths::cppe_sequence_is_valid(graph, v, pairs, leader) {
-                    return (checked, false);
-                }
-            }
-            _ => return (checked, false),
-        }
-    }
-    (checked, true)
 }
 
 /// E5 — the class `J_{μ,k}` (Section 4, Theorems 4.11/4.12): chain sizes, `ψ_S ≥ k`

@@ -146,11 +146,12 @@ pub struct RunContext<'a> {
     /// The execution backend the simulated rounds run on (default:
     /// [`Backend::Sequential`]). Analytic solvers simulate nothing and ignore it.
     pub backend: Backend,
-    /// A process-wide concurrent view interner. Solvers that hash-cons views (the
-    /// map solver's `build_all` + canonicalization pass) intern through this table
-    /// instead of a run-private one, so concurrent runs on overlapping graph
-    /// families dedup their view DAGs against each other. Set by the multi-tenant
-    /// election service; `None` for standalone runs.
+    /// A process-wide concurrent view interner. Solvers that hash-cons views — the
+    /// map solver and the Lemma 3.9 solver, in their `build_all` + canonicalization
+    /// pass — intern through this table instead of a run-private one, so concurrent
+    /// runs on overlapping graph families dedup their view DAGs against each other.
+    /// The Theorem 2.2 oracle interns privately: an `Oracle` takes no context. Set
+    /// by the multi-tenant election service; `None` for standalone runs.
     pub shared_interner: Option<&'a SharedViewInterner>,
     /// A trace sink for round-level probes: simulation-backed solvers thread it to
     /// [`anet_sim::Backend::run_traced`], so the engine (and through it the
@@ -322,11 +323,6 @@ impl ElectionBuilder {
     pub fn profiled(mut self) -> Self {
         self.profile = true;
         self
-    }
-
-    /// The configured task.
-    pub fn task_ref(&self) -> Task {
-        self.task
     }
 
     /// Execute the configured election on `graph` and verify the outputs.
@@ -532,6 +528,7 @@ impl ElectionReport {
 mod tests {
     use super::*;
     use crate::advice::{FnAlgorithm, FnOracle};
+    use anet_constructions::UClass;
     use anet_graph::generators;
     use anet_views::{BitString, View};
 
@@ -661,28 +658,34 @@ mod tests {
 
     #[test]
     fn shared_interner_runs_match_private_runs_and_record_hits() {
-        let g = generators::oriented_ring(&[true, true, false, true, false]).unwrap();
-        let private = Election::task(Task::Selection)
-            .solver(MapSolver::default())
-            .run(&g)
-            .unwrap();
-        let table = Arc::new(SharedViewInterner::new());
-        let first = Election::task(Task::Selection)
-            .solver(MapSolver::default())
-            .shared_interner(Arc::clone(&table))
-            .run(&g)
-            .unwrap();
-        let second = Election::task(Task::Selection)
-            .solver(MapSolver::default())
-            .shared_interner(Arc::clone(&table))
-            .run(&g)
-            .unwrap();
-        // Sharing the table changes allocation, never results.
-        assert_eq!(private.outputs, first.outputs);
-        assert_eq!(first.outputs, second.outputs);
-        assert_eq!(private.rounds, second.rounds);
-        // The second run re-interns the same ring's views: cross-run hits.
-        assert!(table.stats().hits > 0, "{:?}", table.stats());
+        fn check<S: Solver + 'static>(task: Task, g: &PortGraph, solver: impl Fn() -> S) {
+            let private = Election::task(task).solver(solver()).run(g).unwrap();
+            let table = Arc::new(SharedViewInterner::new());
+            let first = Election::task(task)
+                .solver(solver())
+                .shared_interner(Arc::clone(&table))
+                .run(g)
+                .unwrap();
+            let second = Election::task(task)
+                .solver(solver())
+                .shared_interner(Arc::clone(&table))
+                .run(g)
+                .unwrap();
+            // Sharing the table changes allocation, never results.
+            assert_eq!(private.outputs, first.outputs, "{task}");
+            assert_eq!(first.outputs, second.outputs, "{task}");
+            assert_eq!(private.rounds, second.rounds, "{task}");
+            // The second run re-interns the same graph's views: cross-run hits.
+            assert!(table.stats().hits > 0, "{task}: {:?}", table.stats());
+        }
+        // The map solver and the Lemma 3.9 solver both intern through the table.
+        let ring = generators::oriented_ring(&[true, true, false, true, false]).unwrap();
+        check(Task::Selection, &ring, MapSolver::default);
+        let class = UClass::new(4, 1).unwrap();
+        let member = class.member(&[2; 9]).unwrap();
+        check(Task::PortElection, &member.labeled.graph, || {
+            PortElectionSolver::new(class.k)
+        });
     }
 
     #[test]

@@ -19,7 +19,7 @@ use anet_graph::PortGraph;
 use anet_views::election_index::{
     cppe_election, pe_election, ppe_election, psi_s_with, IndexError,
 };
-use anet_views::{InternerHandle, QuotientSearch, Refinement, View};
+use anet_views::{QuotientSearch, Refinement, View, ViewInterner};
 use std::collections::HashMap;
 
 /// Errors of the map-based solver.
@@ -110,17 +110,16 @@ pub fn solve_with_map(
     // nodes (the collector's output is a shared DAG), after which the table hit is
     // pointer-equal — without this, a positive equality check would walk the full
     // unfolded Θ(Δ^rounds) tree, since collector- and map-built views share no Arcs.
-    let mut interner = match ctx.shared_interner {
-        Some(table) => InternerHandle::shared(table),
-        None => InternerHandle::own(),
-    };
+    let mut interner = ctx
+        .shared_interner
+        .map_or_else(ViewInterner::new, ViewInterner::shared);
     let views = interner.build_all(graph, rounds);
     let mut by_view: HashMap<View, NodeOutput> = HashMap::new();
     for v in graph.nodes() {
         by_view.insert(views[v as usize].clone(), per_node[v as usize].clone());
     }
     // The decision map is applied sequentially after the communication phase, so a
-    // RefCell suffices for the interner handle's interior mutability.
+    // RefCell suffices for the interner's interior mutability.
     let interner = std::cell::RefCell::new(interner);
     let decide = |view: &View| {
         let canonical = interner.borrow_mut().intern(view);

@@ -29,11 +29,12 @@ use std::collections::HashMap;
 /// Solve Port Election on a member of `U_{Δ,k}` in `k` rounds, given the map.
 ///
 /// `graph` must be (port-isomorphic to) a member of `U_{Δ,k}`; `k` is the class
-/// parameter (equal to `ψ_S = ψ_PE` of the graph, Lemma 3.9). The `k`
-/// view-collection rounds run on `ctx.backend`, emit trace events into `ctx.trace`
-/// and are metered when `ctx.wire` names a codec (or the backend is capped, which
-/// also inflates `rounds` to the physical count). Lemma 3.9 reads the ports off the
-/// map's structure, so the run reports no advice and no search.
+/// parameter (equal to `ψ_S = ψ_PE` of the graph, Lemma 3.9). The map's views and
+/// the collected ones are interned through `ctx.shared_interner` when it is set. The
+/// `k` view-collection rounds run on `ctx.backend`, emit trace events into
+/// `ctx.trace` and are metered when `ctx.wire` names a codec (or the backend is
+/// capped, which also inflates `rounds` to the physical count). Lemma 3.9 reads the
+/// ports off the map's structure, so the run reports no advice and no search.
 pub fn solve_port_election_on_u(
     graph: &PortGraph,
     k: usize,
@@ -61,8 +62,11 @@ pub fn solve_port_election_on_u(
         ));
     }
     // One shared pass builds every node's B^k (hash-consed, so on the highly
-    // repetitive U members most subtrees collapse to one representative each).
-    let mut interner = ViewInterner::new();
+    // repetitive U members most subtrees collapse to one representative each),
+    // through the context's shared table when there is one.
+    let mut interner = ctx
+        .shared_interner
+        .map_or_else(ViewInterner::new, ViewInterner::shared);
     let views = interner.build_all(graph, k);
     let r_min_view = medium_nodes
         .iter()

@@ -45,11 +45,6 @@ impl SolverRecipe {
         SolverRecipe::new("map", Box::new(|| Box::new(MapSolver::default())))
     }
 
-    /// The map-based baseline with an explicit simple-path enumeration budget.
-    pub fn map_with_budget(max_paths: usize) -> Self {
-        SolverRecipe::new("map", Box::new(move || Box::new(MapSolver::new(max_paths))))
-    }
-
     /// The Theorem 2.2 advice pair (unfolded-tree codec). The underlying oracle
     /// panics on graphs with no finite Selection index; the service catches the
     /// panic and reports the request as failed rather than losing a worker.

@@ -62,8 +62,6 @@ pub struct ServiceConfig {
     /// `max(1, available_parallelism / workers)`, so the whole pool together uses
     /// roughly the machine's parallelism.
     pub thread_budget: Option<usize>,
-    /// Shard count of the shared view interner (rounded up to a power of two).
-    pub interner_shards: usize,
     /// Trace probe for the whole service run. `None` (the default) traces
     /// nothing and costs nothing. When set, every request's engine run streams
     /// its round events into the sink stamped with the request id (via
@@ -79,7 +77,6 @@ impl Default for ServiceConfig {
             workers: available_parallelism().min(8),
             queue_capacity: 1024,
             thread_budget: None,
-            interner_shards: 64,
             trace_sink: None,
         }
     }
@@ -91,7 +88,6 @@ impl std::fmt::Debug for ServiceConfig {
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
             .field("thread_budget", &self.thread_budget)
-            .field("interner_shards", &self.interner_shards)
             .field("trace_sink", &self.trace_sink.is_some())
             .finish()
     }
@@ -289,7 +285,7 @@ impl ElectionService {
             next_id: AtomicU64::new(0),
             next_worker: AtomicUsize::new(0),
             rejected: AtomicU64::new(0),
-            interner: Arc::new(SharedViewInterner::with_shards(config.interner_shards)),
+            interner: Arc::new(SharedViewInterner::new()),
             thread_budget,
             trace: config.trace_sink,
         });

@@ -21,8 +21,6 @@
 //!   [`Recorder`] buffers events in striped per-thread buffers for later draining;
 //!   [`Tagged`] stamps a fixed trace id onto every event passing through (how the
 //!   service gives each request its own id).
-//! * [`SpanGuard`] / [`span`] — scoped timers: start a span, and its drop records a
-//!   [`TraceEvent::PhaseTime`] with the elapsed nanoseconds.
 //! * [`RoundProfile`] — the aggregate consumers want: per-round message counts and
 //!   per-phase nanoseconds with peak queries, built from an event stream by
 //!   [`RoundProfile::from_events`] and attached to election reports.
@@ -41,4 +39,4 @@ mod sink;
 
 pub use event::{Phase, TraceEvent};
 pub use profile::{RoundProfile, RoundStat};
-pub use sink::{span, NoopSink, Recorder, SpanGuard, Tagged, TraceSink};
+pub use sink::{NoopSink, Recorder, Tagged, TraceSink};

@@ -1,10 +1,9 @@
 //! Where events go: the sink trait, the zero-cost disabled sink, the buffering
 //! recorder, the id-stamping wrapper, and scoped timers.
 
-use crate::event::{Phase, TraceEvent};
+use crate::event::TraceEvent;
 use std::sync::Arc;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// A consumer of [`TraceEvent`]s.
 ///
@@ -182,45 +181,10 @@ impl TraceSink for Tagged {
     }
 }
 
-/// A scoped phase timer: created by [`span`], it reads the clock on construction
-/// (only if the sink is enabled) and records a [`TraceEvent::PhaseTime`] with the
-/// elapsed nanoseconds when dropped.
-pub struct SpanGuard<'a> {
-    sink: &'a dyn TraceSink,
-    trace_id: u64,
-    round: u64,
-    phase: Phase,
-    start: Option<Instant>,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.sink.record(TraceEvent::PhaseTime {
-                trace_id: self.trace_id,
-                round: self.round,
-                phase: self.phase,
-                ns: start.elapsed().as_nanos() as u64,
-            });
-        }
-    }
-}
-
-/// Start a scoped timer for one phase of one round. On a disabled sink this reads
-/// no clock and records nothing.
-pub fn span<'a>(sink: &'a dyn TraceSink, trace_id: u64, round: u64, phase: Phase) -> SpanGuard<'a> {
-    SpanGuard {
-        sink,
-        trace_id,
-        round,
-        phase,
-        start: sink.enabled().then(Instant::now),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Phase;
 
     #[test]
     fn noop_sink_is_disabled() {
@@ -298,30 +262,5 @@ mod tests {
         assert_eq!(rec.drain()[0].trace_id(), 7);
         let noop = Tagged::new(Arc::new(NoopSink), 7);
         assert!(!noop.enabled());
-    }
-
-    #[test]
-    fn span_records_phase_time_on_drop() {
-        let rec = Recorder::new();
-        {
-            let _guard = span(&rec, 3, 2, Phase::Send);
-        }
-        let events = rec.drain();
-        assert_eq!(events.len(), 1);
-        match events[0] {
-            TraceEvent::PhaseTime {
-                trace_id,
-                round,
-                phase,
-                ..
-            } => {
-                assert_eq!((trace_id, round, phase), (3, 2, Phase::Send));
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-        // Disabled sink: no clock read, no event.
-        {
-            let _guard = span(&NoopSink, 0, 1, Phase::Route);
-        }
     }
 }

@@ -15,7 +15,9 @@
 //!   equal ones are pair-memoized); [`View::lex_cmp`] realises the canonical token
 //!   order with the same short-circuits.
 //! * [`ViewInterner`] hash-conses structurally identical subtrees to one canonical
-//!   representative. [`ViewInterner::build_all`] constructs `B^h(v)` for *every* node
+//!   representative, filed in a private table ([`ViewInterner::new`]) or in a
+//!   process-wide [`crate::SharedViewInterner`] ([`ViewInterner::shared`]).
+//!   [`ViewInterner::build_all`] constructs `B^h(v)` for *every* node
 //!   of a graph in `O(n · h · Δ)` handle operations — level `d` reuses the level
 //!   `d − 1` handles of the neighbours — instead of the `Θ(n · Δ^h)` nodes the owned
 //!   construction materialises. On symmetric topologies (rings, tori, hypercubes,
@@ -37,27 +39,29 @@
 //!
 //! [`View`] is `Send + Sync` (enforced by compile-time assertions below): a handle is
 //! an `Arc` to a node whose fields are immutable after construction, so sharing
-//! handles across threads is safe and cheap. [`ViewInterner`] is `Send` (it can move
-//! to, or be owned by, another thread — e.g. inside one shard of the sharded
-//! [`crate::SharedViewInterner`]) but all its useful methods take `&mut self`, so
-//! concurrent use requires external synchronisation. The sharded wrapper relies on
-//! exactly these invariants, documented here so they cannot rot silently:
+//! handles across threads is safe and cheap. [`ViewInterner`] is `Send` but all its
+//! useful methods take `&mut self`: each thread (each election run) owns its own.
+//! Threads share canonical nodes through a [`crate::SharedViewInterner`], whose
+//! lock-striped shards are plain node maps; [`ViewInterner::shared`] files into
+//! such a table instead of a private map. That sharing relies on exactly these
+//! invariants, documented here so they cannot rot silently:
 //!
 //! 1. **Structural hashes are pure and deterministic** — `node_hash` is a fixed
 //!    function of `(degree, child ports, child hashes)` with no per-process or
 //!    per-thread state (no `RandomState`, no addresses). Two threads computing the
 //!    hash of the same structure always agree, which is what makes hash-based shard
 //!    routing consistent across threads.
-//! 2. **Canonical pointers are stable and unique per interner** — an interner keeps
-//!    every canonical node (and a keepalive of every canonicalized foreign node)
-//!    alive for its own lifetime, so the `Arc` addresses used in `NodeKey` cannot
-//!    be recycled while the interner lives, and one structure never has two
-//!    canonical nodes within one interner.
+//! 2. **Canonical pointers are stable and unique per table** — a table (a private
+//!    interner's map, or every shard of a shared one) keeps every canonical node
+//!    alive for its own lifetime, and an interner keeps a handle to every foreign
+//!    node it has canonicalized, so the `Arc` addresses used in `NodeKey` and in the
+//!    canonicalisation memo cannot be recycled while they are in use, and one
+//!    structure never has two canonical nodes within one table.
 //! 3. **Nodes are immutable after construction** — no method mutates `degree`,
 //!    `children`, `hash`, `size` or `height` behind a handle, so a canonical node
 //!    read by one thread while another thread files new (different) nodes is never
-//!    torn. All interner mutation is confined to its two `HashMap`s behind
-//!    `&mut self`.
+//!    torn. All table mutation is confined to the node maps, behind `&mut self` or a
+//!    shard lock.
 //!
 //! ```
 //! use anet_views::{View, ViewInterner};
@@ -74,6 +78,7 @@
 //! ```
 
 use crate::view_tree::ViewTree;
+use crate::SharedViewInterner;
 use anet_graph::{NodeId, Port, PortGraph};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -248,25 +253,28 @@ impl View {
     /// tokens. Materialises the full (unshared) sequence; meant for tests and interop.
     pub fn tokens(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.node.size.saturating_mul(4));
-        crate::search::write_tokens_by(self, Self::node_degree, Self::node_children, &mut out);
+        self.write_tokens(&mut out);
         out
     }
 
-    /// Accessors handed to the traversals shared with the owned form
-    /// (`crate::search`), so the two representations cannot diverge. `node_id` is the
-    /// shared node's address, so the searches visit every distinct subtree once
-    /// instead of unfolding the walk tree. (`pub(crate)` so the DAG codec can key its
-    /// emission memo the same way; only meaningful while the handle is alive.)
+    /// Append the token sequence. No dedup: the sequence is defined on the unfolded
+    /// tree.
+    fn write_tokens(&self, out: &mut Vec<u32>) {
+        out.push(self.node.degree);
+        out.push(self.node.children.len() as u32);
+        for (p, q, c) in &self.node.children {
+            out.push(*p);
+            out.push(*q);
+            c.write_tokens(out);
+        }
+    }
+
+    /// The shared node's address: the traversals below key their `seen` sets on it,
+    /// so each distinct subtree is visited once instead of unfolding the walk tree.
+    /// (`pub(crate)` so the DAG codecs can key their emission memos the same way;
+    /// only meaningful while the handle is alive.)
     pub(crate) fn node_id(&self) -> usize {
         Arc::as_ptr(&self.node) as usize
-    }
-
-    fn node_degree(&self) -> u32 {
-        self.node.degree
-    }
-
-    fn node_children(&self) -> impl ExactSizeIterator<Item = (Port, Port, &View)> {
-        self.node.children.iter().map(|&(p, q, ref c)| (p, q, c))
     }
 
     /// Compare two views in the canonical lexicographic token order, without
@@ -326,40 +334,98 @@ impl View {
     }
 
     /// The maximum port number mentioned anywhere in the view, or `None` for a bare
-    /// single node.
+    /// single node. Each distinct subtree is visited once.
     pub fn max_port(&self) -> Option<u32> {
-        crate::search::max_port_by(self, Self::node_id, Self::node_children)
+        let mut seen = HashSet::new();
+        seen.insert(self.node_id());
+        self.max_port_unseen(&mut seen)
     }
 
-    /// The maximum degree mentioned anywhere in the view.
+    fn max_port_unseen(&self, seen: &mut HashSet<usize>) -> Option<u32> {
+        let mut max = None;
+        for (p, q, c) in &self.node.children {
+            max = max.max(Some(*p.max(q)));
+            // A subtree already seen was accounted at its first occurrence.
+            if seen.insert(c.node_id()) {
+                max = max.max(c.max_port_unseen(seen));
+            }
+        }
+        max
+    }
+
+    /// The maximum degree mentioned anywhere in the view. Each distinct subtree is
+    /// visited once.
     pub fn max_degree(&self) -> u32 {
-        crate::search::max_degree_by(self, Self::node_id, Self::node_degree, Self::node_children)
+        let mut seen = HashSet::new();
+        seen.insert(self.node_id());
+        self.max_degree_unseen(&mut seen)
+    }
+
+    fn max_degree_unseen(&self, seen: &mut HashSet<usize>) -> u32 {
+        let mut max = self.node.degree;
+        for (_, _, c) in &self.node.children {
+            if seen.insert(c.node_id()) {
+                max = max.max(c.max_degree_unseen(seen));
+            }
+        }
+        max
     }
 
     /// Does this view contain (at any tree node, root included) a node of the given
-    /// graph degree?
+    /// graph degree? Each distinct subtree is visited once.
     pub fn contains_degree(&self, degree: u32) -> bool {
-        crate::search::contains_degree_by(
-            self,
-            degree,
-            Self::node_id,
-            Self::node_degree,
-            Self::node_children,
-        )
+        let mut seen = HashSet::new();
+        seen.insert(self.node_id());
+        self.contains_degree_unseen(degree, &mut seen)
+    }
+
+    fn contains_degree_unseen(&self, degree: u32, seen: &mut HashSet<usize>) -> bool {
+        self.node.degree == degree
+            || self
+                .node
+                .children
+                .iter()
+                .any(|(_, _, c)| seen.insert(c.node_id()) && c.contains_degree_unseen(degree, seen))
     }
 
     /// The port sequence (outgoing ports only) of the lexicographically smallest
     /// shortest root-to-node path reaching a tree node of the given degree, or `None`
-    /// if no such node exists. Breadth-first in port order; paths are reconstructed
-    /// through parent links, so only the returned path is allocated.
+    /// if no such node exists.
+    ///
+    /// Breadth-first in port order: `visited[i]` records (parent index or `usize::MAX`
+    /// for the root, port taken from the parent, node), each level is scanned for a
+    /// match before the next is expanded, and only the returned path is rebuilt from
+    /// the parent links. A shared subtree is enqueued only at its first occurrence,
+    /// which the scan reaches through the lexicographically smallest shortest path, so
+    /// the dedup never changes the result; it keeps `visited` linear in distinct nodes.
     pub fn shortest_path_to_degree(&self, degree: u32) -> Option<Vec<Port>> {
-        crate::search::shortest_path_to_degree_by(
-            self,
-            degree,
-            Self::node_id,
-            Self::node_degree,
-            Self::node_children,
-        )
+        let mut seen = HashSet::new();
+        seen.insert(self.node_id());
+        let mut visited: Vec<(usize, Port, &View)> = vec![(usize::MAX, 0, self)];
+        let mut level_start = 0usize;
+        while level_start < visited.len() {
+            let level_end = visited.len();
+            if let Some(mut cur) =
+                (level_start..level_end).find(|&i| visited[i].2.degree() == degree)
+            {
+                let mut path = Vec::new();
+                while visited[cur].0 != usize::MAX {
+                    path.push(visited[cur].1);
+                    cur = visited[cur].0;
+                }
+                path.reverse();
+                return Some(path);
+            }
+            for i in level_start..level_end {
+                for (p, _, c) in visited[i].2.children() {
+                    if seen.insert(c.node_id()) {
+                        visited.push((i, *p, c));
+                    }
+                }
+            }
+            level_start = level_end;
+        }
+        None
     }
 
     /// Convert to the owned tree form (deep copy; `O(size)`).
@@ -376,8 +442,8 @@ impl View {
     }
 
     /// Convert from the owned tree form (no interning: the result shares nothing, but
-    /// compares and hashes like any other handle). Use
-    /// [`ViewInterner::intern_tree`] to also collapse repeated subtrees.
+    /// compares and hashes like any other handle). Pass the result to
+    /// [`ViewInterner::intern`] to also collapse repeated subtrees.
     pub fn from_tree(tree: &ViewTree) -> View {
         View::from_parts(
             tree.degree,
@@ -463,21 +529,22 @@ impl std::fmt::Debug for View {
 }
 
 /// Structural identity of an interned node: its degree and, per child, the ports and
-/// the *canonical child pointer*. Valid as a key because the interner (a) only ever
-/// files nodes whose children are already canonical and (b) keeps every canonical
-/// node alive for its own lifetime, so the addresses are stable and unique.
+/// the *canonical child pointer*. Valid as a key because a table (a private
+/// interner's map or the shards of a [`crate::SharedViewInterner`]) (a) only ever
+/// files nodes whose children are already canonical in it and (b) keeps every
+/// canonical node alive for its own lifetime, so the addresses are stable and unique.
 #[derive(PartialEq, Eq, Hash)]
-struct NodeKey {
+pub(crate) struct NodeKey {
     degree: u32,
     children: Vec<(Port, Port, usize)>,
 }
 
-fn node_key(degree: u32, children: &[(Port, Port, View)]) -> NodeKey {
+pub(crate) fn node_key(degree: u32, children: &[(Port, Port, View)]) -> NodeKey {
     NodeKey {
         degree,
         children: children
             .iter()
-            .map(|(p, q, c)| (*p, *q, Arc::as_ptr(&c.node) as usize))
+            .map(|(p, q, c)| (*p, *q, c.node_id()))
             .collect(),
     }
 }
@@ -488,13 +555,18 @@ fn node_key(degree: u32, children: &[(Port, Port, View)]) -> NodeKey {
 /// refinement-equal nodes collapse — on symmetric graphs that is `O(h)` nodes total
 /// for the whole graph).
 ///
-/// The interner retains every canonical node it ever created, plus a handle to every
-/// foreign node it has canonicalized (that is what keeps the pointer-based keys
-/// stable and valid); drop it to release them — handles already given out keep their
-/// subtrees alive independently.
-#[derive(Default)]
-pub struct ViewInterner {
-    nodes: HashMap<NodeKey, View>,
+/// Canonical nodes are filed in a private table ([`ViewInterner::new`]) or in a
+/// borrowed, process-wide [`SharedViewInterner`] ([`ViewInterner::shared`]), where
+/// views interned by concurrent runs, on any thread, resolve to the same nodes. The
+/// canonicalisation memo of [`ViewInterner::intern`] is private either way.
+///
+/// The interner retains a handle to every foreign node it has canonicalized, and a
+/// private table retains every canonical node it ever created (that is what keeps
+/// the pointer-based keys stable and valid); drop it to release them — handles
+/// already given out keep their subtrees alive independently.
+pub struct ViewInterner<'a> {
+    /// Where canonical nodes are filed.
+    table: Table<'a>,
     /// Memo of already-canonicalized foreign nodes: foreign address → (keepalive of
     /// the foreign node, its canonical representative). The keepalive pins the
     /// address, so it cannot be recycled for a different node while the entry lives;
@@ -504,20 +576,52 @@ pub struct ViewInterner {
     foreign: HashMap<usize, (View, View)>,
 }
 
-impl ViewInterner {
-    /// An empty interner.
+/// The node table of a [`ViewInterner`].
+enum Table<'a> {
+    /// Owned by this interner.
+    Private(HashMap<NodeKey, View>),
+    /// Shared with every other interner over the same [`SharedViewInterner`].
+    Shared(&'a SharedViewInterner),
+}
+
+impl Default for ViewInterner<'_> {
+    fn default() -> Self {
+        ViewInterner::new()
+    }
+}
+
+impl<'a> ViewInterner<'a> {
+    /// An empty interner over a private table.
     pub fn new() -> Self {
-        ViewInterner::default()
+        ViewInterner {
+            table: Table::Private(HashMap::new()),
+            foreign: HashMap::new(),
+        }
     }
 
-    /// Number of distinct subtrees interned so far.
+    /// An interner filing its canonical nodes in `table`: structurally equal views
+    /// interned through any interner over the same table — from any thread — are
+    /// pointer-equal, and every filing counts as a hit or a miss in
+    /// [`SharedViewInterner::stats`].
+    pub fn shared(table: &'a SharedViewInterner) -> Self {
+        ViewInterner {
+            table: Table::Shared(table),
+            foreign: HashMap::new(),
+        }
+    }
+
+    /// Number of distinct subtrees in the table (in shared mode, filed by every
+    /// interner over it).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        match &self.table {
+            Table::Private(nodes) => nodes.len(),
+            Table::Shared(table) => table.len(),
+        }
     }
 
-    /// Has nothing been interned yet?
+    /// Is the table empty?
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
     }
 
     /// The canonical leaf of the given degree.
@@ -526,49 +630,29 @@ impl ViewInterner {
     }
 
     /// The canonical node with the given degree and children. The children must be
-    /// canonical handles from *this* interner (as produced by [`ViewInterner::leaf`],
-    /// [`ViewInterner::node`], [`ViewInterner::intern`] or
-    /// [`ViewInterner::build_all`]); handing in foreign handles files them as new
-    /// structure, which forfeits sharing but never affects equality semantics.
-    ///
-    /// The sharded [`crate::SharedViewInterner`] relaxes the "this interner"
-    /// requirement across its own shards: children canonical in *any* shard are
-    /// valid here, because each structure has exactly one canonical node overall
-    /// (its hash routes it to exactly one shard) and every shard keeps its canonical
-    /// nodes alive, so the pointer-based `NodeKey` stays stable and unique.
+    /// canonical handles from this interner's table (as produced by
+    /// [`ViewInterner::leaf`], [`ViewInterner::node`], [`ViewInterner::intern`] or
+    /// [`ViewInterner::build_all`] on an interner over the same table); handing in
+    /// foreign handles files them as new structure, which forfeits sharing but never
+    /// affects equality semantics.
     pub fn node(&mut self, degree: u32, children: Vec<(Port, Port, View)>) -> View {
-        self.node_interned(degree, children).0
-    }
-
-    /// [`node`](ViewInterner::node), also reporting whether the canonical node
-    /// already existed (`true` = hit, i.e. the structure was deduplicated against
-    /// earlier work). This is what the sharded shared interner's hit-rate metric
-    /// counts.
-    pub fn node_interned(
-        &mut self,
-        degree: u32,
-        children: Vec<(Port, Port, View)>,
-    ) -> (View, bool) {
-        let mut hit = true;
-        let view = self
-            .nodes
-            .entry(node_key(degree, &children))
-            .or_insert_with(|| {
-                hit = false;
-                View::from_parts(degree, children)
-            })
-            .clone();
-        (view, hit)
+        match &mut self.table {
+            Table::Private(nodes) => nodes
+                .entry(node_key(degree, &children))
+                .or_insert_with(|| View::from_parts(degree, children))
+                .clone(),
+            Table::Shared(table) => table.node(degree, children),
+        }
     }
 
     /// Canonicalize an arbitrary view: returns the representative that is pointer-equal
-    /// for every structurally equal view interned here. Each distinct foreign node is
-    /// walked once over the interner's lifetime (the memo persists across calls and
-    /// retains the foreign handles it has seen), so canonicalizing a whole run's
-    /// collected views — which share most of their subtrees — costs the total number
-    /// of *distinct* nodes, not `Δ^h` path counts and not a re-walk per call.
+    /// for every structurally equal view filed in this table. Each distinct foreign
+    /// node is walked once over the interner's lifetime (the memo persists across
+    /// calls and retains the foreign handles it has seen), so canonicalizing a whole
+    /// run's collected views — which share most of their subtrees — costs the total
+    /// number of *distinct* nodes, not `Δ^h` path counts and not a re-walk per call.
     pub fn intern(&mut self, view: &View) -> View {
-        let ptr = Arc::as_ptr(&view.node) as usize;
+        let ptr = view.node_id();
         if let Some((_, canonical)) = self.foreign.get(&ptr) {
             return canonical.clone();
         }
@@ -583,20 +667,12 @@ impl ViewInterner {
         canonical
     }
 
-    /// Canonicalize an owned [`ViewTree`].
-    pub fn intern_tree(&mut self, tree: &ViewTree) -> View {
-        let children = tree
-            .children
-            .iter()
-            .map(|(p, q, c)| (*p, *q, self.intern_tree(c)))
-            .collect();
-        self.node(tree.degree, children)
-    }
-
     /// Build `B^depth(v)` for **every** node `v` of `g`, maximally shared: level `d`
     /// grafts the level-`d − 1` handles of the neighbours, so the whole construction
-    /// performs `O(n · depth · Δ)` handle operations and the interner holds one node
-    /// per distinct subtree. Returns the views indexed by node.
+    /// performs `O(n · depth · Δ)` handle operations and the table holds one node
+    /// per distinct subtree. Returns the views indexed by node. In shared mode, views
+    /// already built by other runs or for other graphs are reused, not rebuilt: this
+    /// is where isomorphic subtrees across tenants collapse.
     pub fn build_all(&mut self, g: &PortGraph, depth: usize) -> Vec<View> {
         let mut level: Vec<View> = g.nodes().map(|v| self.leaf(g.degree(v) as u32)).collect();
         for _ in 0..depth {
@@ -615,24 +691,24 @@ impl ViewInterner {
     }
 }
 
-impl std::fmt::Debug for ViewInterner {
+impl std::fmt::Debug for ViewInterner<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ViewInterner")
-            .field("distinct_subtrees", &self.nodes.len())
+            .field("distinct_subtrees", &self.len())
             .finish()
     }
 }
 
-// Compile-time enforcement of the thread-safety invariants the sharded
-// `SharedViewInterner` builds on (see the module docs): handles are freely shareable
-// across threads, and a whole interner can be owned by (moved into) another thread —
-// e.g. behind one shard's mutex. If a future change smuggles in a non-`Send` field
-// (an `Rc`, a raw pointer without a wrapper), these stop compiling.
+// Compile-time enforcement of the thread-safety invariants the shared table builds
+// on (see the module docs): handles are freely shareable across threads, and an
+// interner — private or over a shared table — can be owned by (moved into) another
+// thread. If a future change smuggles in a non-`Send` field (an `Rc`, a raw pointer
+// without a wrapper), these stop compiling.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_send<T: Send>() {}
     assert_send_sync::<View>();
-    assert_send::<ViewInterner>();
+    assert_send::<ViewInterner<'static>>();
 };
 
 #[cfg(test)]

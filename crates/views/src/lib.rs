@@ -8,16 +8,18 @@
 //!
 //! This crate implements:
 //!
-//! * [`view_tree`] — explicit owned `B^h(v)` trees (the test / interop form),
+//! * [`view_tree`] — explicit owned `B^h(v)` trees (the test / interop form and the
+//!   naive reference: its traversals walk the unfolded tree),
 //! * [`interned`] — structurally shared [`View`] handles and the hash-consing
 //!   [`ViewInterner`]: the representation every hot path (the full-information
 //!   collector, the solvers) works on — cloning is an `Arc` bump, equality and
-//!   lexicographic order short-circuit on shared subtrees,
-//! * [`shared`] — the concurrent [`SharedViewInterner`]: the same hash-consing
-//!   across `Mutex`-striped shards, safe to share between threads, so concurrent
-//!   election runs (the multi-tenant service) dedup isomorphic subtrees against one
-//!   process-wide table; [`InternerHandle`] lets solvers run against either an
-//!   owned or a shared table,
+//!   lexicographic order short-circuit on shared subtrees, and each traversal visits
+//!   a distinct subtree once. An interner files its canonical nodes in a private
+//!   table or, through [`ViewInterner::shared`], in a [`SharedViewInterner`],
+//! * [`shared`] — the concurrent [`SharedViewInterner`]: a node table split across
+//!   `Mutex`-striped shards, safe to share between threads, so concurrent election
+//!   runs (the multi-tenant service) dedup isomorphic subtrees against one
+//!   process-wide table,
 //! * [`refinement`] — *port colour refinement*, an `O(h·m)` computation of the
 //!   equivalence classes "`B^h(u) = B^h(v)`" for every depth `h` simultaneously
 //!   (within one graph or jointly across several graphs, as needed by the paper's
@@ -67,7 +69,6 @@ pub mod interned;
 pub mod paths;
 pub mod quotient;
 pub mod refinement;
-mod search;
 pub mod shared;
 pub mod view_tree;
 
@@ -77,7 +78,5 @@ pub use encoding::ViewCodec;
 pub use interned::{View, ViewInterner};
 pub use quotient::{ClassQuotient, QuotientSearch, SearchStats};
 pub use refinement::{JointRefinement, Refinement};
-pub use shared::{
-    lock_or_poison, wait_timeout_or_poison, InternerHandle, InternerStats, SharedViewInterner,
-};
+pub use shared::{lock_or_poison, wait_timeout_or_poison, InternerStats, SharedViewInterner};
 pub use view_tree::ViewTree;

@@ -241,11 +241,6 @@ impl JointRefinement {
         }
     }
 
-    /// Refinement of a single graph.
-    pub fn compute_single(g: &PortGraph, max_depth: Option<usize>) -> JointRefinement {
-        JointRefinement::compute(&[g], max_depth)
-    }
-
     fn flat(&self, (gi, v): JointNode) -> usize {
         assert!(gi < self.sizes.len(), "graph index out of range");
         assert!((v as usize) < self.sizes[gi], "node index out of range");

@@ -1,16 +1,18 @@
-//! A concurrent, sharded hash-consing interner: one canonical DAG shared by many
+//! A concurrent, sharded hash-consing table: one canonical DAG shared by many
 //! threads (and, in the multi-tenant election service, by many tenants).
 //!
-//! [`crate::ViewInterner`] is single-threaded by construction (`&mut self`
-//! everywhere). [`SharedViewInterner`] scales it out with **lock striping**: the
-//! canonical node table is split across `S` shards, each an ordinary `ViewInterner`
-//! behind its own `Mutex`, and a node is filed in the shard selected by its
-//! structural hash. Filing a node therefore takes exactly one short-lived shard
-//! lock; threads interning *different* structures almost always hit different
-//! shards and proceed without contention, while threads interning the *same*
-//! structure serialise on one shard and resolve to the same `Arc` node — which is
-//! precisely the cross-tenant dedup the election service wants: isomorphic subtrees
-//! from different requests become one shared node.
+//! A [`crate::ViewInterner`] is single-threaded by construction (`&mut self`
+//! everywhere). [`SharedViewInterner`] is the node table such interners can share
+//! instead of each keeping a private one: [`crate::ViewInterner::shared`] files
+//! every canonical node here, while the canonicalisation memo stays private to
+//! each interner. The table uses **lock striping**: it is split across `S` shards,
+//! each a plain node map behind its own `Mutex`, and a node is filed in the shard
+//! selected by its structural hash. Filing a node therefore takes exactly one
+//! short-lived shard lock; threads interning *different* structures almost always
+//! hit different shards and proceed without contention, while threads interning the
+//! *same* structure serialise on one shard and resolve to the same `Arc` node —
+//! which is precisely the cross-tenant dedup the election service wants: isomorphic
+//! subtrees from different requests become one shared node.
 //!
 //! Why cross-shard structures stay canonical: a node's children are canonicalized
 //! (bottom-up) before the node itself, each child lives in the single shard its own
@@ -20,36 +22,35 @@
 //! in different shards. No operation ever holds two shard locks at once, so the
 //! striping cannot deadlock.
 //!
-//! The interner counts hits and misses ([`SharedViewInterner::stats`]): a *hit* is
+//! The table counts hits and misses ([`SharedViewInterner::stats`]): a *hit* is
 //! a filed structure that already had a canonical node — on a multi-tenant mix this
 //! is the measured "how much work did tenants share" axis reported in
 //! `BENCH_service_*.json`.
 //!
 //! ```
-//! use anet_views::SharedViewInterner;
-//! use anet_views::View;
+//! use anet_views::{SharedViewInterner, View, ViewInterner};
 //! use std::thread;
 //!
 //! // Two threads intern the views of the same symmetric ring concurrently; every
 //! // equal view resolves to the same shared node.
 //! let g = anet_graph::generators::symmetric_ring(6).unwrap();
-//! let interner = SharedViewInterner::new();
+//! let table = SharedViewInterner::new();
+//! let build = || ViewInterner::shared(&table).build_all(&g, 3).swap_remove(0);
 //! let (a, b) = thread::scope(|s| {
-//!     let ta = s.spawn(|| interner.build_all(&g, 3).swap_remove(0));
-//!     let tb = s.spawn(|| interner.build_all(&g, 3).swap_remove(0));
+//!     let ta = s.spawn(build);
+//!     let tb = s.spawn(build);
 //!     (ta.join().unwrap(), tb.join().unwrap())
 //! });
 //! assert!(View::ptr_eq(&a, &b));
-//! assert!(interner.stats().hits > 0);
+//! assert!(table.stats().hits > 0);
 //! ```
 
 // anet-lint: deny(lock-order)
 // anet-lint: deny(panic-path)
 
-use crate::interned::node_hash;
-use crate::view_tree::ViewTree;
-use crate::{View, ViewInterner};
-use anet_graph::{NodeId, Port, PortGraph};
+use crate::interned::{node_hash, node_key, NodeKey};
+use crate::View;
+use anet_graph::Port;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
@@ -110,16 +111,18 @@ impl InternerStats {
     }
 }
 
-/// A concurrent hash-consing interner: `S` lock-striped shards of
-/// [`ViewInterner`], routed by structural hash. Structurally equal views interned
-/// through one `SharedViewInterner` — from any thread, any tenant, any graph —
-/// resolve to the same `Arc` node.
+/// A concurrent hash-consing table: `S` lock-striped shards of canonical nodes,
+/// routed by structural hash. Structurally equal views interned through
+/// [`ViewInterner::shared`] over one `SharedViewInterner` — from any thread, any
+/// tenant, any graph — resolve to the same `Arc` node.
 ///
 /// All methods take `&self`; the type is `Send + Sync` and is meant to be shared
 /// behind an `Arc` (the election service hands one to every worker).
+///
+/// [`ViewInterner::shared`]: crate::ViewInterner::shared
 pub struct SharedViewInterner {
     /// Power-of-two shard array; a node lives in `shards[hash & (len - 1)]`.
-    shards: Box<[Mutex<ViewInterner>]>,
+    shards: Box<[Mutex<HashMap<NodeKey, View>>]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -146,7 +149,7 @@ impl SharedViewInterner {
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         SharedViewInterner {
-            shards: (0..n).map(|_| Mutex::new(ViewInterner::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -159,95 +162,29 @@ impl SharedViewInterner {
 
     /// The shard a node with this structural hash lives in. The hash is already a
     /// SplitMix64-mixed value, so the low bits are well distributed.
-    fn shard(&self, hash: u64) -> &Mutex<ViewInterner> {
+    fn shard(&self, hash: u64) -> &Mutex<HashMap<NodeKey, View>> {
         &self.shards[(hash as usize) & (self.shards.len() - 1)]
     }
 
     /// File the canonical node for `(degree, children)`; the children must already
-    /// be canonical handles from this shared interner. One shard lock, held only
-    /// for the table lookup/insert.
-    pub fn node(&self, degree: u32, children: Vec<(Port, Port, View)>) -> View {
+    /// be canonical handles from this table. One shard lock, held only for the map
+    /// lookup/insert.
+    pub(crate) fn node(&self, degree: u32, children: Vec<(Port, Port, View)>) -> View {
         let hash = node_hash(degree, &children);
-        let (view, hit) = lock_or_poison(self.shard(hash)).node_interned(degree, children);
+        let mut hit = true;
+        let view = lock_or_poison(self.shard(hash))
+            .entry(node_key(degree, &children))
+            .or_insert_with(|| {
+                hit = false;
+                View::from_parts(degree, children)
+            })
+            .clone();
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
         view
-    }
-
-    /// The canonical leaf of the given degree.
-    pub fn leaf(&self, degree: u32) -> View {
-        self.node(degree, Vec::new())
-    }
-
-    /// Canonicalize an arbitrary view bottom-up: returns the representative that is
-    /// pointer-equal for every structurally equal view interned here, from any
-    /// thread. Each distinct node of `view`'s DAG is walked once per call (shared
-    /// subtrees are resolved through a per-call memo); for repeated interning of
-    /// views that share structure across calls, hold an [`InternerHandle`], whose
-    /// memo persists.
-    pub fn intern(&self, view: &View) -> View {
-        let mut memo: HashMap<usize, View> = HashMap::new();
-        self.intern_memo(view, &mut memo)
-    }
-
-    /// [`intern`](SharedViewInterner::intern) against a caller-owned memo mapping
-    /// foreign node address → canonical handle. The caller must keep every memoized
-    /// foreign view alive for as long as it uses the memo (an [`InternerHandle`]
-    /// does, by retaining the foreign handles alongside).
-    fn intern_memo(&self, view: &View, memo: &mut HashMap<usize, View>) -> View {
-        if let Some(done) = memo.get(&view.node_id()) {
-            return done.clone();
-        }
-        let children = view
-            .children()
-            .iter()
-            .map(|(p, q, c)| (*p, *q, self.intern_memo(c, memo)))
-            .collect();
-        let canonical = self.node(view.degree(), children);
-        memo.insert(view.node_id(), canonical.clone());
-        canonical
-    }
-
-    /// Canonicalize an owned [`ViewTree`].
-    pub fn intern_tree(&self, tree: &ViewTree) -> View {
-        let children = tree
-            .children
-            .iter()
-            .map(|(p, q, c)| (*p, *q, self.intern_tree(c)))
-            .collect();
-        self.node(tree.degree, children)
-    }
-
-    /// Build `B^depth(v)` for **every** node of `g` through the shared table —
-    /// the concurrent analogue of [`ViewInterner::build_all`], with the same
-    /// `O(n · depth · Δ)` handle-operation cost (each op now takes one shard lock).
-    /// Views already built by other threads or for other graphs are reused, not
-    /// rebuilt: this is where isomorphic subtrees across tenants collapse.
-    pub fn build_all(&self, g: &PortGraph, depth: usize) -> Vec<View> {
-        let mut level: Vec<View> = g.nodes().map(|v| self.leaf(g.degree(v) as u32)).collect();
-        for _ in 0..depth {
-            level = g
-                .nodes()
-                .map(|v| {
-                    let children = g
-                        .ports(v)
-                        .map(|(p, u, q)| (p, q, level[u as usize].clone()))
-                        .collect();
-                    self.node(g.degree(v) as u32, children)
-                })
-                .collect();
-        }
-        level
-    }
-
-    /// Build `B^depth(v)` for one node (a fresh per-call construction over the
-    /// shared table; for all nodes at once use
-    /// [`build_all`](SharedViewInterner::build_all)).
-    pub fn build(&self, g: &PortGraph, v: NodeId, depth: usize) -> View {
-        self.build_all(g, depth).swap_remove(v as usize)
     }
 
     /// Distinct subtrees currently held, summed across shards. Takes every shard
@@ -291,96 +228,10 @@ const _: () = {
     assert_send_sync::<SharedViewInterner>();
 };
 
-/// A uniform handle over "somewhere to intern views": either an owned, private
-/// [`ViewInterner`] (the historical single-threaded path) or a borrowed
-/// [`SharedViewInterner`] (the multi-tenant service path). Solvers that hash-cons
-/// views take an `InternerHandle`, so the same algorithm code serves both worlds —
-/// these are the "borrowed-interner entry points" of the engine facade.
-///
-/// In shared mode the handle layers a private memo (foreign node address →
-/// canonical handle, with a keepalive of the foreign view) over the shared table,
-/// restoring the cross-call memoization an owned `ViewInterner` gets from its
-/// `foreign` map: a subtree shared by many interned views is resolved against the
-/// shared table once per handle, not once per call.
-pub enum InternerHandle<'a> {
-    /// A private interner owned by this handle.
-    Own(ViewInterner),
-    /// A borrowed shared interner plus this handle's private cross-call memo.
-    Shared {
-        /// The shared table (typically service-owned, one per process).
-        interner: &'a SharedViewInterner,
-        /// foreign node address → (keepalive, canonical); private to this handle.
-        memo: HashMap<usize, (View, View)>,
-    },
-}
-
-impl<'a> InternerHandle<'a> {
-    /// A handle over a fresh private interner.
-    pub fn own() -> Self {
-        InternerHandle::Own(ViewInterner::new())
-    }
-
-    /// A handle borrowing the shared interner.
-    pub fn shared(interner: &'a SharedViewInterner) -> Self {
-        InternerHandle::Shared {
-            interner,
-            memo: HashMap::new(),
-        }
-    }
-
-    /// Build every node's `B^depth` through this handle's table (see
-    /// [`ViewInterner::build_all`] / [`SharedViewInterner::build_all`]).
-    pub fn build_all(&mut self, g: &PortGraph, depth: usize) -> Vec<View> {
-        match self {
-            InternerHandle::Own(interner) => interner.build_all(g, depth),
-            InternerHandle::Shared { interner, .. } => interner.build_all(g, depth),
-        }
-    }
-
-    /// Canonicalize an arbitrary view against this handle's table; repeated
-    /// structure across calls is resolved through the handle's memo in both modes.
-    pub fn intern(&mut self, view: &View) -> View {
-        if let InternerHandle::Own(interner) = self {
-            return interner.intern(view);
-        }
-        if let InternerHandle::Shared { memo, .. } = &*self {
-            if let Some((_, canonical)) = memo.get(&view.node_id()) {
-                return canonical.clone();
-            }
-        }
-        let children: Vec<_> = view
-            .children()
-            .iter()
-            .map(|(p, q, c)| (*p, *q, self.intern(c)))
-            .collect();
-        match self {
-            InternerHandle::Shared { interner, memo } => {
-                let canonical = interner.node(view.degree(), children);
-                memo.insert(view.node_id(), (view.clone(), canonical.clone()));
-                canonical
-            }
-            // anet-lint: allow(panic-path) — Own mode returned at the top of the fn.
-            InternerHandle::Own(_) => unreachable!("mode cannot change mid-call"),
-        }
-    }
-}
-
-impl std::fmt::Debug for InternerHandle<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InternerHandle::Own(i) => f.debug_tuple("InternerHandle::Own").field(i).finish(),
-            InternerHandle::Shared { interner, memo } => f
-                .debug_struct("InternerHandle::Shared")
-                .field("interner", interner)
-                .field("memoized", &memo.len())
-                .finish(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ViewInterner, ViewTree};
     use anet_graph::generators;
 
     #[test]
@@ -389,7 +240,7 @@ mod tests {
         let shared = SharedViewInterner::new();
         let mut owned = ViewInterner::new();
         for depth in 0..=3usize {
-            let a = shared.build_all(&g, depth);
+            let a = ViewInterner::shared(&shared).build_all(&g, depth);
             let b = owned.build_all(&g, depth);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x, y, "depth {depth}");
@@ -403,8 +254,8 @@ mod tests {
     fn equal_structures_resolve_to_one_node_across_calls() {
         let g = generators::symmetric_ring(6).unwrap();
         let shared = SharedViewInterner::with_shards(4);
-        let a = shared.build_all(&g, 4);
-        let b = shared.build_all(&g, 4);
+        let a = ViewInterner::shared(&shared).build_all(&g, 4);
+        let b = ViewInterner::shared(&shared).build_all(&g, 4);
         assert!(View::ptr_eq(&a[0], &b[5]));
         // One distinct subtree per depth 0..=4, regardless of how often rebuilt.
         assert_eq!(shared.len(), 5);
@@ -420,7 +271,7 @@ mod tests {
         for shards in [1usize, 2, 7, 64] {
             let shared = SharedViewInterner::with_shards(shards);
             assert!(shared.num_shards().is_power_of_two());
-            let views = shared.build_all(&g, 3);
+            let views = ViewInterner::shared(&shared).build_all(&g, 3);
             let owned = ViewInterner::new().build_all(&g, 3);
             for (x, y) in views.iter().zip(&owned) {
                 assert_eq!(x, y, "{shards} shards");
@@ -433,14 +284,17 @@ mod tests {
     fn intern_canonicalizes_foreign_views() {
         let g = generators::random_connected(14, 4, 5, 21).unwrap();
         let shared = SharedViewInterner::new();
-        let built = shared.build_all(&g, 3);
+        let built = ViewInterner::shared(&shared).build_all(&g, 3);
         for v in g.nodes() {
             let foreign = View::from_tree(&ViewTree::build(&g, v, 3));
-            let canonical = shared.intern(&foreign);
+            let canonical = ViewInterner::shared(&shared).intern(&foreign);
             assert!(View::ptr_eq(&canonical, &built[v as usize]), "node {v}");
         }
-        let tree = ViewTree::build(&g, 0, 3);
-        assert!(View::ptr_eq(&shared.intern_tree(&tree), &built[0]));
+        let tree = View::from_tree(&ViewTree::build(&g, 0, 3));
+        assert!(View::ptr_eq(
+            &ViewInterner::shared(&shared).intern(&tree),
+            &built[0]
+        ));
     }
 
     #[test]
@@ -448,18 +302,18 @@ mod tests {
         let g = generators::random_connected(14, 4, 5, 21).unwrap();
         let source = ViewInterner::new().build_all(&g, 3);
         let shared = SharedViewInterner::new();
-        let mut handle = InternerHandle::shared(&shared);
+        let mut handle = ViewInterner::shared(&shared);
         let first: Vec<View> = source.iter().map(|v| handle.intern(v)).collect();
         let hits_before = shared.stats().hits;
-        // Re-interning through the same handle is pure memo hits: the shared table
+        // Re-interning through the same interner is pure memo hits: the shared table
         // is not consulted again.
         let second: Vec<View> = source.iter().map(|v| handle.intern(v)).collect();
         assert_eq!(shared.stats().hits, hits_before);
         for (x, y) in first.iter().zip(&second) {
             assert!(View::ptr_eq(x, y));
         }
-        // An owned-mode handle produces equal (but privately canonical) views.
-        let mut own = InternerHandle::own();
+        // A private interner produces equal (but privately canonical) views.
+        let mut own = ViewInterner::new();
         for (v, canonical) in source.iter().zip(&first) {
             assert_eq!(&own.intern(v), canonical);
         }
@@ -473,8 +327,12 @@ mod tests {
         let a = generators::symmetric_ring(6).unwrap();
         let b = generators::symmetric_ring(8).unwrap();
         let shared = SharedViewInterner::new();
-        let va = shared.build_all(&a, 4).swap_remove(0);
-        let vb = shared.build_all(&b, 4).swap_remove(0);
+        let va = ViewInterner::shared(&shared)
+            .build_all(&a, 4)
+            .swap_remove(0);
+        let vb = ViewInterner::shared(&shared)
+            .build_all(&b, 4)
+            .swap_remove(0);
         assert!(View::ptr_eq(&va, &vb), "isomorphic balls collapse");
         let stats = shared.stats();
         assert!(stats.hits >= stats.misses, "{stats:?}");

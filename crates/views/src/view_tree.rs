@@ -12,15 +12,20 @@
 //! edge they came from); consequently the subtree hanging off the child reached through
 //! edge `(p, q)` is exactly `B^{h-1}` of that neighbour.
 //!
-//! `ViewTree` is the *owned* form: a plain recursive `Vec` tree, convenient for tests,
-//! construction by hand, and the binary encoding, but expensive to pass around (every
-//! clone copies up to `Δ^h` nodes). The hot paths — the full-information collector in
-//! `anet-sim` and the solvers in `anet-core` — work on the structurally shared
-//! [`crate::interned::View`] handles instead; the two forms convert losslessly into
-//! each other (`View::from_tree` / `View::to_tree`).
+//! `ViewTree` is the *owned* form and the naive reference: a plain recursive `Vec`
+//! tree, convenient for tests, construction by hand, and the binary encoding, but
+//! expensive to pass around (every clone copies up to `Δ^h` nodes). The hot paths —
+//! the full-information collector in `anet-sim` and the solvers in `anet-core` —
+//! work on the structurally shared [`crate::interned::View`] handles instead; the two
+//! forms convert losslessly into each other (`View::from_tree` / `View::to_tree`).
+//! The traversals here walk the unfolded tree on purpose: they are the direct
+//! transcription of each definition, written independently of the handle's
+//! shared-subtree dedup, so the owned-vs-interned equivalence tests check one
+//! implementation against the other.
 
 use anet_graph::{NodeId, Port, PortGraph};
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 /// An augmented truncated view: a rooted tree whose edges carry the pair of port
 /// numbers of the corresponding graph edge and whose nodes carry graph degrees.
@@ -103,48 +108,47 @@ impl ViewTree {
     /// each child in port order, by `[p, q]` and the child's tokens.
     pub fn tokens(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.size() * 4);
-        crate::search::write_tokens_by(self, Self::node_degree, Self::node_children, &mut out);
+        self.write_tokens(&mut out);
         out
     }
 
-    /// Accessors handed to the traversals shared with the interned form
-    /// (`crate::search`), so the two representations cannot diverge. Every owned node
-    /// is a distinct allocation, so the address-based `node_id` makes the searches'
-    /// shared-subtree dedup a semantic no-op here.
-    fn node_id(&self) -> usize {
-        self as *const ViewTree as usize
-    }
-
-    fn node_degree(&self) -> u32 {
-        self.degree
-    }
-
-    fn node_children(&self) -> impl ExactSizeIterator<Item = (Port, Port, &ViewTree)> {
-        self.children.iter().map(|&(p, q, ref c)| (p, q, c))
+    fn write_tokens(&self, out: &mut Vec<u32>) {
+        out.push(self.degree);
+        out.push(self.children.len() as u32);
+        for (p, q, c) in &self.children {
+            out.push(*p);
+            out.push(*q);
+            c.write_tokens(out);
+        }
     }
 
     /// The maximum port number mentioned anywhere in the view, or `None` for a bare
     /// single node. Used by the binary encoder to pick a field width.
     pub fn max_port(&self) -> Option<u32> {
-        crate::search::max_port_by(self, Self::node_id, Self::node_children)
+        self.children
+            .iter()
+            .map(|(p, q, c)| Some(*p.max(q)).max(c.max_port()))
+            .max()
+            .flatten()
     }
 
     /// The maximum degree mentioned anywhere in the view.
     pub fn max_degree(&self) -> u32 {
-        crate::search::max_degree_by(self, Self::node_id, Self::node_degree, Self::node_children)
+        self.children
+            .iter()
+            .map(|(_, _, c)| c.max_degree())
+            .fold(self.degree, u32::max)
     }
 
     /// Does this view contain (at any tree node, root included) a node of the given
     /// graph degree? Used by algorithms of the paper that branch on "is there a node
     /// of degree `Δ + 2` in my view?" (e.g. Lemma 3.9).
     pub fn contains_degree(&self, degree: u32) -> bool {
-        crate::search::contains_degree_by(
-            self,
-            degree,
-            Self::node_id,
-            Self::node_degree,
-            Self::node_children,
-        )
+        self.degree == degree
+            || self
+                .children
+                .iter()
+                .any(|(_, _, c)| c.contains_degree(degree))
     }
 
     /// The port sequence (outgoing ports only) of the lexicographically smallest
@@ -152,13 +156,20 @@ impl ViewTree {
     /// such node exists. Distance ties are *not* broken by length: the search is
     /// breadth-first, so the returned path is a shortest one.
     pub fn shortest_path_to_degree(&self, degree: u32) -> Option<Vec<Port>> {
-        crate::search::shortest_path_to_degree_by(
-            self,
-            degree,
-            Self::node_id,
-            Self::node_degree,
-            Self::node_children,
-        )
+        // FIFO in port order: nodes leave the queue level by level, each level in
+        // lexicographic order of their paths.
+        let mut queue = VecDeque::from([(Vec::new(), self)]);
+        while let Some((path, node)) = queue.pop_front() {
+            if node.degree == degree {
+                return Some(path);
+            }
+            for (p, _, c) in &node.children {
+                let mut longer = path.clone();
+                longer.push(*p);
+                queue.push_back((longer, c));
+            }
+        }
+        None
     }
 
     /// Compare two views lexicographically (by their canonical token sequences).

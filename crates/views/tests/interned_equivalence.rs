@@ -154,8 +154,6 @@ fn interner_is_canonical() {
                 View::ptr_eq(&canonical, &views[v as usize]),
                 "case {case}, node {v}"
             );
-            let from_tree = interner.intern_tree(&ViewTree::build(&g, v, depth));
-            assert!(View::ptr_eq(&from_tree, &views[v as usize]));
         }
         assert_eq!(interner.len(), before, "case {case}: nothing new interned");
     }

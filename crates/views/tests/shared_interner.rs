@@ -53,7 +53,7 @@ fn concurrent_interning_of_overlapping_families_is_canonical() {
                             let g_index = (t + round + offset) % graphs.len();
                             let graph = &graphs[g_index];
                             for depth in 0..=DEPTH {
-                                let views = shared.build_all(graph, depth);
+                                let views = ViewInterner::shared(&shared).build_all(graph, depth);
                                 for (node, view) in views.into_iter().enumerate() {
                                     seen.push(((g_index, depth, node), view));
                                 }
@@ -131,14 +131,14 @@ fn concurrent_and_sequential_tables_hold_the_same_dag() {
             let concurrent = Arc::clone(&concurrent);
             scope.spawn(move || {
                 for graph in chunk {
-                    concurrent.build_all(graph, DEPTH);
+                    ViewInterner::shared(&concurrent).build_all(graph, DEPTH);
                 }
             });
         }
     });
     let sequential = SharedViewInterner::with_shards(1);
     for graph in &graphs {
-        sequential.build_all(graph, DEPTH);
+        ViewInterner::shared(&sequential).build_all(graph, DEPTH);
     }
     assert_eq!(concurrent.len(), sequential.len());
     assert_eq!(
