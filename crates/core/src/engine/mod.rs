@@ -127,7 +127,8 @@ pub struct SolverRun {
     pub advice_dag_bits: Option<usize>,
     /// Search-cost counters of the map-side assignment search (quotient classes
     /// expanded, candidate paths explored). Zero for solvers that perform no such
-    /// search (advice pairs, the analytic Lemma 3.9 / 4.8 algorithms).
+    /// search (advice pairs, the analytic Lemma 3.9 / 4.8 algorithms) and for
+    /// Port Election, whose assignment needs no quotient search.
     pub search: anet_views::SearchStats,
     /// Per-round / per-edge bits the simulation actually put on the wire, when it
     /// ran through the metered transport ([`ElectionBuilder::metered`] or a
@@ -450,7 +451,8 @@ pub struct ElectionReport {
     /// expanded by the route BFS and search work (candidate paths tested,
     /// guided-merge operations and joint-search steps; see
     /// [`anet_views::SearchStats`]). Zero for solvers that never search for an
-    /// assignment.
+    /// assignment, and for Port Election, whose assignment comes from one
+    /// `O(n + m)` validity table per leader without any route or path search.
     pub search: anet_views::SearchStats,
     /// Bits actually put on the wire, per round and per directed edge, when the
     /// run was metered ([`ElectionBuilder::metered`] or a [`Backend::Capped`]

@@ -178,6 +178,11 @@ pub struct ElectionOutcome {
 }
 
 /// Verify that `outputs` (indexed by node) solve `task` on `graph`.
+///
+/// Cost per shade: `S` is `O(n)`; `PE` is `O(n + m)`, one [`paths::PeValidity`]
+/// table for the leader and an `O(1)` lookup per node; `PPE` and `CPPE` walk and
+/// sort each node's path, `O(L log L)` for a path of `L` ports, so `O(n · D log D)`
+/// when every output is at most `D` long.
 pub fn verify(
     task: Task,
     graph: &PortGraph,
@@ -199,6 +204,7 @@ pub fn verify(
         _ => return Err(TaskError::MultipleLeaders { leaders }),
     };
 
+    let pe_valid = (task == Task::PortElection).then(|| paths::PeValidity::new(graph, leader));
     for v in graph.nodes() {
         if v == leader {
             continue;
@@ -207,7 +213,7 @@ pub fn verify(
         let ok = match (task, out) {
             (Task::Selection, NodeOutput::NonLeader) => true,
             (Task::PortElection, NodeOutput::FirstPort(p)) => {
-                paths::pe_port_is_valid(graph, v, *p, leader)
+                pe_valid.as_ref().is_some_and(|t| t.is_valid(v, *p))
             }
             (Task::PortPathElection, NodeOutput::PortPath(ports)) => {
                 paths::ppe_sequence_is_valid(graph, v, ports, leader)
@@ -303,6 +309,29 @@ mod tests {
         ];
         assert_eq!(
             verify(Task::PortElection, &g, &bad),
+            Err(TaskError::InvalidPath { node: 0 })
+        );
+
+        // A dead end at the cut vertex: with node 2 leading, node 1's port 0
+        // reaches node 0, from which the leader is reachable only through node 1.
+        let dead_end = vec![
+            NodeOutput::FirstPort(0),
+            NodeOutput::FirstPort(0),
+            NodeOutput::Leader,
+        ];
+        assert_eq!(
+            verify(Task::PortElection, &g, &dead_end),
+            Err(TaskError::InvalidPath { node: 1 })
+        );
+
+        // A port far past the degree is invalid, not a panic.
+        let huge = vec![
+            NodeOutput::FirstPort(u32::MAX),
+            NodeOutput::Leader,
+            NodeOutput::FirstPort(0),
+        ];
+        assert_eq!(
+            verify(Task::PortElection, &g, &huge),
             Err(TaskError::InvalidPath { node: 0 })
         );
 

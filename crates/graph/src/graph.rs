@@ -185,8 +185,10 @@ impl PortGraph {
     }
 
     /// BFS distances from `source` in the graph with the node `avoid` (if any) removed.
-    /// Used by the Port Election verifier: a simple path from `v`'s neighbour to the
-    /// leader avoiding `v` exists iff the leader is reachable in `G − v`.
+    /// A simple path from `v`'s neighbour to the leader avoiding `v` exists iff the
+    /// leader is reachable in `G − v`, so this is the BFS reference for Port Election
+    /// validity (`anet_views::paths::pe_port_is_valid`); the verifier itself uses the
+    /// linear-time `anet_views::paths::PeValidity` table.
     pub fn bfs_distances_avoiding(
         &self,
         source: NodeId,

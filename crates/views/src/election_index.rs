@@ -22,8 +22,12 @@
 //!
 //! ## How the strong indices are computed
 //!
-//! The per-class candidate search runs on the class quotient graph ([`crate::quotient`])
-//! as a ladder of four stages, cheapest and most scalable first:
+//! `ψ_PE` needs no candidate search: for each leader one [`PeValidity`] table
+//! decides every `(node, port)` pair in `O(n + m)`, and each class takes the lowest
+//! port valid for all its members.
+//!
+//! For PPE and CPPE the per-class candidate search runs on the class quotient graph
+//! ([`crate::quotient`]) as a ladder of four stages, cheapest and most scalable first:
 //!
 //! 1. **Uniform route lift** — BFS over the quotient's uniform edges yields one
 //!    route per class whose lifted port sequence is valid for *every* member by
@@ -67,7 +71,9 @@
 //! The pre-quotient implementations are kept as `*_enumerated` — the oracle for
 //! the equivalence tests and the baseline for the `bench_index` benchmark.
 
-use crate::paths::{cppe_sequence_is_valid, pe_port_is_valid, ppe_sequence_is_valid, simple_paths};
+use crate::paths::{
+    cppe_sequence_is_valid, pe_port_is_valid, ppe_sequence_is_valid, simple_paths, PeValidity,
+};
 use crate::quotient::{QuotientSearch, SearchStats};
 use crate::refinement::Refinement;
 use anet_graph::{NodeId, Port, PortGraph};
@@ -173,31 +179,19 @@ pub fn psi_s_with(r: &Refinement) -> Option<usize> {
 /// For a fixed depth and candidate leader, the Port Election output assignment: one
 /// port per non-leader node, constant on view classes, such that every node's port is
 /// the first port of a simple path to the leader. `None` if no such assignment exists.
+///
+/// PE needs no quotient and no route: one [`PeValidity`] table for the leader answers
+/// every `(node, port)` pair, and each class takes the lowest port valid for all its
+/// members, so the selected assignment is identical to [`pe_assignment_enumerated`]'s.
 pub fn pe_assignment(
     g: &PortGraph,
     r: &Refinement,
     depth: usize,
     leader: NodeId,
 ) -> Option<Vec<Option<Port>>> {
-    let mut search = QuotientSearch::new(g, r);
-    pe_assignment_with(&mut search, depth, leader)
-}
-
-/// [`pe_assignment`] on a reusable [`QuotientSearch`] (caches the quotient per depth
-/// and the BFS passes per leader across calls). The distance certificate from the
-/// leader BFS fast-accepts ports leading strictly closer to the leader; ports are
-/// still tried in increasing order with the exact predicate as the fallback, so the
-/// selected assignment is identical to [`pe_assignment_enumerated`]'s.
-pub fn pe_assignment_with(
-    search: &mut QuotientSearch<'_>,
-    depth: usize,
-    leader: NodeId,
-) -> Option<Vec<Option<Port>>> {
-    search.prepare(depth, leader);
-    let g = search.graph();
-    let classes = search.refinement().classes_at(depth);
+    let valid = PeValidity::new(g, leader);
     let mut out: Vec<Option<Port>> = vec![None; g.num_nodes()];
-    for class in classes {
+    for class in r.classes_at(depth) {
         if class.contains(&leader) {
             // The leader's class must be the singleton {leader}; its output is "leader".
             if class.len() > 1 {
@@ -206,11 +200,7 @@ pub fn pe_assignment_with(
             continue;
         }
         let degree = g.degree(class[0]) as u32;
-        let valid_port = (0..degree).find(|&p| {
-            class
-                .iter()
-                .all(|&v| search.pe_certified(v, p) || pe_port_is_valid(g, v, p, leader))
-        });
+        let valid_port = (0..degree).find(|&p| class.iter().all(|&v| valid.is_valid(v, p)));
         match valid_port {
             Some(p) => {
                 for &v in &class {
@@ -221,6 +211,16 @@ pub fn pe_assignment_with(
         }
     }
     Some(out)
+}
+
+/// [`pe_assignment`] over the graph and refinement of a [`QuotientSearch`], the form
+/// the depth × leader loop calls. It reads none of the search's caches.
+pub fn pe_assignment_with(
+    search: &mut QuotientSearch<'_>,
+    depth: usize,
+    leader: NodeId,
+) -> Option<Vec<Option<Port>>> {
+    pe_assignment(search.graph(), search.refinement(), depth, leader)
 }
 
 /// `ψ_PE(G)`: least depth at which some uniquely-identifiable node can serve as leader
@@ -1652,8 +1652,9 @@ pub fn compute_all_with_stats(
 // and the baseline side of `bench_index`.
 // ---------------------------------------------------------------------------
 
-/// [`pe_assignment`] by the pre-quotient implementation (exact predicate on every
-/// port, no distance certificate). Kept as the equivalence-test oracle.
+/// [`pe_assignment`] by the BFS reference: [`pe_port_is_valid`], one BFS of `G − v`
+/// per tested `(node, port)` pair, in place of the [`PeValidity`] table. Kept as the
+/// equivalence-test oracle.
 pub fn pe_assignment_enumerated(
     g: &PortGraph,
     r: &Refinement,

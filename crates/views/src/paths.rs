@@ -11,9 +11,12 @@
 //! * `CPPE` — ditto, and every traversed edge's far-end port must match the output.
 //!
 //! The first condition reduces to reachability of the leader in `G − v` from the chosen
-//! neighbour; the other two are direct walks. The exact `ψ_PPE` / `ψ_CPPE` computations
-//! additionally need to *enumerate* candidate simple paths, which is done here with an
-//! explicit cap so it is only used on small graphs.
+//! neighbour. [`PeValidity`] answers it for every `(node, port)` pair at once from one
+//! low-link DFS rooted at the leader, in `O(n + m)`; [`pe_port_is_valid`] answers it for
+//! one pair with a BFS of `G − v` and is kept as the reference the table is tested
+//! against. The other two conditions are direct walks. The exact `ψ_PPE` / `ψ_CPPE`
+//! oracles additionally need to *enumerate* candidate simple paths, which is done here
+//! with an explicit cap so it is only used on small graphs.
 
 use anet_graph::{NodeId, Port, PortGraph};
 
@@ -27,7 +30,8 @@ pub fn reaches_avoiding(g: &PortGraph, from: NodeId, target: NodeId, avoid: Node
 }
 
 /// Is port `p` at node `v` the first port of some simple path from `v` to `leader`?
-/// This is the per-node correctness condition of the Port Election task.
+/// This is the per-node correctness condition of the Port Election task, answered
+/// with one BFS of `G − v`: the reference [`PeValidity`] is tested against.
 pub fn pe_port_is_valid(g: &PortGraph, v: NodeId, p: Port, leader: NodeId) -> bool {
     if v == leader {
         return false;
@@ -35,6 +39,108 @@ pub fn pe_port_is_valid(g: &PortGraph, v: NodeId, p: Port, leader: NodeId) -> bo
     match g.neighbor(v, p) {
         None => false,
         Some((u, _)) => u == leader || reaches_avoiding(g, u, leader, v),
+    }
+}
+
+/// Port Election validity of every `(node, port)` pair for one leader, from one
+/// iterative depth-first search rooted at the leader: `O(n + m)` to build and
+/// `O(1)` per query, where [`pe_port_is_valid`] pays a BFS per query.
+///
+/// Let `u` be the neighbour of `v ≠ leader` across port `p`; the port is valid iff
+/// the leader is reachable from `u` in `G − v`. A DFS of a simple graph has no cross
+/// edges, so `u` is either an ancestor of `v`, whose tree path to the leader avoids
+/// `v` (valid), or a descendant of `v` inside the subtree of some DFS child `c` of
+/// `v`. Edges leave that subtree only towards ancestors of `c`, so the leader is
+/// reachable from it in `G − v` iff `low(c) < disc(v)`: some node under `c` has an
+/// edge to a proper ancestor of `v`. Every port of the leader is invalid.
+#[derive(Debug)]
+pub struct PeValidity {
+    /// The slots of node `v` are `offsets[v]..offsets[v + 1]`, one per port.
+    offsets: Vec<usize>,
+    /// Per `(node, port)` slot: is the port PE-valid?
+    valid: Vec<bool>,
+}
+
+impl PeValidity {
+    /// Run the low-link DFS from `leader` and classify every port of `g`. The DFS
+    /// keeps an explicit stack, so path-like graphs of any length cannot overflow
+    /// the call stack.
+    pub fn new(g: &PortGraph, leader: NodeId) -> PeValidity {
+        const NONE: u32 = u32::MAX;
+        let n = g.num_nodes();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for v in g.nodes() {
+            offsets.push(offsets[v as usize] + g.degree(v));
+        }
+        // Per slot: the DFS child of the slot's node whose subtree holds the far
+        // end, or NONE when the far end is an ancestor.
+        let mut below = vec![NONE; offsets[n]];
+        let mut disc = vec![NONE; n];
+        let mut low = vec![NONE; n];
+        // Position on the DFS stack while a node is on it, NONE before and after.
+        let mut depth = vec![NONE; n];
+        // The DFS stack: (node, next port to scan).
+        let mut stack: Vec<(NodeId, Port)> = Vec::with_capacity(n);
+        disc[leader as usize] = 0;
+        low[leader as usize] = 0;
+        depth[leader as usize] = 0;
+        stack.push((leader, 0));
+        let mut time = 1u32;
+        while let Some(&(x, p)) = stack.last() {
+            let top = stack.len() - 1;
+            let Some((y, q)) = g.neighbor(x, p) else {
+                // Every port of x is scanned: fold its low-link into its parent.
+                stack.pop();
+                depth[x as usize] = NONE;
+                if let Some(&(parent, _)) = stack.last() {
+                    low[parent as usize] = low[parent as usize].min(low[x as usize]);
+                }
+                continue;
+            };
+            stack[top].1 += 1;
+            if disc[y as usize] == NONE {
+                // Tree edge: y is a child of x.
+                below[offsets[x as usize] + p as usize] = y;
+                disc[y as usize] = time;
+                low[y as usize] = time;
+                time += 1;
+                depth[y as usize] = stack.len() as u32;
+                stack.push((y, 0));
+            } else if depth[y as usize] != NONE {
+                // y is on the stack, so it is an ancestor of x (maybe its parent):
+                // x's slot stays NONE, and y's slot towards x belongs to the node
+                // one level below y on the stack.
+                low[x as usize] = low[x as usize].min(disc[y as usize]);
+                below[offsets[y as usize] + q as usize] = stack[depth[y as usize] as usize + 1].0;
+            }
+            // Otherwise y is a finished descendant of x, and it filled x's slot
+            // when it scanned this edge from its own side.
+        }
+        let mut valid = vec![false; offsets[n]];
+        for v in g.nodes().filter(|&v| v != leader) {
+            let dv = disc[v as usize];
+            for s in offsets[v as usize]..offsets[v as usize + 1] {
+                valid[s] = match below[s] {
+                    NONE => true,
+                    c => low[c as usize] < dv,
+                };
+            }
+        }
+        PeValidity { offsets, valid }
+    }
+
+    /// Is port `p` at node `v` the first port of some simple path from `v` to the
+    /// leader? Total: a port `p ≥ deg(v)`, an unknown node and every port of the
+    /// leader are invalid.
+    pub fn is_valid(&self, v: NodeId, p: Port) -> bool {
+        let v = v as usize;
+        match (self.offsets.get(v), self.offsets.get(v + 1)) {
+            (Some(&start), Some(&end)) => {
+                (p as usize) < end - start && self.valid[start + p as usize]
+            }
+            _ => false,
+        }
     }
 }
 

@@ -15,9 +15,9 @@
 //!   uniform edges from the leader's class (the arena-allocated
 //!   `expand_routes` inner loop, registered with anet-lint's `hot-path-alloc`
 //!   pass) yielding one representative route per class, plus a concrete BFS from
-//!   the leader yielding per-node shortest-path candidates and the PE distance
-//!   certificate, and the cache of `election_index`'s leader-independent
-//!   guided-merge outcomes.
+//!   the leader yielding per-node shortest-path candidates, and the cache of
+//!   `election_index`'s leader-independent guided-merge outcomes. Port Election
+//!   uses none of this: its assignment needs only `paths::PeValidity`.
 //!
 //! **Why uniform routes lift soundly.** Let the route from class `c` use only
 //! uniform edges. Following the route's port sequence from *any* member of `c`
@@ -40,6 +40,7 @@ use anet_graph::{NodeId, Port, PortGraph};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Quotient classes expanded by the route BFS (one count per queue pop).
+    /// Only PPE and CPPE run it; a Port Election search reports 0.
     pub classes_expanded: usize,
     /// Search work: candidate paths tested (lifted routes, per-member shortest
     /// paths, guided-merge suffixes), guided-merge operations, and joint-search
@@ -187,9 +188,10 @@ impl ClassQuotient {
 
 /// Reusable search state over a `(graph, refinement)` pair: caches the quotient
 /// per depth, the two BFS passes per leader, and the PPE guided-merge outcomes
-/// per (depth, path budget), so the `ψ` loops over `(depth, leader)` pairs pay
-/// construction once per coordinate change and each leader-independent merge
-/// outcome once per depth.
+/// per (depth, path budget), so the PPE/CPPE loops over `(depth, leader)` pairs
+/// pay construction once per coordinate change and each leader-independent merge
+/// outcome once per depth. The PE assignment only borrows its graph and
+/// refinement.
 #[derive(Debug)]
 pub struct QuotientSearch<'a> {
     g: &'a PortGraph,
@@ -289,19 +291,6 @@ impl<'a> QuotientSearch<'a> {
         match self.dist[v as usize] {
             u32::MAX => None,
             d => Some(d),
-        }
-    }
-
-    /// The PE distance certificate: port `p` at `v` leads to a node strictly
-    /// closer to the leader, so `p` is the first port of a simple path to the
-    /// leader (the shortest path from the closer endpoint cannot pass through
-    /// `v`, since every node on it is closer to the leader than `v` is).
-    pub fn pe_certified(&self, v: NodeId, p: Port) -> bool {
-        match self.g.neighbor(v, p) {
-            Some((u, _)) => {
-                self.dist[v as usize] != u32::MAX && self.dist[u as usize] < self.dist[v as usize]
-            }
-            None => false,
         }
     }
 
@@ -480,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn concrete_paths_and_certificates_agree_with_bfs() {
+    fn concrete_paths_agree_with_bfs() {
         let g = generators::random_connected(10, 3, 2, 3).unwrap();
         let r = Refinement::compute(&g, None);
         let mut s = QuotientSearch::new(&g, &r);
@@ -493,12 +482,6 @@ mod tests {
             if v != 0 {
                 let nodes = g.follow_full_ports(v, &full).unwrap();
                 assert_eq!(*nodes.last().unwrap(), 0);
-                // The certificate is sound: a certified port is PE-valid.
-                for (p, _, _) in g.ports(v) {
-                    if s.pe_certified(v, p) {
-                        assert!(crate::paths::pe_port_is_valid(&g, v, p, 0));
-                    }
-                }
             }
         }
     }
