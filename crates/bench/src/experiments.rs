@@ -284,7 +284,7 @@ pub fn e4_u_class(params: &[(usize, usize)]) -> Table {
         let g = &member.labeled.graph;
 
         let r = Refinement::compute(g, Some(k));
-        let no_unique_below = (0..k).all(|h| r.unique_nodes_at(h).is_empty());
+        let no_unique_below = (0..k).all(|h| !r.has_unique_at(h));
         let roots_unique = member
             .cycle_roots()
             .into_iter()
@@ -358,9 +358,9 @@ pub fn e5_j_class(mu: usize, k: usize, gadget_caps: &[usize], include_full: bool
         // Lemma 4.6 is a statement about the full template; on capped chains the
         // boundary gadgets may contain unique views, so we only report it there.
         let no_unique = if is_full {
-            (0..k).all(|h| r.unique_nodes_at(h).is_empty()).to_string()
+            (0..k).all(|h| !r.has_unique_at(h)).to_string()
         } else {
-            let ok = r.unique_nodes_at(k - 1).is_empty();
+            let ok = !r.has_unique_at(k - 1);
             format!("{ok} (capped chain)")
         };
 

@@ -11,7 +11,8 @@
 //! inspects the graph, the number of rounds is derived from the advice (the paper's
 //! algorithms all do this — e.g. the Theorem 2.2 algorithm reads the height of the
 //! encoded view), the LOCAL simulator's full-information collector gathers `B^r(v)` at
-//! every node, and the algorithm's decision function produces the outputs.
+//! every node, and the algorithm's decision function — built once per run by
+//! [`AdviceAlgorithm::decider`] — produces the outputs.
 //!
 //! ```
 //! use anet_election::advice::{run_with_advice, FnAlgorithm, FnOracle};
@@ -96,6 +97,14 @@ pub trait AdviceAlgorithm {
     /// (a shared [`View`] handle — the collector hands every node the same subtree
     /// objects its neighbours assembled, so inspecting the view never copies it).
     fn decide(&self, advice: &BitString, view: &View) -> NodeOutput;
+
+    /// The decision function of one run: [`decide`](AdviceAlgorithm::decide) with
+    /// the advice fixed, applied to every node's view. The default calls `decide`
+    /// per node; an algorithm that has to parse its advice (the Theorem 2.2
+    /// algorithm decodes a view) overrides this to parse it once per run.
+    fn decider<'a>(&'a self, advice: &'a BitString) -> impl Fn(&View) -> NodeOutput + 'a {
+        move |view: &View| self.decide(advice, view)
+    }
 }
 
 /// Execute `oracle` and `algorithm` on `graph` through the LOCAL simulator under
@@ -123,12 +132,11 @@ where
         dag_bits,
     } = oracle.advise_with_sizes(graph);
     let rounds = algorithm.rounds(&advice);
-    let decide = |view: &View| algorithm.decide(&advice, view);
     SolverRun {
         advice_bits: Some(advice.len()),
         advice_tree_bits: tree_bits,
         advice_dag_bits: dag_bits,
-        ..run_full_information_wired(graph, rounds, ctx, decide)
+        ..run_full_information_wired(graph, rounds, ctx, algorithm.decider(&advice))
     }
 }
 

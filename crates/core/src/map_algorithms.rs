@@ -14,6 +14,7 @@
 //! assignment search, at 10⁴ nodes and beyond.
 
 use crate::engine::{Backend, MessageCodec, RunContext, SolverRun};
+use crate::selection::elect_by_view;
 use crate::tasks::{NodeOutput, Task};
 use anet_graph::PortGraph;
 use anet_views::election_index::{
@@ -63,35 +64,43 @@ impl From<IndexError> for MapSolveError {
 /// the least unsettled depth exhausted the budget and no leader there succeeded; the
 /// remaining leaders of that depth are still tried, find-only, before the error is
 /// returned. The returned [`SolverRun`] carries the rounds (the inflated physical
-/// count under [`Backend::Capped`]) with the search counters and no advice. The
-/// context picks the backend the full-information simulation runs on, and
-/// optionally a process-wide [`anet_views::SharedViewInterner`] for the map-side
-/// `build_all` and canonicalisation pass (concurrent runs on overlapping graph
-/// families then dedup their view DAGs against each other), a trace sink for the
-/// simulated rounds (the map-side precomputation is not traced) and a wire codec that
-/// meters every message. Outputs and message accounting are the same under every
-/// context.
+/// count under [`Backend::Capped`]) with the search counters and no advice.
+///
+/// Selection needs no assignment: refinement stops at `ψ_S`, the leader is the first
+/// node with a unique view there, only the leader's view is built from the map, and
+/// every node outputs `leader` iff its own view equals it — the Theorem 2.2 rule with
+/// the map in place of the advice. No search runs, so its counters are zero.
+///
+/// The context picks the backend the full-information simulation runs on, and
+/// optionally a process-wide [`anet_views::SharedViewInterner`] that files the
+/// map-side views — the leader's view for Selection, every node's view and the
+/// canonicalised collected views for the other shades — so concurrent runs on
+/// overlapping graph families dedup their view DAGs against each other. It also
+/// carries a trace sink for the simulated rounds (the map-side precomputation is not
+/// traced) and a wire codec that meters every message. Outputs and message
+/// accounting are the same under every context.
 pub fn solve_with_map(
     graph: &PortGraph,
     task: Task,
     max_paths: usize,
     ctx: &RunContext<'_>,
 ) -> Result<SolverRun, MapSolveError> {
+    let mut interner = ctx
+        .shared_interner
+        .map_or_else(ViewInterner::new, ViewInterner::shared);
+    if task == Task::Selection {
+        let refinement = Refinement::compute_until_unique(graph);
+        let rounds = psi_s_with(&refinement).ok_or(MapSolveError::Unsolvable(task))?;
+        let leader = refinement.unique_nodes_at(rounds)[0];
+        let target = interner.build(graph, leader, rounds);
+        let decide = |view: &View| elect_by_view(view, &target);
+        return Ok(run_full_information_wired(graph, rounds, ctx, decide));
+    }
     let refinement = Refinement::compute(graph, None);
     let mut search = QuotientSearch::new(graph, &refinement);
     // The minimum depth and a per-node output assignment computed from the map.
     let chosen = match task {
-        Task::Selection => psi_s_with(&refinement).map(|h| {
-            let leader = refinement.unique_nodes_at(h)[0];
-            let role = |v| {
-                if v == leader {
-                    NodeOutput::Leader
-                } else {
-                    NodeOutput::NonLeader
-                }
-            };
-            (h, graph.nodes().map(role).collect())
-        }),
+        Task::Selection => unreachable!("Selection returned above"),
         Task::PortElection => {
             pe_election(&mut search).map(|(h, _, a)| (h, outputs(a, NodeOutput::FirstPort)))
         }
@@ -110,9 +119,6 @@ pub fn solve_with_map(
     // nodes (the collector's output is a shared DAG), after which the table hit is
     // pointer-equal — without this, a positive equality check would walk the full
     // unfolded Θ(Δ^rounds) tree, since collector- and map-built views share no Arcs.
-    let mut interner = ctx
-        .shared_interner
-        .map_or_else(ViewInterner::new, ViewInterner::shared);
     let views = interner.build_all(graph, rounds);
     let mut by_view: HashMap<View, NodeOutput> = HashMap::new();
     for v in graph.nodes() {

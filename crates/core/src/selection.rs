@@ -6,6 +6,11 @@
 //! height `h = ψ_S(G)`, runs for `h` rounds, and outputs `leader` iff its own `B^h`
 //! equals the decoded view. Correctness follows from Proposition 2.1: at depth
 //! `ψ_S(G)` a unique-view node exists, and exactly one node's view matches the advice.
+//!
+//! A run decodes the advice once ([`SelectionAlgorithm`] overrides
+//! [`AdviceAlgorithm::decider`]), so each node decides by one [`View`] comparison,
+//! which an unequal structural hash settles in `O(1)`. The map solver elects the same
+//! way, against the leader's view built from the map: both go through one helper.
 
 use crate::advice::{AdviceAlgorithm, Oracle, OracleAdvice};
 use crate::tasks::NodeOutput;
@@ -114,15 +119,27 @@ impl AdviceAlgorithm for SelectionAlgorithm {
     }
 
     fn decide(&self, advice: &BitString, view: &View) -> NodeOutput {
+        self.decider(advice)(view)
+    }
+
+    fn decider<'a>(&'a self, advice: &'a BitString) -> impl Fn(&View) -> NodeOutput + 'a {
         let (target, _) = self
             .codec
             .decode(advice)
             .expect("advice is an encoded view");
-        if *view == target {
-            NodeOutput::Leader
-        } else {
-            NodeOutput::NonLeader
-        }
+        move |view: &View| elect_by_view(view, &target)
+    }
+}
+
+/// Selection by view: `leader` iff `view` equals the leader's view `target`. A view
+/// that differs almost always differs in its structural hash, which settles the
+/// comparison in `O(1)`; an equal hash falls through to the structural check, so in
+/// practice only the leader pays for one.
+pub(crate) fn elect_by_view(view: &View, target: &View) -> NodeOutput {
+    if view == target {
+        NodeOutput::Leader
+    } else {
+        NodeOutput::NonLeader
     }
 }
 

@@ -49,12 +49,12 @@
 //!
 //! ```
 //! use anet_views::dag_encoding::{decode_view_dag, encode_view_dag};
-//! use anet_views::{encoding, View, ViewInterner};
+//! use anet_views::{encoding, View};
 //!
 //! // On a symmetric ring every depth shares one node: B^9 unfolds to 2^10 − 1 tree
 //! // nodes but is a 10-entry DAG, and the encodings show exactly that gap.
 //! let g = anet_graph::generators::symmetric_ring(6).unwrap();
-//! let view = ViewInterner::new().build_all(&g, 9).swap_remove(0);
+//! let view = View::build(&g, 0, 9);
 //! let dag = encode_view_dag(&view, 9);
 //! let tree = encoding::encode_view_interned(&view, 9);
 //! assert!(dag.len() < 400 && tree.len() > 6000);
@@ -299,7 +299,7 @@ mod tests {
         // One distinct node per depth: B^60 unfolds to 2^61 − 1 tree nodes, far past
         // anything the tree codec could materialise, yet the DAG table has 61 entries.
         let g = generators::symmetric_ring(5).unwrap();
-        let deep = ViewInterner::new().build_all(&g, 60).swap_remove(0);
+        let deep = View::build(&g, 0, 60);
         let bits = encode_view_dag(&deep, 60);
         assert!(bits.len() < 61 * 40, "{} bits", bits.len());
         let (decoded, h) = decode_view_dag(&bits).unwrap();

@@ -46,12 +46,12 @@
 //!
 //! ```
 //! use anet_views::delta_encoding::{decode_view_delta, encode_view_delta};
-//! use anet_views::ViewInterner;
+//! use anet_views::View;
 //!
 //! // Successive-depth views on an odd ring share almost everything.
 //! let g = anet_graph::generators::symmetric_ring(5).unwrap();
-//! let base = ViewInterner::new().build_all(&g, 7).swap_remove(0);
-//! let next = ViewInterner::new().build_all(&g, 8).swap_remove(0);
+//! let base = View::build(&g, 0, 7);
+//! let next = View::build(&g, 0, 8);
 //! let delta = encode_view_delta(&next, 8, Some(&base));
 //! let dag = anet_views::dag_encoding::encode_view_dag(&next, 8);
 //! assert!(delta.len() < dag.len());
@@ -261,8 +261,8 @@ mod tests {
     #[test]
     fn sharing_beats_the_dag_format_on_odd_rings() {
         let g = generators::symmetric_ring(5).unwrap();
-        let base = ViewInterner::new().build_all(&g, 7).swap_remove(0);
-        let view = ViewInterner::new().build_all(&g, 8).swap_remove(0);
+        let base = View::build(&g, 0, 7);
+        let view = View::build(&g, 0, 8);
         let delta = encode_view_delta(&view, 8, Some(&base));
         assert!(delta.len() < encode_view_dag(&view, 8).len());
     }

@@ -173,7 +173,7 @@ pub fn psi_s(g: &PortGraph) -> Option<usize> {
 
 /// `ψ_S` given a precomputed refinement.
 pub fn psi_s_with(r: &Refinement) -> Option<usize> {
-    (0..=r.stable_depth().max(r.computed_depth())).find(|&h| !r.unique_nodes_at(h).is_empty())
+    (0..=r.stable_depth().max(r.computed_depth())).find(|&h| r.has_unique_at(h))
 }
 
 /// For a fixed depth and candidate leader, the Port Election output assignment: one

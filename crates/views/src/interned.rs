@@ -20,9 +20,10 @@
 //!   [`ViewInterner::build_all`] constructs `B^h(v)` for *every* node
 //!   of a graph in `O(n · h · Δ)` handle operations — level `d` reuses the level
 //!   `d − 1` handles of the neighbours — instead of the `Θ(n · Δ^h)` nodes the owned
-//!   construction materialises. On symmetric topologies (rings, tori, hypercubes,
-//!   circulants) almost all subtrees collapse: the interner ends up holding one node
-//!   per (view class × depth), and equal views are pointer-equal.
+//!   construction materialises; [`ViewInterner::build`] does the same for one node,
+//!   over the ball of radius `h` around it only. On symmetric topologies (rings,
+//!   tori, hypercubes, circulants) almost all subtrees collapse: the interner ends
+//!   up holding one node per (view class × depth), and equal views are pointer-equal.
 //!
 //! [`View`] and [`ViewTree`] convert losslessly into each other
 //! ([`View::from_tree`] / [`View::to_tree`]); the owned form remains the test and
@@ -164,13 +165,12 @@ impl View {
         View::from_parts(degree, Vec::new())
     }
 
-    /// Build `B^depth(v)` in graph `g` with full structural sharing (a fresh interner
-    /// builds the views of every node up to `depth` in `O(n · depth · Δ)` and returns
-    /// the one for `v`). For the views of all nodes at once, use
-    /// [`ViewInterner::build_all`] directly.
+    /// Build `B^depth(v)` in graph `g` with full structural sharing, through a fresh
+    /// interner that builds only the ball of radius `depth` around `v` (see
+    /// [`ViewInterner::build`]). For the views of all nodes at once, use
+    /// [`ViewInterner::build_all`].
     pub fn build(g: &PortGraph, v: NodeId, depth: usize) -> View {
-        let mut interner = ViewInterner::new();
-        interner.build_all(g, depth).swap_remove(v as usize)
+        ViewInterner::new().build(g, v, depth)
     }
 
     /// Degree (in the graph) of the node this view position corresponds to.
@@ -631,10 +631,10 @@ impl<'a> ViewInterner<'a> {
 
     /// The canonical node with the given degree and children. The children must be
     /// canonical handles from this interner's table (as produced by
-    /// [`ViewInterner::leaf`], [`ViewInterner::node`], [`ViewInterner::intern`] or
-    /// [`ViewInterner::build_all`] on an interner over the same table); handing in
-    /// foreign handles files them as new structure, which forfeits sharing but never
-    /// affects equality semantics.
+    /// [`ViewInterner::leaf`], [`ViewInterner::node`], [`ViewInterner::intern`],
+    /// [`ViewInterner::build`] or [`ViewInterner::build_all`] on an interner over the
+    /// same table); handing in foreign handles files them as new structure, which
+    /// forfeits sharing but never affects equality semantics.
     pub fn node(&mut self, degree: u32, children: Vec<(Port, Port, View)>) -> View {
         match &mut self.table {
             Table::Private(nodes) => nodes
@@ -665,6 +665,49 @@ impl<'a> ViewInterner<'a> {
         let canonical = self.node(view.node.degree, children);
         self.foreign.insert(ptr, (view.clone(), canonical.clone()));
         canonical
+    }
+
+    /// Build `B^depth(v)` for the one node `v`, maximally shared: level `k` grafts
+    /// `B^k(u)` only for the nodes `u` within distance `depth − k` of `v` — the
+    /// ball that view can see — so the work is `O(depth · Δ)` handle operations per
+    /// ball node, whatever the size of `g`. The result is the handle
+    /// [`ViewInterner::build_all`] returns for `v` on an interner over the same
+    /// table.
+    pub fn build(&mut self, g: &PortGraph, v: NodeId, depth: usize) -> View {
+        // The ball in BFS order: the nodes within distance `r` of `v` are the prefix
+        // `ball[..within[r]]`, and `index` maps a ball node to its position.
+        let mut ball = vec![v];
+        let mut index: HashMap<NodeId, usize> = HashMap::from([(v, 0)]);
+        let mut within = vec![1];
+        for r in 0..depth {
+            let frontier = if r == 0 { 0 } else { within[r - 1] }..within[r];
+            for i in frontier {
+                for (_, u, _) in g.ports(ball[i]) {
+                    index.entry(u).or_insert_with(|| {
+                        ball.push(u);
+                        ball.len() - 1
+                    });
+                }
+            }
+            within.push(ball.len());
+        }
+        let mut level: Vec<View> = ball
+            .iter()
+            .map(|&u| self.leaf(g.degree(u) as u32))
+            .collect();
+        for k in 1..=depth {
+            level = ball[..within[depth - k]]
+                .iter()
+                .map(|&u| {
+                    let children = g
+                        .ports(u)
+                        .map(|(p, w, q)| (p, q, level[index[&w]].clone()))
+                        .collect();
+                    self.node(g.degree(u) as u32, children)
+                })
+                .collect();
+        }
+        level.swap_remove(0)
     }
 
     /// Build `B^depth(v)` for **every** node `v` of `g`, maximally shared: level `d`
@@ -733,6 +776,65 @@ mod tests {
                 assert_eq!(view.max_degree(), owned.max_degree());
             }
         }
+    }
+
+    #[test]
+    fn ball_build_is_the_build_all_handle_of_its_node() {
+        let mut graphs = vec![
+            generators::paper_three_node_line(),
+            generators::symmetric_ring(6).unwrap(),
+        ];
+        graphs.extend((0..4u64).map(|seed| generators::random_connected(18, 4, 6, seed).unwrap()));
+        for g in &graphs {
+            for depth in 0..=4usize {
+                // Ball builds first, so `build_all` must find their nodes already filed.
+                let mut interner = ViewInterner::new();
+                let balls: Vec<View> = g.nodes().map(|v| interner.build(g, v, depth)).collect();
+                let all = interner.build_all(g, depth);
+                for v in g.nodes() {
+                    let ball = &balls[v as usize];
+                    assert!(
+                        View::ptr_eq(ball, &all[v as usize]),
+                        "node {v} depth {depth}"
+                    );
+                    let owned = ViewTree::build(g, v, depth);
+                    assert_eq!(ball.to_tree(), owned, "node {v} depth {depth}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ball_build_files_only_the_ball() {
+        // A 200 000-node path whose interior nodes put port 0 towards the lower
+        // neighbour or the higher one as the Thue–Morse word says, so views differ
+        // along the path and building every node's view files many distinct nodes.
+        let n = 200_000usize;
+        let lower_port = |i: usize| (i.count_ones() % 2) as Port;
+        let mut b = anet_graph::GraphBuilder::with_nodes(n);
+        for i in 0..n - 1 {
+            let up = if i == 0 { 0 } else { 1 - lower_port(i) };
+            let down = if i + 1 == n - 1 { 0 } else { lower_port(i + 1) };
+            b.add_edge(i as NodeId, up, (i + 1) as NodeId, down)
+                .unwrap();
+        }
+        let g = b.build().unwrap();
+        // Level k of B^3(0) holds the nodes within distance 3 − k of node 0: 4+3+2+1.
+        let ball_bound = 10;
+        let mut interner = ViewInterner::new();
+        let view = interner.build(&g, 0, 3);
+        assert!(
+            interner.len() <= ball_bound,
+            "{} nodes filed",
+            interner.len()
+        );
+        assert_eq!(view.to_tree(), ViewTree::build(&g, 0, 3));
+        let mut everywhere = ViewInterner::new();
+        everywhere.build_all(&g, 3);
+        assert!(
+            everywhere.len() > ball_bound,
+            "the bound separates ball from graph"
+        );
     }
 
     #[test]

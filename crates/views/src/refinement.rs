@@ -20,7 +20,6 @@
 //! Lemma 2.8, Lemma 4.10(1), …): see [`JointRefinement`].
 
 use anet_graph::{NodeId, PortGraph};
-use std::collections::HashMap;
 
 /// Identifier of a node inside a [`JointRefinement`]: which graph, and which node.
 pub type JointNode = (usize, NodeId);
@@ -79,6 +78,15 @@ fn assign_dense_ids(
         row[order[k] as usize] = next_id;
     }
     next_id as usize + 1
+}
+
+/// Number of nodes in each class of a class row, indexed by the dense class id.
+fn class_sizes(row: &[u32], num_classes: usize) -> Vec<u32> {
+    let mut sizes = vec![0u32; num_classes];
+    for &c in row {
+        sizes[c as usize] += 1;
+    }
+    sizes
 }
 
 /// Write every node's depth-`d` signature into the reused signature arena:
@@ -178,19 +186,10 @@ impl JointRefinement {
             classes.extend_from_slice(&row);
         }
 
-        // Is some class at the given level a singleton?
-        let has_singleton = |row: &[u32], num_classes: usize| -> bool {
-            let mut freq = vec![0u32; num_classes];
-            for &c in row {
-                freq[c as usize] += 1;
-            }
-            freq.contains(&1)
-        };
-
         let mut stable_depth = 0usize;
         let hard_cap = max_depth.unwrap_or(total.max(1));
         let mut depth = 0usize;
-        if stop_on_unique && has_singleton(&row, counts[0]) {
+        if stop_on_unique && class_sizes(&row, counts[0]).contains(&1) {
             // ψ_S = 0: the degree sequence already singles a node out.
             return JointRefinement {
                 sizes,
@@ -223,7 +222,7 @@ impl JointRefinement {
                 break;
             }
             stable_depth = depth;
-            if stop_on_unique && has_singleton(&row, count) {
+            if stop_on_unique && class_sizes(&row, count).contains(&1) {
                 // A unique view exists at this depth; callers that set this flag only
                 // need the partition up to here. NOTE: in this mode `stable_depth()` is
                 // merely the deepest computed level, not the true stabilisation depth.
@@ -296,18 +295,19 @@ impl JointRefinement {
         self.multiplicity(node, depth) == 1
     }
 
+    /// Does some node have a unique view at `depth`? Allocates no node list.
+    pub fn has_unique_at(&self, depth: usize) -> bool {
+        class_sizes(self.row(depth), self.num_classes_at(depth)).contains(&1)
+    }
+
     /// All nodes (as [`JointNode`]) whose class at `depth` is a singleton.
     pub fn unique_nodes_at(&self, depth: usize) -> Vec<JointNode> {
         let row = self.row(depth);
-        let mut freq: HashMap<u32, usize> = HashMap::new();
-        for &c in row {
-            *freq.entry(c).or_insert(0) += 1;
-        }
+        let sizes = class_sizes(row, self.num_classes_at(depth));
         let mut out = Vec::new();
         for (gi, &size) in self.sizes.iter().enumerate() {
             for v in 0..size {
-                let c = row[self.offsets[gi] + v];
-                if freq[&c] == 1 {
+                if sizes[row[self.offsets[gi] + v] as usize] == 1 {
                     out.push((gi, v as NodeId));
                 }
             }
@@ -316,18 +316,15 @@ impl JointRefinement {
     }
 
     /// Group the nodes of graph `gi` by class at `depth`, returning the classes as
-    /// lists of node ids (order of classes unspecified but deterministic).
+    /// lists of node ids in increasing order of class id.
     pub fn classes_of_graph(&self, gi: usize, depth: usize) -> Vec<Vec<NodeId>> {
-        let row = self.row(depth);
-        let mut map: HashMap<u32, Vec<NodeId>> = HashMap::new();
-        for v in 0..self.sizes[gi] {
-            map.entry(row[self.offsets[gi] + v])
-                .or_default()
-                .push(v as NodeId);
+        let row = &self.row(depth)[self.offsets[gi]..self.offsets[gi] + self.sizes[gi]];
+        let mut classes: Vec<Vec<NodeId>> = vec![Vec::new(); self.num_classes_at(depth)];
+        for (v, &c) in row.iter().enumerate() {
+            classes[c as usize].push(v as NodeId);
         }
-        let mut keys: Vec<u32> = map.keys().copied().collect();
-        keys.sort_unstable();
-        keys.into_iter().map(|k| map.remove(&k).unwrap()).collect()
+        classes.retain(|class| !class.is_empty());
+        classes
     }
 }
 
@@ -389,6 +386,11 @@ impl Refinement {
     /// Does `v` have a unique view at `depth`?
     pub fn is_unique(&self, v: NodeId, depth: usize) -> bool {
         self.inner.is_unique((0, v), depth)
+    }
+
+    /// Does some node have a unique view at `depth`?
+    pub fn has_unique_at(&self, depth: usize) -> bool {
+        self.inner.has_unique_at(depth)
     }
 
     /// Nodes with a unique view at `depth`.

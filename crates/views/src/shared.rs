@@ -35,7 +35,7 @@
 //! // equal view resolves to the same shared node.
 //! let g = anet_graph::generators::symmetric_ring(6).unwrap();
 //! let table = SharedViewInterner::new();
-//! let build = || ViewInterner::shared(&table).build_all(&g, 3).swap_remove(0);
+//! let build = || ViewInterner::shared(&table).build(&g, 0, 3);
 //! let (a, b) = thread::scope(|s| {
 //!     let ta = s.spawn(build);
 //!     let tb = s.spawn(build);

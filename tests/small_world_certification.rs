@@ -9,16 +9,22 @@
 //! * minimum time: the map-based solver elects in exactly `ψ_Z` rounds when
 //!   `ψ_Z` exists, and reports the task unsolvable when it does not;
 //! * every Port Election the solver reports as verified also passes the BFS
-//!   reference predicate node by node.
+//!   reference predicate node by node;
+//! * Theorem 2.2: when `ψ_S` exists, the oracle/algorithm pair solves Selection
+//!   in exactly `ψ_S` rounds under both the tree and the DAG codec, with the
+//!   same outputs; it elects the node whose view is lexicographically smallest
+//!   among the unique views at depth `ψ_S`; and its advice stays within
+//!   `selection_advice_upper_bound_bits(Δ, ψ_S)`.
 
+use four_shades::election::selection::selection_advice_upper_bound_bits;
 use four_shades::election::tasks::{NodeOutput, Task};
 use four_shades::graph::{GraphBuilder, NodeId, PortGraph};
-use four_shades::prelude::{Election, MapSolver};
+use four_shades::prelude::{AdviceSolver, Election, MapSolver};
 use four_shades::views::election_index::{
     compute_all, pe_assignment_enumerated, psi_cppe_enumerated, psi_ppe_enumerated,
 };
 use four_shades::views::paths::pe_port_is_valid;
-use four_shades::views::Refinement;
+use four_shades::views::{Refinement, View};
 
 /// The map solver's default path budget.
 const BUDGET: usize = 50_000;
@@ -103,6 +109,33 @@ fn psi_pe_reference(g: &PortGraph) -> Option<usize> {
     })
 }
 
+/// The Theorem 2.2 pair on a graph with `ψ_S = h`, under both codecs.
+fn certify_theorem_2_2(g: &PortGraph, h: usize) {
+    let run = |solver| {
+        Election::task(Task::Selection)
+            .solver(solver)
+            .run(g)
+            .unwrap_or_else(|e| panic!("Theorem 2.2 on {g:?}: {e}"))
+    };
+    let tree = run(AdviceSolver::theorem_2_2());
+    let dag = run(AdviceSolver::theorem_2_2_dag());
+    for report in [&tree, &dag] {
+        assert!(report.solved(), "{} on {g:?}", report.summary());
+        assert_eq!(report.rounds, h, "Theorem 2.2 on {g:?}: not in ψ_S rounds");
+    }
+    assert_eq!(tree.outputs, dag.outputs, "codecs disagree on {g:?}");
+    let r = Refinement::compute(g, None);
+    let smallest = r
+        .unique_nodes_at(h)
+        .into_iter()
+        .min_by_key(|&v| View::build(g, v, h))
+        .expect("a unique view exists at ψ_S");
+    assert_eq!(tree.leader(), Some(smallest), "leader on {g:?}");
+    let bound = selection_advice_upper_bound_bits(g.max_degree(), h);
+    let bits = tree.advice_bits.expect("advice is reported");
+    assert!(bits <= bound, "{bits} advice bits exceed {bound} on {g:?}");
+}
+
 #[test]
 fn every_port_labelled_graph_up_to_four_nodes_is_certified() {
     let graphs = port_labelled_graphs(4);
@@ -126,6 +159,9 @@ fn every_port_labelled_graph_up_to_four_nodes_is_certified() {
             psi_cppe_enumerated(g, BUDGET).unwrap(),
             "ψ_CPPE on {g:?}"
         );
+        if let Some(h) = idx.s {
+            certify_theorem_2_2(g, h);
+        }
         let psi = [idx.s, idx.pe, idx.ppe, idx.cppe];
         for (task, psi) in Task::ALL.into_iter().zip(psi) {
             let run = Election::task(task).solver(MapSolver::default()).run(g);
