@@ -86,6 +86,19 @@ pub trait Oracle {
     }
 }
 
+/// Precomputed advice used as an oracle: it broadcasts itself whatever the graph,
+/// so a caller that already ran an oracle (e.g. to check that it has an answer)
+/// can run the pair on that advice without advising twice.
+impl Oracle for OracleAdvice {
+    fn advise(&self, _graph: &PortGraph) -> BitString {
+        self.bits.clone()
+    }
+
+    fn advise_with_sizes(&self, _graph: &PortGraph) -> OracleAdvice {
+        self.clone()
+    }
+}
+
 /// A deterministic distributed algorithm with advice: every node runs the same code,
 /// knowing only the advice string and its own augmented truncated view.
 pub trait AdviceAlgorithm {

@@ -82,7 +82,8 @@ impl AdviceSolver<SelectionOracle, SelectionAlgorithm> {
     /// unfolded-tree format).
     ///
     /// The oracle requires a graph with finite Selection index and panics otherwise
-    /// (matching `SelectionOracle::advise`).
+    /// (matching `SelectionOracle::advise`; `SelectionOracle::try_advise` answers
+    /// `None` instead).
     pub fn theorem_2_2() -> Self {
         AdviceSolver::new(
             "advice(thm-2.2)",

@@ -7,6 +7,12 @@
 //! equals the decoded view. Correctness follows from Proposition 2.1: at depth
 //! `ψ_S(G)` a unique-view node exists, and exactly one node's view matches the advice.
 //!
+//! The oracle never builds a view it does not ship. It refines the graph up to
+//! `ψ_S` ([`Refinement::compute_until_unique`]), orders the unique candidates by
+//! [`Refinement::view_cmp`] — one `O(ψ_S · Δ)` descent through the class rows per
+//! candidate — and builds only the chosen leader's view, from its ball of radius
+//! `ψ_S` ([`ViewInterner::build`]).
+//!
 //! A run decodes the advice once ([`SelectionAlgorithm`] overrides
 //! [`AdviceAlgorithm::decider`]), so each node decides by one [`View`] comparison,
 //! which an unequal structural hash settles in `O(1)`. The map solver elects the same
@@ -46,6 +52,35 @@ impl SelectionOracle {
             codec: ViewCodec::Dag,
         }
     }
+
+    /// The advice for `graph`, or `None` when no view is unique at any depth
+    /// (infinite Selection index), where [`Oracle::advise_with_sizes`] panics.
+    pub fn try_advise(&self, graph: &PortGraph) -> Option<OracleAdvice> {
+        let refinement = Refinement::compute_until_unique(graph);
+        let psi = psi_s_with(&refinement)?;
+        // The lexicographically smallest unique view at depth ψ, read off the class
+        // rows (one O(ψ·Δ) descent per candidate); only its ball is built.
+        let leader = refinement
+            .unique_nodes_at(psi)
+            .into_iter()
+            .min_by(|&a, &b| refinement.view_cmp(graph, a, b, psi))
+            .expect("ψ_S is a depth with a unique view");
+        let chosen_view = ViewInterner::new().build(graph, leader, psi);
+        // The tree size comes from the closed form (O(distinct nodes)), so a
+        // DAG-codec run never materialises the exponential unfolded encoding it
+        // exists to avoid; the tree string itself is built only when it ships.
+        let tree_bits = Some(tree_encoded_size_bits(&chosen_view, psi));
+        let dag = encode_view_dag(&chosen_view, psi);
+        let dag_bits = Some(dag.len());
+        Some(OracleAdvice {
+            bits: match self.codec {
+                ViewCodec::Tree => encode_view_interned(&chosen_view, psi),
+                ViewCodec::Dag => dag,
+            },
+            tree_bits,
+            dag_bits,
+        })
+    }
 }
 
 impl Oracle for SelectionOracle {
@@ -54,33 +89,8 @@ impl Oracle for SelectionOracle {
     }
 
     fn advise_with_sizes(&self, graph: &PortGraph) -> OracleAdvice {
-        let refinement = Refinement::compute_until_unique(graph);
-        let psi = psi_s_with(&refinement)
-            .expect("Selection oracle requires a graph with finite Selection index");
-        let candidates = refinement.unique_nodes_at(psi);
-        debug_assert!(!candidates.is_empty());
-        // Build the depth-ψ views of all nodes in one shared pass (O(n·ψ·Δ) handle
-        // operations) and pick the lexicographically smallest candidate view.
-        let views = ViewInterner::new().build_all(graph, psi);
-        let chosen_view = candidates
-            .into_iter()
-            .map(|v| views[v as usize].clone())
-            .min()
-            .expect("at least one candidate");
-        // The tree size comes from the closed form (O(distinct nodes)), so a
-        // DAG-codec run never materialises the exponential unfolded encoding it
-        // exists to avoid; the tree string itself is built only when it ships.
-        let tree_bits = Some(tree_encoded_size_bits(&chosen_view, psi));
-        let dag = encode_view_dag(&chosen_view, psi);
-        let dag_bits = Some(dag.len());
-        OracleAdvice {
-            bits: match self.codec {
-                ViewCodec::Tree => encode_view_interned(&chosen_view, psi),
-                ViewCodec::Dag => dag,
-            },
-            tree_bits,
-            dag_bits,
-        }
+        self.try_advise(graph)
+            .expect("Selection oracle requires a graph with finite Selection index")
     }
 }
 
@@ -217,9 +227,8 @@ mod tests {
         let advice = SelectionOracle::tree().advise(&g);
         let (view, h) = decode_view(&advice).unwrap();
         assert_eq!(h, 0);
-        // At depth 0 all five nodes are unique-or-not by degree: the centre (degree 4)
-        // is the only unique one... actually the leaves all have degree 1 and are not
-        // unique; the centre is. Its depth-0 view is just its degree.
+        // At depth 0 the four leaves share degree 1, so the centre is the only
+        // unique node, and its depth-0 view is just its degree.
         assert_eq!(view.degree, 4);
     }
 

@@ -20,6 +20,7 @@
 //! Lemma 2.8, Lemma 4.10(1), …): see [`JointRefinement`].
 
 use anet_graph::{NodeId, PortGraph};
+use std::cmp::Ordering;
 
 /// Identifier of a node inside a [`JointRefinement`]: which graph, and which node.
 pub type JointNode = (usize, NodeId);
@@ -60,7 +61,8 @@ pub struct JointRefinement {
 /// (node `i`'s signature is `sig_arena[sig_offsets[i]..sig_offsets[i + 1]]`): sort the
 /// reused `order` permutation by signature and number the runs of equal signatures.
 /// Returns the number of distinct classes. Ids are deterministic (signature-sorted
-/// order) but otherwise arbitrary, exactly like the insertion-order ids they replace.
+/// order) but otherwise arbitrary, exactly like the insertion-order ids they replace;
+/// [`Refinement::view_cmp`] reads the lexicographic order of the views off the rows.
 // anet-lint: hot-path
 fn assign_dense_ids(
     sig_arena: &[u32],
@@ -406,6 +408,47 @@ impl Refinement {
     pub fn classes_at(&self, depth: usize) -> Vec<Vec<NodeId>> {
         self.inner.classes_of_graph(0, depth)
     }
+
+    /// Compare `B^depth(a)` with `B^depth(b)` in the canonical token order — what
+    /// [`crate::View::lex_cmp`] returns on the two views — without building either.
+    /// Equal classes are equal views. Otherwise the degrees decide, and then the first
+    /// port whose pair (far port, neighbour's class at `depth − 1`) differs: a far
+    /// port decides at once, a neighbour class sends the comparison one depth down to
+    /// the two neighbours. That is one root-to-leaf walk, `O(depth · Δ)`.
+    ///
+    /// `g` must be the graph this refinement was computed on, and `depth` is read
+    /// like [`Refinement::class_at`] reads it (clamped to the computed range).
+    pub fn view_cmp(
+        &self,
+        g: &PortGraph,
+        mut a: NodeId,
+        mut b: NodeId,
+        mut depth: usize,
+    ) -> Ordering {
+        while self.class_at(a, depth) != self.class_at(b, depth) {
+            let by_degree = g.degree(a).cmp(&g.degree(b));
+            if by_degree != Ordering::Equal {
+                return by_degree;
+            }
+            // Equal degrees in different classes: depth ≥ 1, and some port tells
+            // the two apart one level down.
+            let below = depth - 1;
+            let mut differing = None;
+            for ((_, ua, qa), (_, ub, qb)) in g.ports(a).zip(g.ports(b)) {
+                match qa.cmp(&qb) {
+                    Ordering::Equal if self.class_at(ua, below) == self.class_at(ub, below) => {}
+                    Ordering::Equal => {
+                        differing = Some((ua, ub));
+                        break;
+                    }
+                    by_port => return by_port,
+                }
+            }
+            (a, b) = differing.expect("nodes of different classes differ at some port");
+            depth = below;
+        }
+        Ordering::Equal
+    }
 }
 
 #[cfg(test)]
@@ -561,6 +604,36 @@ mod tests {
         let ring = generators::symmetric_ring(6).unwrap();
         let fast = Refinement::compute_until_unique(&ring);
         assert!(fast.unique_nodes_at(fast.computed_depth()).is_empty());
+    }
+
+    #[test]
+    fn view_cmp_is_the_token_order_up_to_psi_s() {
+        // `compute_until_unique` stops at ψ_S: every row the oracle's descent reads.
+        for g in [
+            generators::paper_three_node_line(),
+            generators::star(4).unwrap(),
+            generators::oriented_ring(&[true, true, false, true, false]).unwrap(),
+            generators::oriented_ring(&[
+                true, true, false, true, false, false, true, false, true, true,
+            ])
+            .unwrap(),
+        ] {
+            let r = Refinement::compute_until_unique(&g);
+            let psi = r.computed_depth();
+            assert!(r.has_unique_at(psi));
+            for h in 0..=psi {
+                let views: Vec<ViewTree> = g.nodes().map(|v| ViewTree::build(&g, v, h)).collect();
+                for a in g.nodes() {
+                    for b in g.nodes() {
+                        assert_eq!(
+                            r.view_cmp(&g, a, b, h),
+                            views[a as usize].lex_cmp(&views[b as usize]),
+                            "depth {h}, nodes {a} and {b}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! [`anet_graph::rng::Rng`], so every failure is reproducible from its loop index.
 
 use anet_graph::rng::Rng;
-use anet_graph::{generators, PortGraph};
-use anet_views::{View, ViewInterner, ViewTree};
+use anet_graph::{generators, NodeId, PortGraph};
+use anet_views::{Refinement, View, ViewInterner, ViewTree};
 
 const CASES: u64 = 24;
 
@@ -75,24 +75,27 @@ fn truncation_matches_owned_truncation() {
     }
 }
 
-/// Token sequences are identical to the owned form, and the handle comparison
-/// realises exactly the token order (which is what every "lexicographically smallest
-/// view" step of the paper uses).
+/// Token sequences are identical to the owned form, and the handle comparison and
+/// the refinement's class-row descent both realise exactly the token order (which is
+/// what every "lexicographically smallest view" step of the paper uses).
 #[test]
 fn tokens_and_lex_order_agree() {
     for case in 0..CASES / 2 {
         let (g, depth) = build(case);
         let shared = ViewInterner::new().build_all(&g, depth);
         let owned: Vec<ViewTree> = g.nodes().map(|v| ViewTree::build(&g, v, depth)).collect();
+        let refinement = Refinement::compute(&g, Some(depth));
         for (s, o) in shared.iter().zip(&owned) {
             assert_eq!(s.tokens(), o.tokens(), "case {case}");
         }
         for (i, a) in shared.iter().enumerate() {
             for (j, b) in shared.iter().enumerate() {
+                let order = owned[i].lex_cmp(&owned[j]);
+                assert_eq!(a.lex_cmp(b), order, "case {case}: nodes {i} and {j}");
                 assert_eq!(
-                    a.lex_cmp(b),
-                    owned[i].lex_cmp(&owned[j]),
-                    "case {case}: nodes {i} and {j}"
+                    refinement.view_cmp(&g, i as NodeId, j as NodeId, depth),
+                    order,
+                    "case {case}: descent, nodes {i} and {j}"
                 );
                 assert_eq!(a == b, owned[i] == owned[j], "case {case}");
             }

@@ -9,13 +9,14 @@
 
 use crate::families::{CirculantFamily, HypercubeFamily, RandomRegularFamily, TorusFamily};
 use anet_constructions::{FamilyInstance, GraphFamily};
+use anet_election::advice::run_with_advice;
 use anet_election::engine::{
-    AdviceSolver, Backend, BatchRow, BatchRunner, EngineError, MapSolver, MessageCodec, RunContext,
-    Solver, SolverRun,
+    Backend, BatchRow, BatchRunner, EngineError, MapSolver, MessageCodec, RunContext, Solver,
+    SolverRun,
 };
+use anet_election::selection::{SelectionAlgorithm, SelectionOracle};
 use anet_election::tasks::Task;
 use anet_graph::PortGraph;
-use anet_views::election_index::psi_s;
 use anet_views::ViewCodec;
 
 /// Which solver a scenario runs. Kept as a spec (not a `Box<dyn Solver>`) so that the
@@ -62,9 +63,11 @@ impl SolverSpec {
 }
 
 /// The Theorem 2.2 pair behind a feasibility guard: on graphs where no view class has
-/// multiplicity 1 (infinite Selection index) the oracle would panic; the guard answers
-/// with a regular [`EngineError::Solver`] so sweeps over symmetric workloads (canonical
-/// tori, hypercubes, …) record the cell as unsolved and continue.
+/// multiplicity 1 (infinite Selection index) the oracle would panic; the guard asks
+/// the oracle's fallible entry ([`SelectionOracle::try_advise`], one refinement) and
+/// answers `None` with a regular [`EngineError::Solver`], so sweeps over symmetric
+/// workloads (canonical tori, hypercubes, …) record the cell as unsolved and continue.
+/// Otherwise the pair runs on the advice the guard already holds.
 struct GuardedAdviceSolver {
     /// Which wire format the encoded-view advice ships in.
     codec: ViewCodec,
@@ -78,20 +81,23 @@ impl Solver for GuardedAdviceSolver {
     fn solve(
         &self,
         graph: &PortGraph,
-        task: Task,
+        _task: Task,
         ctx: &RunContext<'_>,
     ) -> Result<SolverRun, EngineError> {
-        if psi_s(graph).is_none() {
+        let codec = self.codec;
+        let Some(advice) = SelectionOracle { codec }.try_advise(graph) else {
             return Err(EngineError::Solver {
                 solver: self.name(),
                 message: "unsolvable: no view class of multiplicity 1 (infinite Selection index)"
                     .to_string(),
             });
-        }
-        match self.codec {
-            ViewCodec::Tree => AdviceSolver::theorem_2_2().solve(graph, task, ctx),
-            ViewCodec::Dag => AdviceSolver::theorem_2_2_dag().solve(graph, task, ctx),
-        }
+        };
+        Ok(run_with_advice(
+            graph,
+            &advice,
+            &SelectionAlgorithm { codec },
+            ctx,
+        ))
     }
 }
 

@@ -1,14 +1,19 @@
 //! End-to-end tests of the shared-DAG view codec across the workload families and
 //! through the engine: on every family the DAG codec agrees with the tree codec
-//! (identical decoded views, identical election outputs), and on symmetric
+//! (identical decoded views, identical election outputs), on symmetric
 //! topologies the DAG advice realises the `Θ(Δ^h)` → `O(distinct subtrees)` size
-//! collapse the codec exists for.
+//! collapse the codec exists for, and the Theorem 2.2 oracle's advice under both
+//! codecs is the encoding of the smallest unique view found by building every view.
 
 use four_shades::constructions::GraphFamily;
+use four_shades::election::advice::Oracle;
+use four_shades::election::selection::SelectionOracle;
+use four_shades::graph::{generators, rng::Rng, PortGraph};
 use four_shades::prelude::*;
 use four_shades::views::dag_encoding::{decode_view_dag, encode_view_dag};
+use four_shades::views::election_index::psi_s;
 use four_shades::views::encoding::{decode_view_interned, encode_view_interned};
-use four_shades::views::ViewInterner;
+use four_shades::views::{BitString, Refinement, ViewCodec, ViewInterner};
 use four_shades::workloads::{CirculantFamily, HypercubeFamily, RandomRegularFamily, TorusFamily};
 
 fn workload_families() -> Vec<Box<dyn GraphFamily>> {
@@ -102,5 +107,87 @@ fn the_collapse_is_exponential_on_a_symmetric_family() {
         "tree {} vs dag {}",
         tree_sizes[7],
         dag_sizes[7]
+    );
+}
+
+/// The Theorem 2.2 advice as the oracle once computed it: every node's depth-`ψ_S`
+/// view built, the smallest of the unique ones chosen, and its tree and DAG
+/// encodings. `None` when `ψ_S` is infinite.
+fn reference_advice(g: &PortGraph) -> Option<(BitString, BitString)> {
+    let psi = psi_s(g)?;
+    let views = ViewInterner::new().build_all(g, psi);
+    let chosen = Refinement::compute(g, Some(psi))
+        .unique_nodes_at(psi)
+        .into_iter()
+        .map(|v| views[v as usize].clone())
+        .min()
+        .expect("ψ_S is a depth with a unique view");
+    Some((
+        encode_view_interned(&chosen, psi),
+        encode_view_dag(&chosen, psi),
+    ))
+}
+
+/// The oracle reads its leader off the refinement and builds only that view; its
+/// advice must stay bit for bit what building every view gives, on the shapes the
+/// benchmark workloads run (shuffled tori, circulants and hypercubes, random
+/// 3-regular graphs up to ~10³ nodes, where `ψ_S` is 1, and a 64 × 64 torus, where
+/// it is 2), on random connected graphs, and on randomly oriented rings, whose
+/// `ψ_S` of 2–4 makes the oracle's descent cross several levels.
+#[test]
+fn selection_oracle_advice_matches_the_every_view_reference() {
+    let families: Vec<Box<dyn GraphFamily>> = vec![
+        Box::new(RandomRegularFamily::new(3, vec![64, 256, 1024], 0x5E1EC7)),
+        Box::new(RandomRegularFamily::new(3, vec![96, 512], 0xA5EED)),
+        Box::new(TorusFamily::new(vec![(4, 5), (8, 8), (16, 16), (32, 32)]).shuffled(7)),
+        Box::new(TorusFamily::new(vec![(6, 6), (12, 20), (24, 24), (64, 64)]).shuffled(3)),
+        Box::new(CirculantFamily::powers_of_two(vec![48, 256, 1024], 3).shuffled(7)),
+        Box::new(CirculantFamily::powers_of_two(vec![32, 96, 512], 2).shuffled(41)),
+        Box::new(HypercubeFamily::new(vec![4, 6, 8]).shuffled(7)),
+    ];
+    let mut graphs: Vec<(String, PortGraph)> = families
+        .iter()
+        .flat_map(|family| family.instances(4))
+        .map(|instance| (instance.name, instance.graph))
+        .collect();
+    for (n, seed) in (0..24u64).map(|seed| (12 + 6 * (seed as usize % 6), seed)) {
+        let g = generators::random_connected(n, 5, n / 2, seed).expect("valid graph");
+        graphs.push((format!("random_connected n={n} seed={seed}"), g));
+        let g = generators::random_connected(8 * n, 3, seed as usize % 3, seed).expect("valid");
+        graphs.push((
+            format!("sparse random_connected n={} seed={seed}", 8 * n),
+            g,
+        ));
+    }
+    let mut rng = Rng::seed(0x0DD5);
+    for n in [24usize, 48, 96, 200, 400, 800] {
+        let orientation: Vec<bool> = (0..n).map(|_| rng.next_u64() & 1 == 1).collect();
+        let g = generators::oriented_ring(&orientation).expect("valid ring");
+        graphs.push((format!("oriented ring n={n}"), g));
+    }
+    let mut compared = 0;
+    for (name, g) in &graphs {
+        let reference = reference_advice(g);
+        for codec in [ViewCodec::Tree, ViewCodec::Dag] {
+            let (tree, dag, advice) = match (&reference, SelectionOracle { codec }.try_advise(g)) {
+                (Some((tree, dag)), Some(advice)) => (tree, dag, advice),
+                (None, None) => continue,
+                (_, advice) => panic!("{name}: {codec}: the oracle answers {advice:?}"),
+            };
+            let shipped = match codec {
+                ViewCodec::Tree => tree,
+                ViewCodec::Dag => dag,
+            };
+            assert_eq!(&advice.bits, shipped, "{name}: {codec} advice");
+            assert_eq!(advice.tree_bits, Some(tree.len()), "{name}: {codec}");
+            assert_eq!(advice.dag_bits, Some(dag.len()), "{name}: {codec}");
+            // The panicking entry is the same advice.
+            assert_eq!(&SelectionOracle { codec }.advise(g), shipped, "{name}");
+            compared += 1;
+        }
+    }
+    assert!(
+        compared >= 140,
+        "only {compared} (graph, codec) pairs had finite ψ_S"
     );
 }
