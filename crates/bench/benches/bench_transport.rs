@@ -54,6 +54,18 @@ fn main() {
             .rounds
     });
 
+    // The chunked-metering reference point (ROADMAP): delta metering at 10⁴
+    // nodes, next to the unmetered run of the same rounds on the same graph.
+    let rr_large = RandomRegularFamily::new(3, vec![10_000], 1).generate(10_000);
+    h.bench("unmetered_seq_rr3_n10000_r3", 5, || {
+        run_full_information_on(&rr_large, rounds, Backend::Sequential, |v| v.size()).1
+    });
+    h.bench("metered_delta_rr3_n10000_r3", 5, || {
+        run_metered(&rr_large, rounds, MessageCodec::Delta, None, &NoopSink)
+            .1
+            .total_bits()
+    });
+
     for codec in MessageCodec::ALL {
         let (_, stats) = run_metered(&rr, rounds, codec, None, &NoopSink);
         h.metric(

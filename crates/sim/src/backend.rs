@@ -23,10 +23,11 @@
 //! `threads` chunks and [`Backend::AdaptiveParallel`] derives the count.
 //!
 //! The route step is either the linear move pass of this module or the metered
-//! wire route of [`crate::transport`], which encodes every message at the end of
-//! the send phase, transfers the bits per directed edge under an optional cap
-//! (so one logical round may span several physical rounds), and decodes on
-//! arrival.
+//! wire route of [`crate::transport`], which encodes each sender's message once
+//! at the end of the send phase, transfers the bits per directed edge under an
+//! optional cap (so one logical round may span several physical rounds), and
+//! decodes each message once on arrival, sharing the decoded view among its
+//! receivers.
 //!
 //! Message accounting is backend-independent by construction: every backend
 //! delivers exactly the messages the port map prescribes, in a state-independent

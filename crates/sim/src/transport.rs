@@ -7,9 +7,20 @@
 //! model actually charges for: *bits on the wire*. This module adds the metered
 //! execution mode: each message is encoded with a [`MessageCodec`], its exact
 //! serialised length is accounted into [`WireStats`] (and emitted as
-//! [`anet_trace::TraceEvent::RoundWire`] when a probe is attached), and the receiver decodes
-//! the bit string — the delivered view is the *decoded* value, so the codec's
-//! round-trip fidelity is exercised on every edge of every round, not assumed.
+//! [`anet_trace::TraceEvent::RoundWire`] when a probe is attached) on every
+//! directed edge that carries it, and the receivers decode the bit string — the
+//! delivered view is the *decoded* value, so the codec's round-trip fidelity is
+//! exercised on every message of every round, not assumed.
+//!
+//! A full-information sender puts one view handle on all its ports, so the route
+//! encodes that message once per round: the links of one sender share one body,
+//! and each link adds only its varint port tag. The body is decoded once, when its
+//! first link delivers, and every receiver gets that one decoded handle — the
+//! metered counterpart of the move pass handing every neighbour one `Arc`. The
+//! receivers' views therefore share the sender's subtree as on the unmetered
+//! backends, and next round their delta bases are pointer-equal again, so the
+//! sender's delta body stays shared too. Every link is still charged the full tag
+//! and body, so the bit accounting is the same as coding each edge on its own.
 //!
 //! Three codecs ship:
 //!
@@ -26,8 +37,8 @@
 //!
 //! Metering is a route step of the one arena round loop in [`crate::backend`]:
 //! the send phase fills the outbox arena as on every backend, the wire route
-//! encodes it, transfers the bits edge by edge, and decodes each message into
-//! the inbox arena when its last bit arrives.
+//! encodes each sender's message, transfers the bits edge by edge, and delivers
+//! each message into the inbox arena when its last bit arrives.
 //!
 //! [`Backend::Capped`] runs the same route with a finite per-edge budget: a
 //! *logical* round whose largest encoded message is `L` bits occupies
@@ -133,91 +144,122 @@ impl WireStats {
     }
 }
 
-/// Per-directed-edge stream state: the current logical round's encoded message
-/// and how much of it is still in flight. The buffers are allocated once per run
-/// and refilled in place every logical round ([`BitString::clear`]), so the
-/// metered route performs no per-round allocation beyond what the codecs
-/// themselves need to build bodies.
+/// One encoded message body of the current logical round: the codec output for
+/// one (view handle, base handle) pair, shared by every link that carries it.
+struct Body {
+    /// The codec body; the same bits cross every link that references it.
+    bits: BitString,
+    /// The view decoded from `bits`, filled when the first link carrying the body
+    /// delivers and handed to every later one.
+    decoded: Option<View>,
+}
+
+/// Per-directed-edge stream state: the current logical round's port tag, which
+/// body of the round's body table follows it, and how much of the two is still in
+/// flight.
 #[derive(Default)]
 struct Link {
-    /// The full wire string of this logical round's message: varint far-port tag
-    /// followed by the codec body.
-    wire: BitString,
-    /// Bits not yet across. Delivery happens exactly when this reaches zero.
+    /// The varint far-port tag of this logical round's message. Allocated once
+    /// per run and refilled in place every logical round ([`BitString::clear`]).
+    tag: BitString,
+    /// Index of the message body in [`WireRoute::bodies`].
+    body: usize,
+    /// Bits not yet across: tag bits plus body bits at load time. Delivery
+    /// happens exactly when this reaches zero.
     remaining: u64,
     /// Whether the link holds a message not yet decoded into the inbox (partial
     /// streams are represented here, never as inbox entries).
     pending: bool,
 }
 
-/// Encode one message into its link: varint port tag, then the codec body.
-fn encode_link(codec: MessageCodec, port: Port, view: &View, base: Option<&View>, link: &mut Link) {
-    link.wire.clear();
-    link.wire.push_varint(port as u64);
+/// Encode one message body with `codec`.
+fn encode_body(codec: MessageCodec, view: &View, base: Option<&View>) -> BitString {
     let height = view.height();
-    let body = match codec {
+    match codec {
         MessageCodec::Tree => encode_view_interned(view, height),
         MessageCodec::Dag => encode_view_dag(view, height),
         MessageCodec::Delta => encode_view_delta(view, height, base),
-    };
-    for bit in body.iter() {
-        link.wire.push_bit(bit);
     }
-    link.remaining = link.wire.len() as u64;
-    link.pending = true;
 }
 
-/// Decode a fully-arrived link back into a message. The body bits are copied into
-/// `scratch` (reused across slots) because the codec decoders consume a whole
-/// [`BitString`]. A self-encoded message always decodes; the `expect`s here are
+/// Do two delta bases name the same handle (or are both absent)?
+fn same_base(a: Option<&View>, b: Option<&View>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => View::ptr_eq(a, b),
+        (None, None) => true,
+        _ => false,
+    }
+}
+
+/// Decode a fully-arrived link back into a message: the port tag from the link's
+/// own bits, the view from its body's bits against `base` — decoded by the first
+/// link of the body to arrive and shared with the rest, which hold the same base.
+/// A self-encoded message always decodes; the `expect`s here are
 /// internal-consistency assertions, not input validation.
 fn decode_link(
     codec: MessageCodec,
     link: &Link,
+    body: &mut Body,
     base: Option<&View>,
-    scratch: &mut BitString,
 ) -> ViewMessage {
-    let mut r = link.wire.reader();
-    let port = r
+    let port = link
+        .tag
+        .reader()
         .read_varint()
         .expect("metered transport: port tag of a self-encoded message decodes");
-    scratch.clear();
-    while let Some(bit) = r.read_bit() {
-        scratch.push_bit(bit);
-    }
-    let view = match codec {
-        MessageCodec::Tree => decode_view_interned(scratch).map(|(v, _)| v),
-        MessageCodec::Dag => decode_view_dag(scratch).map(|(v, _)| v),
-        MessageCodec::Delta => decode_view_delta(scratch, base).map(|(v, _)| v),
-    }
-    .expect("metered transport: a self-encoded message always decodes");
+    let view = body
+        .decoded
+        .get_or_insert_with(|| {
+            match codec {
+                MessageCodec::Tree => decode_view_interned(&body.bits).map(|(v, _)| v),
+                MessageCodec::Dag => decode_view_dag(&body.bits).map(|(v, _)| v),
+                MessageCodec::Delta => decode_view_delta(&body.bits, base).map(|(v, _)| v),
+            }
+            .expect("metered transport: a self-encoded message always decodes")
+        })
+        .clone();
     (port as Port, view)
 }
 
 /// The send/encode half of a metered logical round: drain every outbox slot into
-/// its link's wire buffer and report the largest encoded message (which fixes how
-/// many physical rounds a capped run needs for this logical round).
+/// its link, encode one body per run of consecutive slots that carry the same view
+/// handle over the same delta base, and report the largest message (which fixes
+/// how many physical rounds a capped run needs for this logical round).
 // anet-lint: hot-path
 fn encode_round(
     codec: MessageCodec,
     out: &mut [Option<ViewMessage>],
     bases: &[Option<View>],
     links: &mut [Link],
+    bodies: &mut Vec<Body>,
 ) -> u64 {
+    bodies.clear();
     let mut max_bits = 0u64;
-    for ((slot, link), base) in out.iter_mut().zip(links.iter_mut()).zip(bases.iter()) {
-        match slot.take() {
-            Some((port, view)) => {
-                encode_link(codec, port, &view, base.as_ref(), link);
-                if link.remaining > max_bits {
-                    max_bits = link.remaining;
-                }
-            }
-            None => {
-                link.remaining = 0;
-                link.pending = false;
-            }
+    // The handle the newest body was encoded from, and the slot whose base it used.
+    let mut last: Option<(View, usize)> = None;
+    for (i, (slot, link)) in out.iter_mut().zip(links.iter_mut()).enumerate() {
+        let Some((port, view)) = slot.take() else {
+            link.remaining = 0;
+            link.pending = false;
+            continue;
+        };
+        let base = bases[i].as_ref();
+        let shared = last.as_ref().is_some_and(|(prev, j)| {
+            View::ptr_eq(prev, &view) && same_base(bases[*j].as_ref(), base)
+        });
+        if !shared {
+            bodies.push(Body {
+                bits: encode_body(codec, &view, base),
+                decoded: None,
+            });
+            last = Some((view, i));
         }
+        link.tag.clear();
+        link.tag.push_varint(port as u64);
+        link.body = bodies.len() - 1;
+        link.remaining = (link.tag.len() + bodies[link.body].bits.len()) as u64;
+        link.pending = true;
+        max_bits = max_bits.max(link.remaining);
     }
     max_bits
 }
@@ -239,23 +281,35 @@ fn transfer_round(cap: u64, links: &mut [Link], per_edge_bits: &mut [u64]) -> u6
     bits_now
 }
 
-/// The metered route step: per-directed-edge stream state plus the run's bit
-/// accounting. The buffers are sized once per run, like the arenas.
+/// The metered route step: the logical round's body table, per-directed-edge
+/// stream state and the run's bit accounting. Each body is encoded once and
+/// decoded at most once per logical round, however many links carry it; its bits
+/// are charged to every one of them. The link buffers are sized once per run,
+/// like the arenas.
 struct WireRoute {
     codec: MessageCodec,
     /// Bits a directed edge may carry per physical round (`u64::MAX` uncapped).
     chunk: u64,
+    /// This logical round's encoded bodies, indexed by [`Link::body`].
+    bodies: Vec<Body>,
     links: Vec<Link>,
     /// The receiver-side delta bases: the last view decoded on each directed edge.
+    /// A sender's links receive one shared decoded handle, so next round their
+    /// bases are pointer-equal and its message is again one body.
     bases: Vec<Option<View>>,
     per_edge_bits: Vec<u64>,
     per_round_bits: Vec<u64>,
-    scratch: BitString,
 }
 
 impl RouteStep<ViewMessage> for WireRoute {
     fn load(&mut self, out: &mut [Option<ViewMessage>]) -> usize {
-        let max_bits = encode_round(self.codec, out, &self.bases, &mut self.links);
+        let max_bits = encode_round(
+            self.codec,
+            out,
+            &self.bases,
+            &mut self.links,
+            &mut self.bodies,
+        );
         max_bits.div_ceil(self.chunk).max(1) as usize
     }
 
@@ -272,8 +326,8 @@ impl RouteStep<ViewMessage> for WireRoute {
         let mut completed = 0;
         for (i, link) in self.links.iter_mut().enumerate() {
             if link.pending && link.remaining == 0 {
-                let base = self.bases[i].as_ref();
-                let (port, view) = decode_link(self.codec, link, base, &mut self.scratch);
+                let body = &mut self.bodies[link.body];
+                let (port, view) = decode_link(self.codec, link, body, self.bases[i].as_ref());
                 inbox[table[i]] = Some((port, view.clone()));
                 self.bases[i] = Some(view);
                 link.pending = false;
@@ -293,11 +347,12 @@ impl RouteStep<ViewMessage> for WireRoute {
 /// physical rounds, and `report.rounds` counts *physical* rounds. With `None`
 /// every message crosses in the round it was sent and physical == logical.
 ///
-/// The send and receive phases run inline: metering serialises every message
-/// anyway, and the collected views are backend-independent (the equivalence
-/// tests pin outputs against every unmetered backend), so there is nothing for
-/// worker threads to overlap that the codec work would not immediately
-/// re-serialise.
+/// The send and receive phases run inline. They are `O(m)` handle operations a
+/// round, while the codec work, one encode and one decode per sender and round,
+/// runs in the route step between them, which is sequential; the collected views
+/// are backend-independent either way (the equivalence tests pin outputs against
+/// every unmetered backend). Threads would pay off only on the route step's
+/// codec work, not on the phases.
 pub fn run_metered(
     graph: &PortGraph,
     rounds: usize,
@@ -310,11 +365,11 @@ pub fn run_metered(
     let mut wire = WireRoute {
         codec,
         chunk: cap.unwrap_or(u64::MAX),
+        bodies: Vec::new(),
         links: std::iter::repeat_with(Link::default).take(slots).collect(),
         bases: vec![None; slots],
         per_edge_bits: vec![0; slots],
         per_round_bits: Vec::new(),
-        scratch: BitString::new(),
     };
     let outcome =
         Backend::Sequential.run_arena(graph, &ViewCollectorFactory, rounds, &mut wire, sink);
@@ -495,6 +550,99 @@ mod tests {
         // Both directed edges stream one bit per physical round in parallel.
         assert_eq!(2 * outcome.report.rounds as u64, stats.total_bits());
         assert_eq!(stats.per_round_bits.iter().max(), Some(&2u64)); // 2 edges × 1 bit
+    }
+
+    #[test]
+    fn a_senders_receivers_share_one_decoded_view() {
+        // The metered twin of
+        // `full_info::tests::collected_views_share_subtrees_across_ports`: u's
+        // message is decoded once per logical round, so the child across the port
+        // to u is one object in the view of every neighbour of u. Each body is
+        // decoded on its own, never handed over as the sender's handle, so what
+        // two different senders' bodies carry of one node are distinct objects.
+        let g = generators::random_connected(12, 4, 4, 7).unwrap();
+        let rounds = 3;
+        for codec in MessageCodec::ALL {
+            for cap in [None, Some(16)] {
+                let (outcome, _) = run_metered(&g, rounds, codec, cap, &NoopSink);
+                let views = &outcome.outputs;
+                for v in g.nodes() {
+                    let view = &views[v as usize];
+                    assert_eq!(
+                        *view,
+                        View::build(&g, v, rounds),
+                        "{codec} {cap:?} node {v}"
+                    );
+                    for (child, (_, u, _)) in view.children().iter().zip(g.ports(v)) {
+                        for w in g.nodes().filter(|&w| w != v) {
+                            let Some(back) = g.ports(w).position(|(_, x, _)| x == u) else {
+                                continue;
+                            };
+                            let other = &views[w as usize].children()[back].2;
+                            assert!(
+                                View::ptr_eq(&child.2, other),
+                                "{codec} {cap:?}: nodes {v} and {w} must share u={u}'s view"
+                            );
+                        }
+                        for (grandchild, (_, x, _)) in child.2.children().iter().zip(g.ports(u)) {
+                            for (y, (_, z, _)) in g.ports(x).enumerate() {
+                                if z == u {
+                                    continue;
+                                }
+                                let through_z = &views[x as usize].children()[y].2;
+                                let Some(k) = g.ports(z).position(|(_, t, _)| t == x) else {
+                                    continue;
+                                };
+                                assert!(
+                                    !View::ptr_eq(&grandchild.2, &through_z.children()[k].2),
+                                    "{codec} {cap:?}: x={x}'s view through u={u} and z={z} \
+                                     must come from two decodes"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_body_may_drain_over_several_physical_rounds() {
+        // The hub of a 20-leaf star puts one body on every port, but its port tags
+        // take 5 bits below port 16 and 10 from there on, so under a tight cap its
+        // short-tag links deliver the shared body before its four long-tag ones.
+        let g = generators::star(20).unwrap();
+        let rounds = 3;
+        let (seq, report) = run_full_information_on(&g, rounds, Backend::Sequential, |v| v.clone());
+        for (codec, total) in MessageCodec::ALL.into_iter().zip([18_820, 23_840, 23_960]) {
+            let (_, free) = run_metered(&g, rounds, codec, None, &NoopSink);
+            assert_eq!(free.total_bits(), total, "{codec}");
+            for cap in [1, 7] {
+                let recorder = Recorder::new();
+                let (outcome, stats) = run_metered(&g, rounds, codec, Some(cap), &recorder);
+                assert_eq!(outcome.outputs, seq, "{codec} cap {cap}");
+                assert_eq!(
+                    outcome.report.messages_delivered, report.messages_delivered,
+                    "{codec} cap {cap}"
+                );
+                assert_eq!(stats.per_edge_bits, free.per_edge_bits, "{codec} cap {cap}");
+                assert_eq!(stats.total_bits(), free.total_bits(), "{codec} cap {cap}");
+                if cap == 1 {
+                    let profile = RoundProfile::from_events(&recorder.drain());
+                    let arrivals: Vec<u64> = profile
+                        .rounds()
+                        .iter()
+                        .map(|r| r.messages)
+                        .filter(|&m| m > 0)
+                        .collect();
+                    assert_eq!(
+                        arrivals.iter().filter(|&&m| m == 4).count(),
+                        rounds,
+                        "{codec}: the long-tag links arrive on their own, {arrivals:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

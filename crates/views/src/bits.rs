@@ -32,6 +32,13 @@ impl BitString {
         self.bits.push(bit);
     }
 
+    /// Append every bit of `other`, in order: one slice copy, where pushing bit
+    /// by bit would check capacity per bit. The codecs splice their node tables
+    /// into the output with it.
+    pub fn append(&mut self, other: &BitString) {
+        self.bits.extend_from_slice(&other.bits);
+    }
+
     /// Remove every bit, keeping the allocation. Scratch buffers on hot paths (the
     /// metered transport's per-message serialisation) clear and refill one string
     /// instead of allocating a fresh one per message.
@@ -198,6 +205,20 @@ mod tests {
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.read_bit(), None);
         assert_eq!(r.read_uint(1), None);
+    }
+
+    #[test]
+    fn append_concatenates_in_order() {
+        let mut head = BitString::from_binary_string("101").unwrap();
+        let tail = BitString::from_binary_string("0011").unwrap();
+        head.append(&tail);
+        assert_eq!(head.to_binary_string(), "1010011");
+        assert_eq!(tail.len(), 4, "the appended string is left as it was");
+        head.append(&BitString::new());
+        assert_eq!(head.len(), 7);
+        let mut empty = BitString::new();
+        empty.append(&tail);
+        assert_eq!(empty, tail);
     }
 
     #[test]

@@ -97,9 +97,7 @@ pub fn encode_view_dag(view: &View, height: usize) -> BitString {
     let mut ids: HashMap<usize, u64> = HashMap::new();
     let root_id = emit_node(&canonical, w, &mut table, &mut ids);
     bits.push_varint(ids.len() as u64);
-    for bit in table.iter() {
-        bits.push_bit(bit);
-    }
+    bits.append(&table);
     bits.push_varint(root_id);
     bits
 }

@@ -145,9 +145,7 @@ fn encode_with(view: &View, height: usize, base: Option<&View>) -> BitString {
     let mut table = BitString::new();
     let root_id = emit_node(&canonical, w, &mut table, &mut ids);
     bits.push_varint((ids.len() - k) as u64);
-    for bit in table.iter() {
-        bits.push_bit(bit);
-    }
+    bits.append(&table);
     bits.push_varint(root_id);
     bits
 }
