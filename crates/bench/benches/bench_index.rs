@@ -11,7 +11,8 @@
 //! all. The random-regular row at n = 256 is the honest head-to-head: both
 //! sides get the same 50 000-path budget; the enumeration burns the whole
 //! budget and still fails while the quotient search succeeds three orders of
-//! magnitude faster (recorded as the `speedup_x_*` metrics).
+//! magnitude faster (compare the means of `psi_{ppe,cppe}_old_rr_n256` and
+//! `psi_{ppe,cppe}_new_rr_n256`).
 //!
 //! Every quotient-search point resolves its index inside the default budget
 //! except PPE on the shuffled circulant at n = 4096, whose depth-1 classes are
@@ -28,14 +29,6 @@ use anet_workloads::{CirculantFamily, RandomRegularFamily, TorusFamily};
 
 /// The map solver's default path budget (both sides get the same allowance).
 const MAX_PATHS: usize = 50_000;
-
-fn mean_ns(h: &Harness, id: &str) -> i64 {
-    h.results()
-        .iter()
-        .find(|m| m.id == id)
-        .map(|m| m.mean.as_nanos() as i64)
-        .unwrap_or(0)
-}
 
 fn main() {
     let mut h = Harness::new("index");
@@ -68,15 +61,6 @@ fn main() {
                     psi_cppe_enumerated(g, MAX_PATHS).ok()
                 });
             }
-        }
-    }
-
-    // Headline speedups at the head-to-head point (old mean / new mean).
-    for shade in ["ppe", "cppe"] {
-        let old = mean_ns(&h, &format!("psi_{shade}_old_rr_n256"));
-        let new = mean_ns(&h, &format!("psi_{shade}_new_rr_n256"));
-        if new > 0 {
-            h.metric(&format!("speedup_x_{shade}_rr_n256"), old / new);
         }
     }
 

@@ -1,5 +1,5 @@
 //! P1 — the metered wire transport: full-information collection with every
-//! message serialised through each [`MessageCodec`], timed side by side against
+//! message serialised through each [`ViewCodec`], timed side by side against
 //! the zero-serialisation fast path, plus the CONGEST-style capped stream.
 //!
 //! Beyond the timings, the run records the codecs' measured footprints as
@@ -17,8 +17,9 @@
 //! `crates/bench/baselines/bench_transport_smoke.json` via `bench_diff`.
 
 use anet_bench::Harness;
-use anet_sim::{run_full_information_on, run_metered, Backend, MessageCodec};
+use anet_sim::{run_full_information_on, run_metered, Backend};
 use anet_trace::NoopSink;
+use anet_views::ViewCodec;
 use anet_workloads::families::{RandomRegularFamily, TorusFamily};
 
 fn main() {
@@ -36,7 +37,7 @@ fn main() {
     });
 
     // One timed run per codec; the per-codec totals become metrics below.
-    for codec in MessageCodec::ALL {
+    for codec in ViewCodec::ALL {
         h.bench(&format!("metered_{codec}_rr3_n96_r3"), 10, || {
             run_metered(&rr, rounds, codec, None, &NoopSink)
                 .1
@@ -48,7 +49,7 @@ fn main() {
     // edge per physical round. Measures the streaming loop's overhead, and the
     // physical round count shows the inflation next to the logical plan.
     h.bench("capped_b64_dag_rr3_n96_r3", 10, || {
-        run_metered(&rr, rounds, MessageCodec::Dag, Some(64), &NoopSink)
+        run_metered(&rr, rounds, ViewCodec::Dag, Some(64), &NoopSink)
             .0
             .report
             .rounds
@@ -61,12 +62,12 @@ fn main() {
         run_full_information_on(&rr_large, rounds, Backend::Sequential, |v| v.size()).1
     });
     h.bench("metered_delta_rr3_n10000_r3", 5, || {
-        run_metered(&rr_large, rounds, MessageCodec::Delta, None, &NoopSink)
+        run_metered(&rr_large, rounds, ViewCodec::Delta, None, &NoopSink)
             .1
             .total_bits()
     });
 
-    for codec in MessageCodec::ALL {
+    for codec in ViewCodec::ALL {
         let (_, stats) = run_metered(&rr, rounds, codec, None, &NoopSink);
         h.metric(
             &format!("{codec}_total_bits_rr3_n96_r3"),
@@ -82,7 +83,7 @@ fn main() {
     // source of the README bits-on-the-wire table.
     let torus = TorusFamily::generate(9, 9);
     let torus_rounds = 4;
-    for codec in MessageCodec::ALL {
+    for codec in ViewCodec::ALL {
         let (_, stats) = run_metered(&torus, torus_rounds, codec, None, &NoopSink);
         h.metric(
             &format!("{codec}_total_bits_torus9x9_r4"),
@@ -95,7 +96,7 @@ fn main() {
     }
 
     // The capped run's physical round count (logical plan: 3 rounds).
-    let (outcome, stats) = run_metered(&rr, rounds, MessageCodec::Dag, Some(64), &NoopSink);
+    let (outcome, stats) = run_metered(&rr, rounds, ViewCodec::Dag, Some(64), &NoopSink);
     h.metric(
         "capped_b64_physical_rounds_rr3_n96_r3",
         outcome.report.rounds as i64,

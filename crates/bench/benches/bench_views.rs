@@ -22,7 +22,7 @@ use anet_constructions::GraphFamily;
 use anet_graph::{Port, PortGraph};
 use anet_sim::{AlgorithmFactory, Backend, NodeAlgorithm, ViewCollectorFactory};
 use anet_views::dag_encoding::{decode_view_dag, encode_view_dag};
-use anet_views::encoding::{decode_view, encode_view, encode_view_interned};
+use anet_views::encoding::{decode_view_interned, encode_view_interned};
 use anet_views::{Refinement, View, ViewInterner, ViewTree};
 use anet_workloads::families::{RandomRegularFamily, TorusFamily};
 
@@ -146,10 +146,17 @@ fn main() {
     bench_collection(&mut h, "rr3_n10000", &rr, 3);
 
     let g = anet_graph::generators::random_connected(200, 5, 100, 9).unwrap();
+    // The tree codec on an owned tree, each sample including the conversion to or
+    // from a handle, as the committed `encode_depth3`/`decode_depth3` baselines do.
     let view = ViewTree::build(&g, 0, 3);
-    let encoded = encode_view(&view, 3);
-    h.bench("encode_depth3", 20, || encode_view(&view, 3).len());
-    h.bench("decode_depth3", 20, || decode_view(&encoded).unwrap().1);
+    let encoded = encode_view_interned(&View::from_tree(&view), 3);
+    h.bench("encode_depth3", 20, || {
+        encode_view_interned(&View::from_tree(&view), 3).len()
+    });
+    h.bench("decode_depth3", 20, || {
+        let (decoded, height) = decode_view_interned(&encoded).unwrap();
+        (decoded.to_tree(), height)
+    });
 
     // The DAG codec on the same view: encode (incl. the hash-consing pass), decode
     // (incl. re-sharing), and the size of each wire form.

@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Exits non-zero when any baseline measurement's mean regressed by more than
-//! `--max-regression` (default 25%) or disappeared from the current run.
-//! Measurements new in the current run are listed but never fail.
+//! `--max-regression` (default 25%) or disappeared from the current run, or when
+//! any baseline metric (bits, rounds, sizes) changed its value or disappeared.
+//! Measurements and metrics new in the current run are listed but never fail.
 
 use anet_bench::diff::{diff, BenchDoc, DEFAULT_MAX_REGRESSION};
 use std::path::PathBuf;
@@ -93,9 +94,10 @@ fn main() -> ExitCode {
     println!("{}", report.table());
     if report.passed() {
         println!(
-            "bench_diff: {} — all {} measurements within budget",
+            "bench_diff: {} — all {} measurements within budget, all {} metrics unchanged",
             report.bench,
-            report.rows.len()
+            report.rows.len(),
+            report.metrics.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -107,6 +109,18 @@ fn main() -> ExitCode {
                 ),
                 None => eprintln!(
                     "bench_diff: MISSING — {} is in the baseline but not the current run",
+                    row.id
+                ),
+            }
+        }
+        for row in report.changed_metrics() {
+            match row.current {
+                Some(value) => eprintln!(
+                    "bench_diff: CHANGED — metric {} is {value}, the baseline has {}",
+                    row.id, row.baseline
+                ),
+                None => eprintln!(
+                    "bench_diff: MISSING — metric {} is in the baseline but not the current run",
                     row.id
                 ),
             }

@@ -3,10 +3,13 @@
 //! [`Harness::report`](crate::Harness::report) leaves `BENCH_bench_<name>.json`
 //! artifacts; this module compares a *current* artifact against a committed
 //! *baseline* one, measurement by measurement (matched on `id`, compared on
-//! `mean_ns`). The comparison is what the `bench_diff` binary and the CI gate
-//! run: a measurement whose mean regressed by more than the configured fraction
-//! fails, as does a baseline measurement missing from the current run (a silently
-//! dropped bench must not pass the gate). Measurements only present in the
+//! `mean_ns`) and metric by metric (matched on `id`, compared on `value`). The
+//! comparison is what the `bench_diff` binary and the CI gate run: a measurement
+//! whose mean regressed by more than the configured fraction fails, as does a
+//! baseline measurement missing from the current run (a silently dropped bench
+//! must not pass the gate). Metrics are semantic outputs — bits, rounds, sizes —
+//! so they are gated exactly: a baseline metric whose value changed, or that the
+//! current run dropped, fails. Measurements and metrics only present in the
 //! current run are reported but never fail — adding benches is not a regression.
 
 // anet-lint: deny(panic-path)
@@ -43,6 +46,24 @@ impl DiffRow {
     }
 }
 
+/// One metric id compared across the two documents.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetricRow {
+    /// The metric id (present in the baseline).
+    pub id: String,
+    /// Baseline value.
+    pub baseline: i64,
+    /// Current value, `None` if the current run dropped the metric.
+    pub current: Option<i64>,
+}
+
+impl MetricRow {
+    /// Whether this row fails the gate: the metric vanished or its value changed.
+    pub fn changed(&self) -> bool {
+        self.current != Some(self.baseline)
+    }
+}
+
 /// The full comparison of two bench documents.
 #[derive(Debug, Clone)]
 pub struct DiffReport {
@@ -52,12 +73,16 @@ pub struct DiffReport {
     pub rows: Vec<DiffRow>,
     /// Measurement ids only the current run has (informational, never failing).
     pub added: Vec<String>,
+    /// One row per baseline metric, in baseline order.
+    pub metrics: Vec<MetricRow>,
+    /// Metric ids only the current run has (informational, never failing).
+    pub added_metrics: Vec<String>,
     /// The tolerated fractional slowdown the report was computed with.
     pub max_regression: f64,
 }
 
 impl DiffReport {
-    /// The rows that fail the gate.
+    /// The measurement rows that fail the gate.
     pub fn regressions(&self) -> Vec<&DiffRow> {
         self.rows
             .iter()
@@ -65,9 +90,15 @@ impl DiffReport {
             .collect()
     }
 
-    /// Whether every baseline measurement is present and within budget.
+    /// The metric rows that fail the gate.
+    pub fn changed_metrics(&self) -> Vec<&MetricRow> {
+        self.metrics.iter().filter(|m| m.changed()).collect()
+    }
+
+    /// Whether every baseline measurement is present and within budget, and every
+    /// baseline metric is present with its baseline value.
     pub fn passed(&self) -> bool {
-        self.regressions().is_empty()
+        self.regressions().is_empty() && self.changed_metrics().is_empty()
     }
 
     /// Render the comparison as an aligned table (one row per baseline
@@ -105,7 +136,21 @@ impl DiffReport {
                 verdict.to_string(),
             ]);
         }
-        for id in &self.added {
+        for row in &self.metrics {
+            let verdict = match row.current {
+                None => "MISSING",
+                Some(_) if row.changed() => "CHANGED",
+                Some(_) => "ok",
+            };
+            t.push_row(vec![
+                row.id.clone(),
+                row.baseline.to_string(),
+                row.current.map_or("—".to_string(), |v| v.to_string()),
+                "—".to_string(),
+                verdict.to_string(),
+            ]);
+        }
+        for id in self.added.iter().chain(&self.added_metrics) {
             t.push_row(vec![
                 id.clone(),
                 "—".to_string(),
@@ -135,6 +180,11 @@ pub enum DiffError {
         /// 0-based index into the `measurements` array.
         index: usize,
     },
+    /// A metric lacks a string `id` or an integer `value`.
+    Metric {
+        /// 0-based index into the `metrics` array.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for DiffError {
@@ -150,6 +200,9 @@ impl std::fmt::Display for DiffError {
                 f,
                 "measurement {index} lacks a string id or integer mean_ns"
             ),
+            DiffError::Metric { index } => {
+                write!(f, "metric {index} lacks a string id or integer value")
+            }
         }
     }
 }
@@ -170,6 +223,8 @@ pub struct BenchDoc {
     pub bench: String,
     /// `(id, mean_ns)` per measurement, in document order.
     pub means: Vec<(String, i64)>,
+    /// `(id, value)` per metric, in document order.
+    pub metrics: Vec<(String, i64)>,
 }
 
 impl BenchDoc {
@@ -189,21 +244,15 @@ impl BenchDoc {
             .and_then(Json::as_str)
             .unwrap_or_default()
             .to_string();
-        let mut means = Vec::new();
-        let measurements = doc
-            .get("measurements")
-            .and_then(Json::as_array)
-            .map(|a| a.to_vec())
-            .unwrap_or_default();
-        for (index, m) in measurements.iter().enumerate() {
-            let id = m.get("id").and_then(Json::as_str);
-            let mean = m.get("mean_ns").and_then(Json::as_int);
-            match (id, mean) {
-                (Some(id), Some(mean)) => means.push((id.to_string(), mean)),
-                _ => return Err(DiffError::Measurement { index }),
-            }
-        }
-        Ok(BenchDoc { bench, means })
+        let means = id_values(&doc, "measurements", "mean_ns")
+            .map_err(|index| DiffError::Measurement { index })?;
+        let metrics =
+            id_values(&doc, "metrics", "value").map_err(|index| DiffError::Metric { index })?;
+        Ok(BenchDoc {
+            bench,
+            means,
+            metrics,
+        })
     }
 
     /// Read and parse a document from disk.
@@ -213,17 +262,45 @@ impl BenchDoc {
     }
 }
 
-/// Compare `current` against `baseline` measurement-by-measurement.
+/// The `(id, field)` pairs of the document's `array` (absent: none), or the index
+/// of the first entry without a string `id` and an integer `field`.
+fn id_values(doc: &Json, array: &str, field: &str) -> Result<Vec<(String, i64)>, usize> {
+    let entries = doc.get(array).and_then(Json::as_array).unwrap_or_default();
+    entries
+        .iter()
+        .enumerate()
+        .map(|(index, entry)| {
+            let id = entry.get("id").and_then(Json::as_str);
+            match (id, entry.get(field).and_then(Json::as_int)) {
+                (Some(id), Some(value)) => Ok((id.to_string(), value)),
+                _ => Err(index),
+            }
+        })
+        .collect()
+}
+
+/// The value of `id` in `entries`.
+fn value_of(entries: &[(String, i64)], id: &str) -> Option<i64> {
+    entries.iter().find(|(eid, _)| eid == id).map(|&(_, v)| v)
+}
+
+/// The ids of `current` that `baseline` lacks, in `current` order.
+fn added_ids(baseline: &[(String, i64)], current: &[(String, i64)]) -> Vec<String> {
+    current
+        .iter()
+        .filter(|(id, _)| value_of(baseline, id).is_none())
+        .map(|(id, _)| id.clone())
+        .collect()
+}
+
+/// Compare `current` against `baseline` measurement by measurement and metric by
+/// metric.
 pub fn diff(baseline: &BenchDoc, current: &BenchDoc, max_regression: f64) -> DiffReport {
     let rows = baseline
         .means
         .iter()
         .map(|(id, baseline_ns)| {
-            let current_ns = current
-                .means
-                .iter()
-                .find(|(cid, _)| cid == id)
-                .map(|&(_, ns)| ns);
+            let current_ns = value_of(&current.means, id);
             let ratio = match current_ns {
                 Some(ns) if *baseline_ns > 0 => Some(ns as f64 / *baseline_ns as f64),
                 _ => None,
@@ -236,16 +313,21 @@ pub fn diff(baseline: &BenchDoc, current: &BenchDoc, max_regression: f64) -> Dif
             }
         })
         .collect();
-    let added = current
-        .means
+    let metrics = baseline
+        .metrics
         .iter()
-        .filter(|(id, _)| !baseline.means.iter().any(|(bid, _)| bid == id))
-        .map(|(id, _)| id.clone())
+        .map(|(id, value)| MetricRow {
+            id: id.clone(),
+            baseline: *value,
+            current: value_of(&current.metrics, id),
+        })
         .collect();
     DiffReport {
         bench: baseline.bench.clone(),
         rows,
-        added,
+        added: added_ids(&baseline.means, &current.means),
+        metrics,
+        added_metrics: added_ids(&baseline.metrics, &current.metrics),
         max_regression,
     }
 }
@@ -254,11 +336,21 @@ pub fn diff(baseline: &BenchDoc, current: &BenchDoc, max_regression: f64) -> Dif
 mod tests {
     use super::*;
 
+    fn pairs(entries: &[(&str, i64)]) -> Vec<(String, i64)> {
+        entries.iter().map(|&(id, v)| (id.to_string(), v)).collect()
+    }
+
     fn doc(bench: &str, means: &[(&str, i64)]) -> BenchDoc {
         BenchDoc {
             bench: bench.to_string(),
-            means: means.iter().map(|&(id, ns)| (id.to_string(), ns)).collect(),
+            means: pairs(means),
+            metrics: Vec::new(),
         }
+    }
+
+    fn with_metrics(mut doc: BenchDoc, metrics: &[(&str, i64)]) -> BenchDoc {
+        doc.metrics = pairs(metrics);
+        doc
     }
 
     #[test]
@@ -328,5 +420,73 @@ mod tests {
             BenchDoc::parse(bad_mean),
             Err(DiffError::Measurement { index: 0 })
         ));
+    }
+
+    #[test]
+    fn metrics_are_gated_exactly() {
+        let baseline = with_metrics(
+            doc("transport", &[("route", 1000)]),
+            &[("dag_bits", 328), ("tree_bits", 716)],
+        );
+        // Equal values pass, however fast or slow the timings moved within budget.
+        let same = with_metrics(
+            doc("transport", &[("route", 1100)]),
+            &[("dag_bits", 328), ("tree_bits", 716)],
+        );
+        assert!(diff(&baseline, &same, DEFAULT_MAX_REGRESSION).passed());
+        // Any change fails — a smaller value too: a metric is an output, not a cost.
+        for changed in [327, 329] {
+            let current = with_metrics(
+                doc("transport", &[("route", 1000)]),
+                &[("dag_bits", changed), ("tree_bits", 716)],
+            );
+            let report = diff(&baseline, &current, DEFAULT_MAX_REGRESSION);
+            assert!(!report.passed(), "dag_bits {changed}");
+            assert!(report.regressions().is_empty());
+            let changed_rows = report.changed_metrics();
+            assert_eq!(changed_rows.len(), 1);
+            assert_eq!(changed_rows[0].id, "dag_bits");
+            assert_eq!(changed_rows[0].current, Some(changed));
+            assert!(report.table().render().contains("CHANGED"));
+        }
+    }
+
+    #[test]
+    fn missing_metric_fails_and_added_metric_does_not() {
+        let baseline = with_metrics(doc("views", &[]), &[("tree_bits", 204), ("dag_bits", 315)]);
+        let current = with_metrics(doc("views", &[]), &[("tree_bits", 204), ("delta_bits", 9)]);
+        let report = diff(&baseline, &current, DEFAULT_MAX_REGRESSION);
+        assert!(!report.passed(), "a dropped metric must fail the gate");
+        assert_eq!(report.changed_metrics()[0].id, "dag_bits");
+        assert_eq!(report.changed_metrics()[0].current, None);
+        assert_eq!(report.added_metrics, vec!["delta_bits".to_string()]);
+        let rendered = report.table().render();
+        assert!(rendered.contains("MISSING"));
+        assert!(rendered.contains("delta_bits"));
+        // A current-only metric alone never fails.
+        let grown = with_metrics(
+            doc("views", &[]),
+            &[("tree_bits", 204), ("dag_bits", 315), ("delta_bits", 9)],
+        );
+        assert!(diff(&baseline, &grown, DEFAULT_MAX_REGRESSION).passed());
+    }
+
+    #[test]
+    fn malformed_metrics_are_typed_errors() {
+        let mut h = crate::Harness::new("demo_metric_diff");
+        h.metric("bits", 42);
+        let parsed = BenchDoc::parse(&h.to_json().render_pretty()).unwrap();
+        assert_eq!(parsed.metrics, vec![("bits".to_string(), 42)]);
+        for (metrics, bad) in [
+            (r#"[{"id":"a","value":"many"}]"#, 0),
+            (r#"[{"id":"a","value":1},{"value":2}]"#, 1),
+            (r#"[{"id":"a","value":1},{"id":7,"value":2}]"#, 1),
+        ] {
+            let forged = format!(r#"{{"schema":"anet-bench/v1","bench":"x","metrics":{metrics}}}"#);
+            assert!(
+                matches!(BenchDoc::parse(&forged), Err(DiffError::Metric { index }) if index == bad),
+                "{forged}"
+            );
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! [`GraphFamily`] and collects uniform [`BatchRow`]s that `anet-bench` renders as
 //! paper-bound-vs-measured tables.
 
-use super::{Backend, Election, ElectionReport, EngineError, MessageCodec, Solver};
+use super::{Backend, Election, ElectionReport, EngineError, Solver, ViewCodec};
 use crate::tasks::Task;
 use anet_constructions::{FamilyInstance, GraphFamily};
 
@@ -97,7 +97,7 @@ pub struct BatchRunner {
     backend: Backend,
     max_instances: usize,
     profiled: bool,
-    wire: Option<MessageCodec>,
+    wire: Option<ViewCodec>,
 }
 
 impl Default for BatchRunner {
@@ -128,7 +128,7 @@ impl BatchRunner {
     /// [`ElectionBuilder::metered`](super::ElectionBuilder::metered)): each row's
     /// report carries [`ElectionReport::wire`] with per-round / per-edge bit
     /// counts. Outputs and logical accounting are unchanged.
-    pub fn metered(mut self, codec: MessageCodec) -> Self {
+    pub fn metered(mut self, codec: ViewCodec) -> Self {
         self.wire = Some(codec);
         self
     }
@@ -302,7 +302,7 @@ mod tests {
             .sweep(&class, Task::Selection, |_| Box::new(MapSolver::default()));
         let metered = BatchRunner::default()
             .max_instances(2)
-            .metered(MessageCodec::Delta)
+            .metered(ViewCodec::Delta)
             .sweep(&class, Task::Selection, |_| Box::new(MapSolver::default()));
         assert_eq!(plain.len(), metered.len());
         for (a, b) in plain.iter().zip(&metered) {

@@ -57,10 +57,13 @@
 mod batch;
 mod solvers;
 
-pub use anet_sim::{Backend, MessageCodec, WireStats};
+pub use anet_sim::{Backend, WireStats};
 pub use anet_trace::{
     NoopSink, Phase, Recorder, RoundProfile, RoundStat, Tagged, TraceEvent, TraceSink,
 };
+pub use anet_views::ViewCodec;
+/// Former name of [`ViewCodec`]; the benchmark package (`perfbench/`) still imports it.
+pub use anet_views::ViewCodec as MessageCodec;
 pub use batch::{BatchRow, BatchRunner};
 pub use solvers::{AdviceSolver, CppeSolver, MapSolver, PortElectionSolver};
 
@@ -166,7 +169,7 @@ pub struct RunContext<'a> {
     /// report [`WireStats`] in their [`SolverRun`]. `None` means the
     /// zero-serialisation fast path — unless the backend is [`Backend::Capped`],
     /// which forces metering under the default codec.
-    pub wire: Option<MessageCodec>,
+    pub wire: Option<ViewCodec>,
 }
 
 impl<'a> RunContext<'a> {
@@ -246,7 +249,7 @@ pub struct ElectionBuilder {
     shared_interner: Option<Arc<SharedViewInterner>>,
     trace: Option<Arc<dyn TraceSink>>,
     profile: bool,
-    wire: Option<MessageCodec>,
+    wire: Option<ViewCodec>,
 }
 
 impl ElectionBuilder {
@@ -312,9 +315,9 @@ impl ElectionBuilder {
     /// on ordinary backends — round counts are unchanged; under
     /// [`Backend::Capped`] rounds inflate to the physical count of the
     /// bandwidth-limited stream. A capped backend forces metering (under
-    /// [`MessageCodec::default`]) even without this call. Analytic solvers
+    /// [`ViewCodec::default`]) even without this call. Analytic solvers
     /// simulate nothing and ignore it.
-    pub fn metered(mut self, codec: MessageCodec) -> Self {
+    pub fn metered(mut self, codec: ViewCodec) -> Self {
         self.wire = Some(codec);
         self
     }
@@ -836,7 +839,7 @@ mod tests {
             .run(&g)
             .unwrap();
         assert!(plain.wire.is_none(), "unmetered runs carry no wire stats");
-        for codec in MessageCodec::ALL {
+        for codec in ViewCodec::ALL {
             let metered = Election::task(Task::Selection)
                 .solver(MapSolver::default())
                 .metered(codec)
@@ -868,11 +871,11 @@ mod tests {
             .unwrap();
         let metered = Election::task(Task::Selection)
             .solver(AdviceSolver::theorem_2_2())
-            .metered(MessageCodec::Delta)
+            .metered(ViewCodec::Delta)
             .run(&g)
             .unwrap();
         let wire = metered.wire.as_ref().expect("metered run");
-        assert_eq!(wire.codec, MessageCodec::Delta);
+        assert_eq!(wire.codec, ViewCodec::Delta);
         assert!(wire.total_bits() > 0);
         assert_eq!(metered.outputs, plain.outputs);
         assert_eq!(metered.rounds, plain.rounds);
@@ -912,7 +915,7 @@ mod tests {
         let report = Election::task(Task::Selection)
             .solver(MapSolver::default())
             .backend(Backend::capped(16))
-            .metered(MessageCodec::Dag)
+            .metered(ViewCodec::Dag)
             .profiled()
             .run(&g)
             .unwrap();

@@ -13,14 +13,14 @@
 //! Lemmas 2.7 / 3.9 / 4.9 on arbitrary feasible graphs — since the class-quotient
 //! assignment search, at 10⁴ nodes and beyond.
 
-use crate::engine::{Backend, MessageCodec, RunContext, SolverRun};
+use crate::engine::{Backend, RunContext, SolverRun};
 use crate::selection::elect_by_view;
 use crate::tasks::{NodeOutput, Task};
 use anet_graph::PortGraph;
 use anet_views::election_index::{
     cppe_election, pe_election, ppe_election, psi_s_with, IndexError,
 };
-use anet_views::{QuotientSearch, Refinement, View, ViewInterner};
+use anet_views::{QuotientSearch, Refinement, View, ViewCodec, ViewInterner};
 use std::collections::HashMap;
 
 /// Errors of the map-based solver.
@@ -172,7 +172,7 @@ where
     let sink = ctx.trace_sink();
     let codec = ctx
         .wire
-        .or_else(|| matches!(backend, Backend::Capped { .. }).then(MessageCodec::default));
+        .or_else(|| matches!(backend, Backend::Capped { .. }).then(ViewCodec::default));
     let (outputs, report, wire) = match codec {
         Some(codec) => {
             let (outputs, report, stats) =

@@ -21,18 +21,18 @@
 use crate::advice::{AdviceAlgorithm, Oracle, OracleAdvice};
 use crate::tasks::NodeOutput;
 use anet_graph::PortGraph;
-use anet_views::dag_encoding::encode_view_dag;
 use anet_views::election_index::psi_s_with;
-use anet_views::encoding::{encode_view_interned, tree_encoded_size_bits};
+use anet_views::encoding::tree_encoded_size_bits;
 use anet_views::{BitString, Refinement, View, ViewCodec, ViewInterner};
 
-/// The Theorem 2.2 oracle. The chosen view can be shipped under either
-/// [`ViewCodec`]: the paper's unfolded-tree form (the default, `Θ((Δ−1)^ψ log Δ)`
-/// bits) or the shared-DAG form (`O(distinct subtrees)` bits — on near-symmetric
-/// graphs, exponentially smaller for the same information). Whatever codec ships,
-/// [`Oracle::advise_with_sizes`] reports *both* sizes, so reports and sweeps can
-/// show the gap.
-#[derive(Debug, Clone, Copy, Default)]
+/// The Theorem 2.2 oracle. The chosen view can be shipped under any [`ViewCodec`]:
+/// the paper's unfolded-tree form ([`SelectionOracle::tree`], `Θ((Δ−1)^ψ log Δ)`
+/// bits) or the shared-DAG form ([`SelectionOracle::dag`], `O(distinct subtrees)`
+/// bits — on near-symmetric graphs, exponentially smaller for the same
+/// information). The advice has no base view, so `Delta` ships the DAG form plus
+/// one flag bit. Whatever codec ships, [`Oracle::advise_with_sizes`] reports the
+/// tree and DAG sizes, so reports and sweeps can show the gap.
+#[derive(Debug, Clone, Copy)]
 pub struct SelectionOracle {
     /// The wire format of the encoded view (must match the algorithm's).
     pub codec: ViewCodec,
@@ -66,19 +66,20 @@ impl SelectionOracle {
             .min_by(|&a, &b| refinement.view_cmp(graph, a, b, psi))
             .expect("ψ_S is a depth with a unique view");
         let chosen_view = ViewInterner::new().build(graph, leader, psi);
+        let bits = self.codec.encode(&chosen_view, psi, None);
+        let dag_bits = if self.codec == ViewCodec::Dag {
+            bits.len()
+        } else {
+            ViewCodec::Dag.encode(&chosen_view, psi, None).len()
+        };
         // The tree size comes from the closed form (O(distinct nodes)), so a
         // DAG-codec run never materialises the exponential unfolded encoding it
         // exists to avoid; the tree string itself is built only when it ships.
-        let tree_bits = Some(tree_encoded_size_bits(&chosen_view, psi));
-        let dag = encode_view_dag(&chosen_view, psi);
-        let dag_bits = Some(dag.len());
+        let tree_bits = tree_encoded_size_bits(&chosen_view, psi);
         Some(OracleAdvice {
-            bits: match self.codec {
-                ViewCodec::Tree => encode_view_interned(&chosen_view, psi),
-                ViewCodec::Dag => dag,
-            },
-            tree_bits,
-            dag_bits,
+            bits,
+            tree_bits: Some(tree_bits),
+            dag_bits: Some(dag_bits),
         })
     }
 }
@@ -95,9 +96,9 @@ impl Oracle for SelectionOracle {
 }
 
 /// The Theorem 2.2 distributed algorithm. Its codec must match the oracle's — the
-/// two wire formats are not self-describing relative to each other, exactly like
-/// the (advice-derived) number of rounds the pair already agrees on.
-#[derive(Debug, Clone, Copy, Default)]
+/// wire formats are not self-describing relative to each other, exactly like the
+/// (advice-derived) number of rounds the pair already agrees on.
+#[derive(Debug, Clone, Copy)]
 pub struct SelectionAlgorithm {
     /// The wire format the advice is decoded with (must match the oracle's).
     pub codec: ViewCodec,
@@ -123,7 +124,7 @@ impl AdviceAlgorithm for SelectionAlgorithm {
     fn rounds(&self, advice: &BitString) -> usize {
         let (_, height) = self
             .codec
-            .decode(advice)
+            .decode(advice, None)
             .expect("advice is an encoded view");
         height
     }
@@ -135,7 +136,7 @@ impl AdviceAlgorithm for SelectionAlgorithm {
     fn decider<'a>(&'a self, advice: &'a BitString) -> impl Fn(&View) -> NodeOutput + 'a {
         let (target, _) = self
             .codec
-            .decode(advice)
+            .decode(advice, None)
             .expect("advice is an encoded view");
         move |view: &View| elect_by_view(view, &target)
     }
@@ -177,7 +178,6 @@ mod tests {
     use crate::tasks::{verify, Task};
     use anet_graph::generators;
     use anet_views::election_index::psi_s;
-    use anet_views::encoding::decode_view;
 
     /// The Theorem 2.2 pair under one codec, on the default context.
     fn run_pair(graph: &PortGraph, codec: ViewCodec) -> SolverRun {
@@ -225,11 +225,11 @@ mod tests {
     fn oracle_picks_the_lexicographically_smallest_unique_view() {
         let g = generators::star(4).unwrap();
         let advice = SelectionOracle::tree().advise(&g);
-        let (view, h) = decode_view(&advice).unwrap();
+        let (view, h) = ViewCodec::Tree.decode(&advice, None).unwrap();
         assert_eq!(h, 0);
         // At depth 0 the four leaves share degree 1, so the centre is the only
         // unique node, and its depth-0 view is just its degree.
-        assert_eq!(view.degree, 4);
+        assert_eq!(view.degree(), 4);
     }
 
     #[test]

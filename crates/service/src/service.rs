@@ -37,6 +37,9 @@
 //! service don't oversubscribe the machine at `workers × available_parallelism`
 //! threads.
 
+// anet-lint: deny(lock-order)
+// anet-lint: deny(panic-path)
+
 use crate::metrics::{LatencyStats, ServiceReport, TenantBreakdown};
 use crate::request::{CompletedElection, ElectionRequest, RejectReason, Submission};
 use anet_election::engine::Election;

@@ -142,7 +142,7 @@ where
 ///
 /// [`Backend::Capped`] is honoured here (unlike in the generic
 /// [`Backend::run`], which cannot serialise arbitrary messages): the run goes
-/// through the metered transport with the default [`crate::MessageCodec`], large
+/// through the metered transport with the default [`anet_views::ViewCodec`], large
 /// views stream across multiple physical rounds, and the returned
 /// `report.rounds` counts physical rounds. Callers that also want the bit
 /// accounting use [`crate::run_full_information_metered`] directly.
@@ -162,7 +162,7 @@ where
             graph,
             rounds,
             backend,
-            crate::transport::MessageCodec::default(),
+            anet_views::ViewCodec::default(),
             sink,
             decide,
         );

@@ -27,11 +27,11 @@
 //!   paper's model assumes. The helper [`full_info::run_full_information_on`] runs it
 //!   on any backend and applies an arbitrary decision function of `B^r(v)` — precisely
 //!   the paper's notion of a deterministic algorithm with allotted time `r`,
-//! * [`transport`] — the bit-metered wire mode: every message serialised through a
-//!   [`MessageCodec`] (unfolded tree, shared DAG, or round-over-round delta), exact
-//!   per-round/per-edge bit accounting in [`WireStats`], and the CONGEST-style
-//!   [`Backend::Capped`] bandwidth cap under which large views stream across
-//!   multiple physical rounds.
+//! * [`transport`] — the bit-metered wire mode: every message serialised in an
+//!   [`anet_views::ViewCodec`] format (unfolded tree, shared DAG, or round-over-round
+//!   delta), exact per-round/per-edge bit accounting in [`WireStats`], and the
+//!   CONGEST-style [`Backend::Capped`] bandwidth cap under which large views stream
+//!   across multiple physical rounds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,4 +53,4 @@ pub use full_info::{
 pub use model::{AlgorithmFactory, NodeAlgorithm};
 pub use pool::{run_indexed, PoolStats};
 pub use runner::{RunOutcome, RunReport};
-pub use transport::{run_full_information_metered, run_metered, MessageCodec, WireStats};
+pub use transport::{run_full_information_metered, run_metered, WireStats};

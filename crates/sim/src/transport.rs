@@ -5,7 +5,7 @@
 //! The unmetered backends in [`crate::backend`] move [`ViewMessage`]s as `Arc`
 //! handles — free to copy, and therefore silent about the quantity the paper's
 //! model actually charges for: *bits on the wire*. This module adds the metered
-//! execution mode: each message is encoded with a [`MessageCodec`], its exact
+//! execution mode: each message is encoded with a [`ViewCodec`], its exact
 //! serialised length is accounted into [`WireStats`] (and emitted as
 //! [`anet_trace::TraceEvent::RoundWire`] when a probe is attached) on every
 //! directed edge that carries it, and the receivers decode the bit string — the
@@ -22,18 +22,17 @@
 //! sender's delta body stays shared too. Every link is still charged the full tag
 //! and body, so the bit accounting is the same as coding each edge on its own.
 //!
-//! Three codecs ship:
+//! Every message is a varint far-port tag followed by a view body in one of the
+//! three formats of [`ViewCodec`] — the codec Theorem 2.2 advice is encoded with,
+//! so `anet-views` alone decides the wire format:
 //!
-//! * [`MessageCodec::Tree`] — the unfolded-tree format of
-//!   [`anet_views::encoding`]: `Θ(Δ^r)` bits, the naive baseline.
-//! * [`MessageCodec::Dag`] — the shared-DAG format of
-//!   [`anet_views::dag_encoding`]: one table entry per *distinct* subview.
-//! * [`MessageCodec::Delta`] — the incremental format of
-//!   [`anet_views::delta_encoding`]: round `r`'s view encoded against the round
-//!   `r − 1` view the receiver already holds from the previous round on the same
-//!   edge, shipping only the table entries the base does not cover. Never more
-//!   than one bit above [`MessageCodec::Dag`], and strictly below it wherever
-//!   successive views share structure.
+//! * [`ViewCodec::Tree`] — the unfolded tree: `Θ(Δ^r)` bits, the naive baseline.
+//! * [`ViewCodec::Dag`] — the shared DAG: one table entry per *distinct* subview.
+//! * [`ViewCodec::Delta`] — round `r`'s view encoded against the round `r − 1`
+//!   view the receiver already holds from the previous round on the same edge,
+//!   shipping only the table entries the base does not cover. Never more than one
+//!   bit above [`ViewCodec::Dag`], and strictly below it wherever successive views
+//!   share structure.
 //!
 //! Metering is a route step of the one arena round loop in [`crate::backend`]:
 //! the send phase fills the outbox arena as on every backend, the wire route
@@ -54,53 +53,7 @@ use crate::full_info::{ViewCollectorFactory, ViewMessage};
 use crate::runner::{RunOutcome, RunReport};
 use anet_graph::{Port, PortGraph};
 use anet_trace::TraceSink;
-use anet_views::dag_encoding::{decode_view_dag, encode_view_dag};
-use anet_views::delta_encoding::{decode_view_delta, encode_view_delta};
-use anet_views::encoding::{decode_view_interned, encode_view_interned};
-use anet_views::{BitString, View};
-
-/// The wire format of a metered run: how a [`ViewMessage`] becomes bits.
-///
-/// Every codec ships the far-port tag as a varint followed by the view body; they
-/// differ only in the body format. The default is [`MessageCodec::Dag`] — the
-/// format whose size is also what the advice strings of the `CPPE` solvers are
-/// measured in, so metered wire totals and advice totals are directly comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MessageCodec {
-    /// Unfolded-tree body ([`anet_views::encoding::encode_view_interned`]).
-    Tree,
-    /// Shared-DAG body ([`anet_views::dag_encoding::encode_view_dag`]).
-    #[default]
-    Dag,
-    /// Incremental body against the previous round's view on the same edge
-    /// ([`anet_views::delta_encoding::encode_view_delta`]).
-    Delta,
-}
-
-impl MessageCodec {
-    /// All codecs, in baseline-to-sharpest order.
-    pub const ALL: [MessageCodec; 3] = [MessageCodec::Tree, MessageCodec::Dag, MessageCodec::Delta];
-
-    /// Stable lowercase label used in scenario names, sweep artifacts and tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MessageCodec::Tree => "tree",
-            MessageCodec::Dag => "dag",
-            MessageCodec::Delta => "delta",
-        }
-    }
-
-    /// Parse a label produced by [`MessageCodec::label`].
-    pub fn from_label(label: &str) -> Option<MessageCodec> {
-        MessageCodec::ALL.into_iter().find(|c| c.label() == label)
-    }
-}
-
-impl std::fmt::Display for MessageCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
+use anet_views::{BitString, View, ViewCodec};
 
 /// Bit accounting of one metered run, exact by construction: every entry is the
 /// length of a bit string that was actually encoded (and decoded) by the run.
@@ -111,7 +64,7 @@ impl std::fmt::Display for MessageCodec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireStats {
     /// The codec every message was serialised with.
-    pub codec: MessageCodec,
+    pub codec: ViewCodec,
     /// The per-edge cap of a [`Backend::Capped`] run; `None` when unmetered by
     /// bandwidth (every message crosses in the round it was sent).
     pub bits_per_edge_cap: Option<u64>,
@@ -172,16 +125,6 @@ struct Link {
     pending: bool,
 }
 
-/// Encode one message body with `codec`.
-fn encode_body(codec: MessageCodec, view: &View, base: Option<&View>) -> BitString {
-    let height = view.height();
-    match codec {
-        MessageCodec::Tree => encode_view_interned(view, height),
-        MessageCodec::Dag => encode_view_dag(view, height),
-        MessageCodec::Delta => encode_view_delta(view, height, base),
-    }
-}
-
 /// Do two delta bases name the same handle (or are both absent)?
 fn same_base(a: Option<&View>, b: Option<&View>) -> bool {
     match (a, b) {
@@ -196,12 +139,7 @@ fn same_base(a: Option<&View>, b: Option<&View>) -> bool {
 /// link of the body to arrive and shared with the rest, which hold the same base.
 /// A self-encoded message always decodes; the `expect`s here are
 /// internal-consistency assertions, not input validation.
-fn decode_link(
-    codec: MessageCodec,
-    link: &Link,
-    body: &mut Body,
-    base: Option<&View>,
-) -> ViewMessage {
+fn decode_link(codec: ViewCodec, link: &Link, body: &mut Body, base: Option<&View>) -> ViewMessage {
     let port = link
         .tag
         .reader()
@@ -210,12 +148,10 @@ fn decode_link(
     let view = body
         .decoded
         .get_or_insert_with(|| {
-            match codec {
-                MessageCodec::Tree => decode_view_interned(&body.bits).map(|(v, _)| v),
-                MessageCodec::Dag => decode_view_dag(&body.bits).map(|(v, _)| v),
-                MessageCodec::Delta => decode_view_delta(&body.bits, base).map(|(v, _)| v),
-            }
-            .expect("metered transport: a self-encoded message always decodes")
+            let (view, _) = codec
+                .decode(&body.bits, base)
+                .expect("metered transport: a self-encoded message always decodes");
+            view
         })
         .clone();
     (port as Port, view)
@@ -227,7 +163,7 @@ fn decode_link(
 /// how many physical rounds a capped run needs for this logical round).
 // anet-lint: hot-path
 fn encode_round(
-    codec: MessageCodec,
+    codec: ViewCodec,
     out: &mut [Option<ViewMessage>],
     bases: &[Option<View>],
     links: &mut [Link],
@@ -249,7 +185,7 @@ fn encode_round(
         });
         if !shared {
             bodies.push(Body {
-                bits: encode_body(codec, &view, base),
+                bits: codec.encode(&view, view.height(), base),
                 decoded: None,
             });
             last = Some((view, i));
@@ -287,7 +223,7 @@ fn transfer_round(cap: u64, links: &mut [Link], per_edge_bits: &mut [u64]) -> u6
 /// are charged to every one of them. The link buffers are sized once per run,
 /// like the arenas.
 struct WireRoute {
-    codec: MessageCodec,
+    codec: ViewCodec,
     /// Bits a directed edge may carry per physical round (`u64::MAX` uncapped).
     chunk: u64,
     /// This logical round's encoded bodies, indexed by [`Link::body`].
@@ -356,7 +292,7 @@ impl RouteStep<ViewMessage> for WireRoute {
 pub fn run_metered(
     graph: &PortGraph,
     rounds: usize,
-    codec: MessageCodec,
+    codec: ViewCodec,
     bits_per_edge: Option<u64>,
     sink: &dyn TraceSink,
 ) -> (RunOutcome<View>, WireStats) {
@@ -393,7 +329,7 @@ pub fn run_full_information_metered<O, D>(
     graph: &PortGraph,
     rounds: usize,
     backend: Backend,
-    codec: MessageCodec,
+    codec: ViewCodec,
     sink: &dyn TraceSink,
     decide: D,
 ) -> (Vec<O>, RunReport, WireStats)
@@ -418,21 +354,11 @@ mod tests {
     use anet_trace::{NoopSink, Recorder, RoundProfile};
 
     #[test]
-    fn codec_labels_round_trip() {
-        for codec in MessageCodec::ALL {
-            assert_eq!(MessageCodec::from_label(codec.label()), Some(codec));
-            assert_eq!(format!("{codec}"), codec.label());
-        }
-        assert_eq!(MessageCodec::from_label("huffman"), None);
-        assert_eq!(MessageCodec::default(), MessageCodec::Dag);
-    }
-
-    #[test]
     fn metered_outputs_match_unmetered_for_every_codec() {
         let g = generators::random_connected(18, 4, 6, 11).unwrap();
         let rounds = 3;
         let (seq, report) = run_full_information_on(&g, rounds, Backend::Sequential, |v| v.clone());
-        for codec in MessageCodec::ALL {
+        for codec in ViewCodec::ALL {
             let (outcome, stats) = run_metered(&g, rounds, codec, None, &NoopSink);
             assert_eq!(outcome.outputs, seq, "{codec}");
             assert_eq!(outcome.report, report, "{codec}");
@@ -449,7 +375,7 @@ mod tests {
         let rounds = 3;
         let (seq, uncapped) =
             run_full_information_on(&g, rounds, Backend::Sequential, |v| v.clone());
-        let (outcome, stats) = run_metered(&g, rounds, MessageCodec::Dag, Some(16), &NoopSink);
+        let (outcome, stats) = run_metered(&g, rounds, ViewCodec::Dag, Some(16), &NoopSink);
         assert_eq!(outcome.outputs, seq);
         assert_eq!(
             outcome.report.messages_delivered,
@@ -472,10 +398,10 @@ mod tests {
     fn shrinking_the_cap_only_stretches_the_same_bit_total() {
         let g = generators::random_connected(12, 4, 4, 3).unwrap();
         let rounds = 2;
-        let (_, baseline) = run_metered(&g, rounds, MessageCodec::Dag, None, &NoopSink);
+        let (_, baseline) = run_metered(&g, rounds, ViewCodec::Dag, None, &NoopSink);
         let mut previous_rounds = rounds;
         for cap in [512u64, 64, 8, 1] {
-            let (outcome, stats) = run_metered(&g, rounds, MessageCodec::Dag, Some(cap), &NoopSink);
+            let (outcome, stats) = run_metered(&g, rounds, ViewCodec::Dag, Some(cap), &NoopSink);
             assert_eq!(stats.total_bits(), baseline.total_bits(), "cap {cap}");
             assert_eq!(stats.per_edge_bits, baseline.per_edge_bits, "cap {cap}");
             assert!(
@@ -489,9 +415,8 @@ mod tests {
     #[test]
     fn generous_cap_agrees_with_uncapped_exactly() {
         let g = generators::random_connected(14, 4, 5, 7).unwrap();
-        let (free, free_stats) = run_metered(&g, 3, MessageCodec::Delta, None, &NoopSink);
-        let (capped, capped_stats) =
-            run_metered(&g, 3, MessageCodec::Delta, Some(1 << 20), &NoopSink);
+        let (free, free_stats) = run_metered(&g, 3, ViewCodec::Delta, None, &NoopSink);
+        let (capped, capped_stats) = run_metered(&g, 3, ViewCodec::Delta, Some(1 << 20), &NoopSink);
         assert_eq!(capped.outputs, free.outputs);
         assert_eq!(capped.report, free.report);
         assert_eq!(capped_stats.per_round_bits, free_stats.per_round_bits);
@@ -506,9 +431,9 @@ mod tests {
         // codec's (and the DAG total is at most the tree total).
         let g = generators::symmetric_ring(9).unwrap();
         let rounds = 5;
-        let (_, tree) = run_metered(&g, rounds, MessageCodec::Tree, None, &NoopSink);
-        let (_, dag) = run_metered(&g, rounds, MessageCodec::Dag, None, &NoopSink);
-        let (_, delta) = run_metered(&g, rounds, MessageCodec::Delta, None, &NoopSink);
+        let (_, tree) = run_metered(&g, rounds, ViewCodec::Tree, None, &NoopSink);
+        let (_, dag) = run_metered(&g, rounds, ViewCodec::Dag, None, &NoopSink);
+        let (_, delta) = run_metered(&g, rounds, ViewCodec::Delta, None, &NoopSink);
         assert!(
             delta.total_bits() < dag.total_bits(),
             "delta {} must beat dag {}",
@@ -522,7 +447,7 @@ mod tests {
     fn wire_events_reconcile_with_stats_and_profile_covers_physical_rounds() {
         let g = generators::symmetric_ring(5).unwrap();
         let recorder = Recorder::new();
-        let (outcome, stats) = run_metered(&g, 3, MessageCodec::Dag, Some(8), &recorder);
+        let (outcome, stats) = run_metered(&g, 3, ViewCodec::Dag, Some(8), &recorder);
         let profile = RoundProfile::from_events(&recorder.drain());
         assert_eq!(profile.len(), outcome.report.rounds);
         assert_eq!(profile.total_wire_bits(), stats.total_bits());
@@ -535,7 +460,7 @@ mod tests {
     fn single_node_and_single_edge_graphs_survive_every_cap() {
         // n = 1: no edges, nothing on the wire, one physical round per logical.
         let lonely = anet_graph::GraphBuilder::with_nodes(1).build().unwrap();
-        let (outcome, stats) = run_metered(&lonely, 2, MessageCodec::Delta, Some(1), &NoopSink);
+        let (outcome, stats) = run_metered(&lonely, 2, ViewCodec::Delta, Some(1), &NoopSink);
         assert_eq!(outcome.report.rounds, 2);
         assert_eq!(outcome.report.messages_delivered, 0);
         assert_eq!(stats.total_bits(), 0);
@@ -544,7 +469,7 @@ mod tests {
         let mut b = anet_graph::GraphBuilder::with_nodes(2);
         b.add_edge(0, 0, 1, 0).unwrap();
         let pair = b.build().unwrap();
-        let (outcome, stats) = run_metered(&pair, 2, MessageCodec::Dag, Some(1), &NoopSink);
+        let (outcome, stats) = run_metered(&pair, 2, ViewCodec::Dag, Some(1), &NoopSink);
         assert_eq!(outcome.outputs[0], View::build(&pair, 0, 2));
         assert_eq!(outcome.outputs[1], View::build(&pair, 1, 2));
         // Both directed edges stream one bit per physical round in parallel.
@@ -562,7 +487,7 @@ mod tests {
         // two different senders' bodies carry of one node are distinct objects.
         let g = generators::random_connected(12, 4, 4, 7).unwrap();
         let rounds = 3;
-        for codec in MessageCodec::ALL {
+        for codec in ViewCodec::ALL {
             for cap in [None, Some(16)] {
                 let (outcome, _) = run_metered(&g, rounds, codec, cap, &NoopSink);
                 let views = &outcome.outputs;
@@ -614,7 +539,7 @@ mod tests {
         let g = generators::star(20).unwrap();
         let rounds = 3;
         let (seq, report) = run_full_information_on(&g, rounds, Backend::Sequential, |v| v.clone());
-        for (codec, total) in MessageCodec::ALL.into_iter().zip([18_820, 23_840, 23_960]) {
+        for (codec, total) in ViewCodec::ALL.into_iter().zip([18_820, 23_840, 23_960]) {
             let (_, free) = run_metered(&g, rounds, codec, None, &NoopSink);
             assert_eq!(free.total_bits(), total, "{codec}");
             for cap in [1, 7] {
@@ -652,7 +577,7 @@ mod tests {
             &g,
             2,
             Backend::capped(4),
-            MessageCodec::Dag,
+            ViewCodec::Dag,
             &NoopSink,
             |v| v.degree(),
         );
@@ -663,7 +588,7 @@ mod tests {
             &g,
             2,
             Backend::Sequential,
-            MessageCodec::Dag,
+            ViewCodec::Dag,
             &NoopSink,
             |v| v.degree(),
         );

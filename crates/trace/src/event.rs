@@ -92,7 +92,7 @@ pub enum TraceEvent {
         payload_bytes: u64,
     },
     /// Bits that physically crossed the wire in one round of a *metered* run: the
-    /// exact serialised length of every message under the run's `MessageCodec`,
+    /// exact serialised length of every message under the run's `ViewCodec`,
     /// summed over all directed edges (on a capped backend, the bits of a partial
     /// chunk count in the round they were transferred). Unmetered runs never emit
     /// this event, so profiles stay byte-identical when metering is off.

@@ -12,20 +12,22 @@
 //!
 //! ## Format
 //!
-//! * 6 bits: `w` — the field width used for every degree, far-port and height field
-//!   (`w = max(width(Δ), width(max port), width(h))`),
-//! * `w` bits: the truncation depth `h` the view was built with (stored for the same
-//!   reason as in the tree format: a degree-0 view of any depth is a bare leaf),
-//! * varint: `N`, the number of table entries (≥ 1),
-//! * `N` node records; record `i` describes one distinct subtree:
-//!   * `w` bits: the node's degree,
-//!   * if the degree is non-zero, 1 bit: does the node have children? (0 for nodes at
-//!     the truncation cut),
-//!   * if it does, for each of its `degree` children in outgoing-port order (the
-//!     outgoing port is implied, as in the tree format): the far-end port `q`
-//!     (`w` bits) followed by the child's table id as a varint — which must reference
-//!     an **earlier** record (`id < i`),
-//! * varint: the root's table id (`< N`).
+//! * the header every [`crate::ViewCodec`] format opens with ([`crate::encoding`]):
+//!   6 bits of field width `w` (`w = max(width(Δ), width(max port), width(h))`),
+//!   then the truncation depth `h` in `w` bits (stored for the same reason as in the
+//!   tree format: a degree-0 view of any depth is a bare leaf),
+//! * the node table, which the delta format ([`crate::delta_encoding`]) writes
+//!   and reads with the same two functions:
+//!   * varint: `N`, the number of table entries (≥ 1),
+//!   * `N` node records; record `i` describes one distinct subtree:
+//!     * `w` bits: the node's degree,
+//!     * if the degree is non-zero, 1 bit: does the node have children? (0 for nodes
+//!       at the truncation cut),
+//!     * if it does, for each of its `degree` children in outgoing-port order (the
+//!       outgoing port is implied, as in the tree format): the far-end port `q`
+//!       (`w` bits) followed by the child's table id as a varint — which must
+//!       reference an **earlier** record (`id < i`),
+//!   * varint: the root's table id (`< N`).
 //!
 //! Ids are written with [`BitString::push_varint`] (5 bits for ids below 16), so
 //! small tables pay almost nothing for the indirection.
@@ -40,12 +42,13 @@
 //! bit strings and distinct views produce distinct ones, exactly like the tree
 //! format. [`decode_view_dag`] enforces every invariant that could corrupt the
 //! *decoded view* — backward-only ids (which makes cycles unrepresentable), no
-//! duplicate table entries, degree/port fields within the `u32` domain, no reading
-//! past the string — each rejected with a typed [`DecodeError`]. Like the tree
-//! decoder, it stays permissive where the decoded view is unaffected: unreferenced
-//! table entries, bits after the root id, and non-minimal varints are accepted (so
-//! some encoder-unreachable bit strings decode; canonicity claims are about encoder
-//! *output*, not about the decoder's accepted language).
+//! duplicate table entries, no entry deeper than the declared height, degree/port
+//! fields within the `u32` domain, no reading past the string — each rejected with a
+//! typed [`DecodeError`]. Like the tree decoder, it stays permissive where the
+//! decoded view is unaffected: unreferenced table entries, bits after the root id,
+//! and non-minimal varints are accepted (so some encoder-unreachable bit strings
+//! decode; canonicity claims are about encoder *output*, not about the decoder's
+//! accepted language).
 //!
 //! ```
 //! use anet_views::dag_encoding::{decode_view_dag, encode_view_dag};
@@ -68,9 +71,8 @@
 // anet-lint: deny(panic-path)
 
 use crate::bits::{BitReader, BitString};
-use crate::encoding::DecodeError;
+use crate::encoding::{read_header, read_u32_field, write_header, DecodeError};
 use crate::interned::{View, ViewInterner};
-use crate::view_tree::ViewTree;
 use anet_graph::Port;
 use std::collections::HashMap;
 
@@ -81,36 +83,38 @@ use std::collections::HashMap;
 /// height), and equal-but-unshared inputs produce identical bit strings.
 pub fn encode_view_dag(view: &View, height: usize) -> BitString {
     let canonical = ViewInterner::new().intern(view);
-    let max_val = u64::from(canonical.max_degree())
-        .max(canonical.max_port().map(u64::from).unwrap_or(0))
-        .max(height as u64);
-    let w = BitString::width_for(max_val);
-    assert!(w <= 63, "view values too large to encode");
     let mut bits = BitString::new();
-    bits.push_uint(w as u64, 6);
-    bits.push_uint(height as u64, w);
-
-    // Post-order over the canonical DAG: each distinct node is emitted once, after
-    // its children. `ids` maps a node's address to its table id — addresses are
-    // stable and unique while `canonical` keeps every reachable node alive.
-    let mut table = BitString::new();
-    let mut ids: HashMap<usize, u64> = HashMap::new();
-    let root_id = emit_node(&canonical, w, &mut table, &mut ids);
-    bits.push_varint(ids.len() as u64);
-    bits.append(&table);
-    bits.push_varint(root_id);
+    let w = write_header(&canonical, height, &mut bits);
+    write_table(&canonical, w, &mut HashMap::new(), &mut bits);
     bits
 }
 
-/// Emit `node`'s record (and, first, its children's) into `table`, assigning table
-/// ids in first-visit post-order. `pub(crate)` so the delta codec can emit new
-/// records over a table whose first `ids.len()` entries were pre-assigned to the
-/// base view's nodes.
-pub(crate) fn emit_node(
+/// Write the node table of the canonical view `root`: the record count, a record
+/// for every node `ids` does not yet hold, in first-visit post-order, then `root`'s
+/// id. `ids` maps a canonical node's address to its table id — addresses are stable
+/// and unique while `root` keeps every reachable node alive. The DAG format starts
+/// from an empty map; the delta format pre-fills it with the base view's nodes.
+pub(crate) fn write_table(
+    root: &View,
+    w: usize,
+    ids: &mut HashMap<usize, u64>,
+    bits: &mut BitString,
+) {
+    let known = ids.len();
+    let mut records = BitString::new();
+    let root_id = write_record(root, w, ids, &mut records);
+    bits.push_varint((ids.len() - known) as u64);
+    bits.append(&records);
+    bits.push_varint(root_id);
+}
+
+/// Write `node`'s record (and, first, its children's) unless `ids` holds it, and
+/// return its table id.
+fn write_record(
     node: &View,
     w: usize,
-    table: &mut BitString,
     ids: &mut HashMap<usize, u64>,
+    records: &mut BitString,
 ) -> u64 {
     if let Some(&id) = ids.get(&node.node_id()) {
         return id;
@@ -118,14 +122,14 @@ pub(crate) fn emit_node(
     let children: Vec<(Port, u64)> = node
         .children()
         .iter()
-        .map(|(_, q, child)| (*q, emit_node(child, w, table, ids)))
+        .map(|(_, q, child)| (*q, write_record(child, w, ids, records)))
         .collect();
-    table.push_uint(u64::from(node.degree()), w);
+    records.push_uint(u64::from(node.degree()), w);
     if node.degree() > 0 {
-        table.push_bit(!children.is_empty());
+        records.push_bit(!children.is_empty());
         for (q, child_id) in children {
-            table.push_uint(u64::from(q), w);
-            table.push_varint(child_id);
+            records.push_uint(u64::from(q), w);
+            records.push_varint(child_id);
         }
     }
     let id = ids.len() as u64;
@@ -138,60 +142,72 @@ pub(crate) fn emit_node(
 ///
 /// The decoder validates the invariants of the canonical form: a non-empty table,
 /// child and root ids that reference strictly earlier entries (so adversarial ids
-/// cannot form cycles or dangle), and no two entries encoding the same subtree. It
-/// never allocates proportionally to a *declared* count, only to bits actually
-/// present, so a huge forged `N` just reads off the end of the string.
+/// cannot form cycles or dangle), no two entries encoding the same subtree, and no
+/// entry deeper than the declared height. It never allocates proportionally to a
+/// *declared* count, only to bits actually present, so a huge forged `N` just reads
+/// off the end of the string.
 pub fn decode_view_dag(bits: &BitString) -> Result<(View, usize), DecodeError> {
     let mut r = bits.reader();
-    let w = r.read_uint(6).ok_or(DecodeError::Truncated)? as usize;
-    if w == 0 || w > 63 {
-        return Err(DecodeError::BadWidth);
-    }
-    let height = r.read_uint(w).ok_or(DecodeError::Truncated)? as usize;
+    let (w, height) = read_header(&mut r)?;
+    let view = read_table(&mut r, w, height, &mut Vec::new(), &mut ViewInterner::new())?;
+    Ok((view, height))
+}
+
+/// Read a node table [`write_table`] wrote and return its root. `nodes` holds the
+/// entries already known by id, filed in `interner`: empty for the DAG format, the
+/// base view's nodes for the delta format. Each record read is filed in `interner`
+/// and appended to `nodes`; the table as a whole must not be empty.
+pub(crate) fn read_table(
+    r: &mut BitReader<'_>,
+    w: usize,
+    height: usize,
+    nodes: &mut Vec<View>,
+    interner: &mut ViewInterner<'_>,
+) -> Result<View, DecodeError> {
     let count = r.read_varint().ok_or(DecodeError::Truncated)?;
-    if count == 0 {
+    if count == 0 && nodes.is_empty() {
         return Err(DecodeError::EmptyTable);
     }
-    let mut interner = ViewInterner::new();
-    let mut nodes: Vec<View> = Vec::new();
-    for index in 0..count {
-        let (degree, children) = read_node(&mut r, w, &nodes)?;
+    for index in 0..count as usize {
+        let (degree, children) = read_record(r, w, nodes)?;
+        if children
+            .iter()
+            .any(|(_, _, child)| child.height() >= height)
+        {
+            return Err(DecodeError::TooDeep { index, height });
+        }
         // The children are canonical handles of this interner, so filing the record
         // grows the interner by exactly one node — unless the record duplicates an
-        // earlier entry, which the canonical form forbids.
+        // earlier entry (a base node included), which the canonical form forbids.
         let before = interner.len();
         let node = interner.node(degree, children);
         if interner.len() == before {
-            return Err(DecodeError::DuplicateNode {
-                index: index as usize,
-            });
+            return Err(DecodeError::DuplicateNode { index });
         }
         nodes.push(node);
     }
     let root = r.read_varint().ok_or(DecodeError::Truncated)? as usize;
-    let view = nodes.get(root).cloned().ok_or(DecodeError::BadNodeId {
+    nodes.get(root).cloned().ok_or(DecodeError::BadNodeId {
         id: root,
         limit: nodes.len(),
-    })?;
-    Ok((view, height))
+    })
 }
 
-pub(crate) type NodeRecord = (u32, Vec<(Port, Port, View)>);
+type NodeRecord = (u32, Vec<(Port, Port, View)>);
 
-/// Read one node record against the already-decoded `earlier` slice. `pub(crate)`
-/// so the delta decoder can read records over a combined base + new table.
-pub(crate) fn read_node(
+/// Read one node record against the entries `earlier` in the table.
+fn read_record(
     r: &mut BitReader<'_>,
     w: usize,
     earlier: &[View],
 ) -> Result<NodeRecord, DecodeError> {
-    let degree = crate::encoding::read_u32_field(r, w)?;
+    let degree = read_u32_field(r, w)?;
     // No `reserve(degree)`: the declared degree is attacker-controlled and may be
     // astronomically larger than the bits backing it.
     let mut children = Vec::new();
     if degree > 0 && r.read_bit().ok_or(DecodeError::Truncated)? {
         for p in 0..degree {
-            let q = crate::encoding::read_u32_field(r, w)?;
+            let q = read_u32_field(r, w)?;
             let id = r.read_varint().ok_or(DecodeError::Truncated)? as usize;
             let child = earlier.get(id).cloned().ok_or(DecodeError::BadNodeId {
                 id,
@@ -203,28 +219,12 @@ pub(crate) fn read_node(
     Ok((degree, children))
 }
 
-/// Number of advice bits the DAG encoding of the given view takes — the
-/// `O(distinct subtrees)` counterpart of [`crate::encoding::encoded_size_bits`].
-pub fn dag_encoded_size_bits(view: &View, height: usize) -> usize {
-    encode_view_dag(view, height).len()
-}
-
-/// [`encode_view_dag`] for an owned [`ViewTree`] (converted, then hash-consed — the
-/// output is identical to encoding the equivalent [`View`] handle).
-pub fn encode_tree_dag(tree: &ViewTree, height: usize) -> BitString {
-    encode_view_dag(&View::from_tree(tree), height)
-}
-
-/// [`decode_view_dag`] producing an owned [`ViewTree`] (unfolds the shared DAG, so
-/// this costs `O(Δ^h)` on deep symmetric views — prefer the handle form).
-pub fn decode_tree_dag(bits: &BitString) -> Result<(ViewTree, usize), DecodeError> {
-    decode_view_dag(bits).map(|(view, height)| (view.to_tree(), height))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding::{encode_view, encode_view_interned};
+    use crate::encoding::encode_view_interned;
+    use crate::view_tree::ViewTree;
+    use crate::ViewCodec;
     use anet_graph::generators;
 
     #[test]
@@ -273,10 +273,8 @@ mod tests {
             let unshared = View::from_tree(&ViewTree::build(&g, v, 3));
             assert!(!View::ptr_eq(&interned, &unshared));
             assert_eq!(encode_view_dag(&interned, 3), encode_view_dag(&unshared, 3));
-            assert_eq!(
-                encode_tree_dag(&ViewTree::build(&g, v, 3), 3),
-                encode_view_dag(&interned, 3)
-            );
+            let owned = View::from_tree(&ViewTree::build(&g, v, 3));
+            assert_eq!(encode_view_dag(&owned, 3), encode_view_dag(&interned, 3));
         }
     }
 
@@ -336,7 +334,7 @@ mod tests {
         // repetitive graph and a random one.
         let ring = generators::symmetric_ring(8).unwrap();
         let v = View::build(&ring, 0, 8);
-        assert!(encode_view_dag(&v, 8).len() < encode_view(&v.to_tree(), 8).len());
+        assert!(encode_view_dag(&v, 8).len() < encode_view_interned(&v, 8).len());
     }
 
     #[test]
@@ -468,20 +466,44 @@ mod tests {
     }
 
     #[test]
-    fn size_helper_matches_encoding() {
-        let g = generators::star(4).unwrap();
-        let view = View::build(&g, 0, 2);
-        assert_eq!(
-            dag_encoded_size_bits(&view, 2),
-            encode_view_dag(&view, 2).len()
-        );
+    fn tree_entry_points_round_trip() {
+        // Owned trees ride the codec through the lossless conversions.
+        let g = generators::random_connected(10, 3, 4, 2).unwrap();
+        let tree = ViewTree::build(&g, 0, 2);
+        let (decoded, h) = decode_view_dag(&encode_view_dag(&View::from_tree(&tree), 2)).unwrap();
+        assert_eq!((decoded.to_tree(), h), (tree, 2));
     }
 
     #[test]
-    fn tree_entry_points_round_trip() {
-        let g = generators::random_connected(10, 3, 4, 2).unwrap();
-        let tree = ViewTree::build(&g, 0, 2);
-        let (decoded, h) = decode_tree_dag(&encode_tree_dag(&tree, 2)).unwrap();
-        assert_eq!((decoded, h), (tree, 2));
+    fn records_deeper_than_the_declared_height_are_rejected() {
+        // A chain of five degree-1 records under a declared height of 1: record 2
+        // is a subtree of height 2, which no view of height 1 contains. The delta
+        // format reads the same table after its cleared has_base bit.
+        for codec in [ViewCodec::Dag, ViewCodec::Delta] {
+            let mut bits = BitString::new();
+            bits.push_uint(3, 6); // w = 3
+            bits.push_uint(1, 3); // height 1
+            if codec == ViewCodec::Delta {
+                bits.push_bit(false); // standalone: no base
+            }
+            bits.push_varint(5);
+            bits.push_uint(1, 3); // record 0: a degree-1 leaf at the cut
+            bits.push_bit(false);
+            for child in 0..4u64 {
+                bits.push_uint(1, 3); // records 1..=4: degree 1, child = previous record
+                bits.push_bit(true);
+                bits.push_uint(0, 3);
+                bits.push_varint(child);
+            }
+            bits.push_varint(4); // root: the top of the chain
+            assert_eq!(
+                codec.decode(&bits, None),
+                Err(DecodeError::TooDeep {
+                    index: 2,
+                    height: 1
+                }),
+                "{codec}"
+            );
+        }
     }
 }

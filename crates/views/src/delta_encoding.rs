@@ -11,10 +11,10 @@
 //!
 //! ## Format
 //!
-//! * 6 bits: `w` — the field width for every degree, far-port and height field
-//!   (`w = max(width(Δ), width(max port), width(h))`, computed from the **target**;
-//!   base nodes are referenced, never re-emitted, so their fields don't matter),
-//! * `w` bits: the truncation depth `h` of the target,
+//! * the header every [`crate::ViewCodec`] format opens with: 6 bits of field width
+//!   `w` (`w = max(width(Δ), width(max port), width(h))`, computed from the
+//!   **target**; base nodes are referenced, never re-emitted, so their fields don't
+//!   matter), then the truncation depth `h` of the target in `w` bits,
 //! * 1 bit: `has_base` — does the encoding reference a base view?
 //! * if `has_base`:
 //!   * 16 bits: a fingerprint of the base (the low 16 bits of the canonical base
@@ -22,10 +22,10 @@
 //!     the same base,
 //!   * varint: `K`, the number of distinct nodes of the base (the base half of the
 //!     table: ids `0..K` in first-visit post-order of the canonical base DAG),
-//! * varint: `M`, the number of *new* records,
-//! * `M` node records in the exact [`crate::dag_encoding`] record format, with child
-//!   ids ranging over the **combined** table (base ids `< K`, new ids from `K`),
-//! * varint: the root's combined-table id.
+//! * the node table of the [`crate::dag_encoding`] format, written and read by the
+//!   same two functions: the number `M` of *new* records, the records, with child
+//!   ids ranging over the **combined** table (base ids `< K`, new ids from `K`), and
+//!   the root's combined-table id.
 //!
 //! ## Adaptive: never worse than the DAG format by more than one bit
 //!
@@ -33,16 +33,18 @@
 //! node of `B^r(v)` is some `B^{r−d}(u)` for a length-`d` walk `v → u`, so a subtree
 //! shared with the base needs walks of *both parities* to `u` — on bipartite graphs
 //! (even rings, hypercubes, even tori) successive views share **nothing**. The
-//! encoder therefore encodes both ways — against the base and standalone — and emits
-//! whichever is smaller. The standalone form is the DAG format plus the `has_base`
-//! bit, so `delta ≤ dag + 1` always, and `delta < dag` wherever real sharing exists
-//! (odd cycles somewhere in range: non-bipartite graphs, odd rings/tori).
+//! encoder therefore interns the target once and writes both tables — standalone, then
+//! against the base interned into the same interner — and emits whichever form is
+//! shorter. The standalone form is the DAG format plus the `has_base` bit, so
+//! `delta ≤ dag + 1` always, and `delta < dag` wherever real sharing exists (odd
+//! cycles somewhere in range: non-bipartite graphs, odd rings/tori).
 //!
 //! [`decode_view_delta`] enforces the same invariants as the DAG decoder (backward
-//! ids, no duplicates — including a new record duplicating a base node —, `u32`
-//! domains, no reading past the end) and additionally rejects a declared base the
-//! decoder does not hold with [`DecodeError::BaseMismatch`]. A supplied-but-unused
-//! base is fine: the standalone form ignores it.
+//! ids, no duplicates — including a new record duplicating a base node —, no record
+//! deeper than the declared height, `u32` domains, no reading past the end) and
+//! additionally rejects a declared base the decoder does not hold with
+//! [`DecodeError::BaseMismatch`]. A supplied-but-unused base is fine: the standalone
+//! form ignores it.
 //!
 //! ```
 //! use anet_views::delta_encoding::{decode_view_delta, encode_view_delta};
@@ -62,8 +64,8 @@
 // anet-lint: deny(panic-path)
 
 use crate::bits::BitString;
-use crate::dag_encoding::{emit_node, read_node};
-use crate::encoding::DecodeError;
+use crate::dag_encoding::{read_table, write_table};
+use crate::encoding::{read_header, write_header, DecodeError};
 use crate::interned::{View, ViewInterner};
 use std::collections::HashMap;
 
@@ -76,7 +78,7 @@ fn fingerprint(base: &View) -> u64 {
 }
 
 /// Assign table ids to every distinct node of `view` in first-visit post-order —
-/// the identical order [`emit_node`] emits in — collecting the canonical handles
+/// the order the table writer emits records in — collecting the canonical handles
 /// in id order. Used to pre-fill the base half of the combined table on both the
 /// encode and the decode side without writing or reading any bits.
 fn assign_ids(node: &View, ids: &mut HashMap<usize, u64>, order: &mut Vec<View>) {
@@ -99,55 +101,34 @@ fn assign_ids(node: &View, ids: &mut HashMap<usize, u64>, order: &mut Vec<View>)
 /// previous message exists) the output is the standalone form — the DAG format plus
 /// a cleared `has_base` bit.
 ///
-/// Adaptive: both forms are produced and the smaller one is returned, so the result
-/// is never more than one bit longer than [`crate::dag_encoding::encode_view_dag`].
+/// Adaptive: the view is interned once and both tables are written; the shorter
+/// form is returned (a tie keeps the standalone form), so the result is never more
+/// than one bit longer than [`crate::dag_encoding::encode_view_dag`].
 pub fn encode_view_delta(view: &View, height: usize, base: Option<&View>) -> BitString {
-    let standalone = encode_with(view, height, None);
-    match base {
-        None => standalone,
-        Some(base) => {
-            let delta = encode_with(view, height, Some(base));
-            if delta.len() < standalone.len() {
-                delta
-            } else {
-                standalone
-            }
-        }
-    }
-}
-
-fn encode_with(view: &View, height: usize, base: Option<&View>) -> BitString {
     let mut interner = ViewInterner::new();
     let canonical = interner.intern(view);
-    let max_val = u64::from(canonical.max_degree())
-        .max(canonical.max_port().map(u64::from).unwrap_or(0))
-        .max(height as u64);
-    let w = BitString::width_for(max_val);
-    assert!(w <= 63, "view values too large to encode");
-    let mut bits = BitString::new();
-    bits.push_uint(w as u64, 6);
-    bits.push_uint(height as u64, w);
-    let mut ids: HashMap<usize, u64> = HashMap::new();
-    let mut base_order: Vec<View> = Vec::new();
-    match base {
-        Some(base) => {
-            // Intern the base into the SAME table: every subtree the target shares
-            // with it becomes pointer-identical, so `emit_node`'s memo skips it.
-            let canonical_base = interner.intern(base);
-            assign_ids(&canonical_base, &mut ids, &mut base_order);
-            bits.push_bit(true);
-            bits.push_uint(fingerprint(&canonical_base), FINGERPRINT_BITS);
-            bits.push_varint(base_order.len() as u64);
-        }
-        None => bits.push_bit(false),
+    let mut standalone = BitString::new();
+    let w = write_header(&canonical, height, &mut standalone);
+    let mut based = standalone.clone();
+    standalone.push_bit(false);
+    write_table(&canonical, w, &mut HashMap::new(), &mut standalone);
+    let Some(base) = base else {
+        return standalone;
+    };
+    // Interning the base into the SAME table makes every subtree the target shares
+    // with it pointer-identical, so the table writer references it by id.
+    let canonical_base = interner.intern(base);
+    let mut ids = HashMap::new();
+    assign_ids(&canonical_base, &mut ids, &mut Vec::new());
+    based.push_bit(true);
+    based.push_uint(fingerprint(&canonical_base), FINGERPRINT_BITS);
+    based.push_varint(ids.len() as u64);
+    write_table(&canonical, w, &mut ids, &mut based);
+    if based.len() < standalone.len() {
+        based
+    } else {
+        standalone
     }
-    let k = ids.len();
-    let mut table = BitString::new();
-    let root_id = emit_node(&canonical, w, &mut table, &mut ids);
-    bits.push_varint((ids.len() - k) as u64);
-    bits.append(&table);
-    bits.push_varint(root_id);
-    bits
 }
 
 /// Decode a view previously produced by [`encode_view_delta`]; returns the view and
@@ -160,11 +141,7 @@ pub fn decode_view_delta(
     base: Option<&View>,
 ) -> Result<(View, usize), DecodeError> {
     let mut r = bits.reader();
-    let w = r.read_uint(6).ok_or(DecodeError::Truncated)? as usize;
-    if w == 0 || w > 63 {
-        return Err(DecodeError::BadWidth);
-    }
-    let height = r.read_uint(w).ok_or(DecodeError::Truncated)? as usize;
+    let (w, height) = read_header(&mut r)?;
     let has_base = r.read_bit().ok_or(DecodeError::Truncated)?;
     let mut interner = ViewInterner::new();
     let mut nodes: Vec<View> = Vec::new();
@@ -175,43 +152,15 @@ pub fn decode_view_delta(
         let declared_k = r.read_varint().ok_or(DecodeError::Truncated)?;
         let base = base.ok_or(DecodeError::BaseMismatch)?;
         let canonical_base = interner.intern(base);
-        let mut ids: HashMap<usize, u64> = HashMap::new();
-        assign_ids(&canonical_base, &mut ids, &mut nodes);
+        assign_ids(&canonical_base, &mut HashMap::new(), &mut nodes);
         if fingerprint(&canonical_base) != declared_print || nodes.len() as u64 != declared_k {
             return Err(DecodeError::BaseMismatch);
         }
     }
-    let count = r.read_varint().ok_or(DecodeError::Truncated)?;
-    if !has_base && count == 0 {
-        // Standalone with an empty table is the DAG format's EmptyTable condition;
-        // with a base, zero new records is legal (a fully shared target).
-        return Err(DecodeError::EmptyTable);
-    }
-    for index in 0..count {
-        let (degree, children) = read_node(&mut r, w, &nodes)?;
-        let before = interner.len();
-        let node = interner.node(degree, children);
-        if interner.len() == before {
-            // Duplicates an earlier entry — a new record *or* a base node the
-            // canonical encoder would have referenced by id instead.
-            return Err(DecodeError::DuplicateNode {
-                index: index as usize,
-            });
-        }
-        nodes.push(node);
-    }
-    let root = r.read_varint().ok_or(DecodeError::Truncated)? as usize;
-    let view = nodes.get(root).cloned().ok_or(DecodeError::BadNodeId {
-        id: root,
-        limit: nodes.len(),
-    })?;
+    // With a base, zero new records is legal (a fully shared target); standalone,
+    // an empty table is the DAG format's EmptyTable condition.
+    let view = read_table(&mut r, w, height, &mut nodes, &mut interner)?;
     Ok((view, height))
-}
-
-/// Number of bits [`encode_view_delta`] takes for the given view/base pair — the
-/// per-message cost the metered transport's `delta` codec charges.
-pub fn delta_encoded_size_bits(view: &View, height: usize, base: Option<&View>) -> usize {
-    encode_view_delta(view, height, base).len()
 }
 
 #[cfg(test)]
@@ -308,17 +257,6 @@ mod tests {
         assert_eq!(
             decode_view_delta(&bits, Some(&wrong)),
             Err(DecodeError::BaseMismatch)
-        );
-    }
-
-    #[test]
-    fn size_helper_matches_encoding() {
-        let g = generators::symmetric_ring(5).unwrap();
-        let base = View::build(&g, 0, 3);
-        let view = View::build(&g, 0, 4);
-        assert_eq!(
-            delta_encoded_size_bits(&view, 4, Some(&base)),
-            encode_view_delta(&view, 4, Some(&base)).len()
         );
     }
 }

@@ -1,4 +1,6 @@
-//! Binary encoding of augmented truncated views.
+//! Binary encoding of augmented truncated views, and [`ViewCodec`]: the one choice
+//! of how a view becomes bits, for Theorem 2.2 advice and for every message of the
+//! metered transport alike.
 //!
 //! Theorem 2.2 of the paper gives an oracle whose advice is a single encoded view
 //! `B^{ψ_S(G)}(u)`, using `O((Δ−1)^{ψ_S(G)} log Δ)` bits: the view has at most
@@ -9,33 +11,38 @@
 //!
 //! ## Format
 //!
+//! Every format of [`ViewCodec`] opens with the same header, written and read here:
+//!
 //! * 6 bits: `w` — the field width used for every subsequent integer
-//!   (`w = max(width(Δ), width(h))`, where `Δ` is the largest degree and `h` the height
-//!   appearing in the view),
-//! * `w` bits: the height `h` of the encoded view,
-//! * then the tree in pre-order: for every tree node, its degree (`w` bits); for every
-//!   non-leaf-level tree node additionally, for each of its `degree` children in port
-//!   order, the far-end port `q` (`w` bits) followed by the child's encoding. The
-//!   outgoing port `p` is *not* stored: children appear in port order, so `p` is
-//!   implied — this saves a factor close to 2 and matches the paper's accounting of
-//!   "each edge's two port numbers" (the implied one is free).
+//!   (`w = max(width(Δ), width(max port), width(h))`, where `Δ` is the largest
+//!   degree and `h` the height of the encoded view),
+//! * `w` bits: the height `h` of the encoded view.
+//!
+//! The tree format follows it with the tree in pre-order: for every tree node, its
+//! degree (`w` bits); for every non-leaf-level tree node additionally, for each of its
+//! `degree` children in port order, the far-end port `q` (`w` bits) followed by the
+//! child's encoding. The outgoing port `p` is *not* stored: children appear in port
+//! order, so `p` is implied — this saves a factor close to 2 and matches the paper's
+//! accounting of "each edge's two port numbers" (the implied one is free).
 //!
 //! The encoding length is therefore `6 + w·(1 + #tree nodes + #tree edges)`, i.e.
 //! `O((Δ−1)^h log Δ)` as in the paper.
 //!
 //! This is the paper's *unfolded* accounting: repeated subtrees are written once per
 //! occurrence. The sibling [`crate::dag_encoding`] module serialises the shared DAG
-//! instead (one table entry per *distinct* subtree), which collapses symmetric views
-//! from `Θ(Δ^h)` to `O(h)` encoded nodes; [`ViewCodec`] names the two formats so
-//! advice-producing code can choose per run.
+//! instead (one table record per *distinct* subtree), which collapses symmetric views
+//! from `Θ(Δ^h)` to `O(h)` encoded nodes, and [`crate::delta_encoding`] writes only
+//! the records a base view the decoder already holds does not cover.
+
+// anet-lint: deny(panic-path)
 
 use crate::bits::{BitReader, BitString};
+use crate::dag_encoding::{decode_view_dag, encode_view_dag};
+use crate::delta_encoding::{decode_view_delta, encode_view_delta};
 use crate::interned::View;
-use crate::view_tree::ViewTree;
 
-/// Errors produced while decoding an encoded view — by this module's tree codec or
-/// by the shared-DAG codec in [`crate::dag_encoding`] (the DAG-specific conditions
-/// only arise there).
+/// Errors produced while decoding an encoded view in any [`ViewCodec`] format (the
+/// table conditions only arise in the DAG and delta formats).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The bit string ended before the view was complete (also reported for a
@@ -74,6 +81,16 @@ pub enum DecodeError {
     /// [`DecodeError::BadNodeId`] / [`DecodeError::DuplicateNode`] or as a decoded
     /// view that fails downstream equality — never as memory unsafety.)
     BaseMismatch,
+    /// DAG and delta formats: a table entry is a subtree deeper than the header's
+    /// height. Every entry an encoder writes is a subtree of a view of that height,
+    /// so the entry is forged. Rejecting it keeps the decoded view no deeper than the
+    /// height the header declares, which is what fixes how many rounds a node runs.
+    TooDeep {
+        /// Index of the offending entry.
+        index: usize,
+        /// The height the header declares.
+        height: usize,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -97,70 +114,93 @@ impl std::fmt::Display for DecodeError {
                     "delta encoding references a base view the decoder does not hold"
                 )
             }
+            DecodeError::TooDeep { index, height } => {
+                write!(
+                    f,
+                    "table entry {index} is deeper than the declared height {height}"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// Which binary form a view is shipped in. Both are lossless and self-delimiting;
-/// they differ only in what they charge for repeated subtrees.
+/// How a view becomes bits: the one codec for Theorem 2.2 advice and for the
+/// messages of the metered transport. All three formats are lossless and
+/// self-delimiting and open with the same header; they differ only in what they
+/// charge for repeated structure.
 ///
 /// * [`ViewCodec::Tree`] — the pre-order unfolded-tree format of this module
 ///   (the original Theorem 2.2 accounting: `O((Δ−1)^h log Δ)` bits).
 /// * [`ViewCodec::Dag`] — the hash-consed shared-DAG format of
 ///   [`crate::dag_encoding`]: `O(distinct subtrees)` table entries, so symmetric
 ///   views collapse from exponential to linear in the height.
+/// * [`ViewCodec::Delta`] — the format of [`crate::delta_encoding`]: the DAG table
+///   written against a base view the decoder already holds (on a metered edge, the
+///   previous round's message), never more than one bit above `Dag`.
 ///
-/// The two formats are **not** self-describing relative to each other (a DAG
-/// bit string may also parse as some tree encoding), so encoder and decoder must
-/// agree on the codec out of band — exactly like the height parameter.
+/// The formats are **not** self-describing relative to each other (a DAG bit string
+/// may also parse as some tree encoding), so encoder and decoder must agree on the
+/// codec out of band — exactly like the height parameter. The default is `Dag`: the
+/// format a capped backend meters in when no codec is named. (The Theorem 2.2
+/// advice solver ships `Tree` unless asked otherwise: the paper's accounting.)
 ///
 /// ```
-/// use anet_views::{encoding::ViewCodec, View};
-/// let g = anet_graph::generators::symmetric_ring(6).unwrap();
-/// let view = View::build(&g, 0, 8);
-/// let tree = ViewCodec::Tree.encode(&view, 8);
-/// let dag = ViewCodec::Dag.encode(&view, 8);
-/// assert!(dag.len() < tree.len()); // the ring's views share everything
-/// for codec in [ViewCodec::Tree, ViewCodec::Dag] {
-///     let (decoded, h) = codec.decode(&codec.encode(&view, 8)).unwrap();
-///     assert_eq!((decoded, h), (view.clone(), 8));
+/// use anet_views::{View, ViewCodec};
+/// let g = anet_graph::generators::symmetric_ring(5).unwrap();
+/// let (base, view) = (View::build(&g, 0, 7), View::build(&g, 0, 8));
+/// let [tree, dag, delta] = ViewCodec::ALL.map(|codec| codec.encode(&view, 8, Some(&base)));
+/// assert!(delta.len() < dag.len() && dag.len() < tree.len());
+/// for (codec, bits) in ViewCodec::ALL.into_iter().zip([tree, dag, delta]) {
+///     assert_eq!(codec.decode(&bits, Some(&base)).unwrap(), (view.clone(), 8));
 /// }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ViewCodec {
     /// The unfolded pre-order tree format ([`encode_view_interned`]).
-    #[default]
     Tree,
-    /// The hash-consed shared-DAG format ([`crate::dag_encoding::encode_view_dag`]).
+    /// The hash-consed shared-DAG format ([`encode_view_dag`]).
+    #[default]
     Dag,
+    /// The DAG table against a base view ([`encode_view_delta`]).
+    Delta,
 }
 
 impl ViewCodec {
-    /// Encode `view` at truncation depth `height` in this format.
-    pub fn encode(self, view: &View, height: usize) -> BitString {
+    /// Every codec, baseline to sharpest: tree, dag, delta.
+    pub const ALL: [ViewCodec; 3] = [ViewCodec::Tree, ViewCodec::Dag, ViewCodec::Delta];
+
+    /// Encode `view`, built at truncation depth `height`, in this format. `Delta`
+    /// encodes against `base`, the view the decoder will hold (`None`: the
+    /// standalone form); `Tree` and `Dag` ignore it.
+    pub fn encode(self, view: &View, height: usize, base: Option<&View>) -> BitString {
         match self {
             ViewCodec::Tree => encode_view_interned(view, height),
-            ViewCodec::Dag => crate::dag_encoding::encode_view_dag(view, height),
+            ViewCodec::Dag => encode_view_dag(view, height),
+            ViewCodec::Delta => encode_view_delta(view, height, base),
         }
     }
 
     /// Decode a view previously produced by [`ViewCodec::encode`] with the same
-    /// codec; returns the view and its height.
-    pub fn decode(self, bits: &BitString) -> Result<(View, usize), DecodeError> {
+    /// codec and, for `Delta`, a structurally equal base; returns the view and its
+    /// height. `Tree` and `Dag` ignore `base`.
+    pub fn decode(
+        self,
+        bits: &BitString,
+        base: Option<&View>,
+    ) -> Result<(View, usize), DecodeError> {
         match self {
             ViewCodec::Tree => decode_view_interned(bits),
-            ViewCodec::Dag => crate::dag_encoding::decode_view_dag(bits),
+            ViewCodec::Dag => decode_view_dag(bits),
+            ViewCodec::Delta => decode_view_delta(bits, base),
         }
     }
 
-    /// Short label used in solver names and JSON artifacts (`tree` / `dag`).
+    /// Stable lowercase label used in solver and scenario names, sweep artifacts and
+    /// tables: `tree`, `dag`, `delta`, in variant order.
     pub fn label(self) -> &'static str {
-        match self {
-            ViewCodec::Tree => "tree",
-            ViewCodec::Dag => "dag",
-        }
+        ["tree", "dag", "delta"][self as usize]
     }
 }
 
@@ -170,25 +210,33 @@ impl std::fmt::Display for ViewCodec {
     }
 }
 
-/// Encode an augmented truncated view of the given height into a [`BitString`].
-///
-/// `height` must be the truncation depth the view was built with (it cannot always be
-/// recovered from the tree itself: a view that happens to hit only degree-1 nodes stops
-/// branching early).
-pub fn encode_view(view: &ViewTree, height: usize) -> BitString {
-    encode_view_interned(&View::from_tree(view), height)
+/// The field width of `view`'s encodings at `height`: wide enough for its largest
+/// degree, its largest port and the height.
+fn field_width(view: &View, height: usize) -> usize {
+    let max_val = u64::from(view.max_degree())
+        .max(view.max_port().map(u64::from).unwrap_or(0))
+        .max(height as u64);
+    BitString::width_for(max_val)
 }
 
-/// Decode a view previously produced by [`encode_view`]; returns the view and its
-/// height.
-pub fn decode_view(bits: &BitString) -> Result<(ViewTree, usize), DecodeError> {
-    decode_view_interned(bits).map(|(view, height)| (view.to_tree(), height))
+/// Write the header every format opens with — the 6-bit field width `w`, then
+/// `height` in `w` bits — and return `w`.
+pub(crate) fn write_header(view: &View, height: usize, bits: &mut BitString) -> usize {
+    let w = field_width(view, height);
+    assert!(w <= 63, "view values too large to encode");
+    bits.push_uint(w as u64, 6);
+    bits.push_uint(height as u64, w);
+    w
 }
 
-/// Number of advice bits used to encode the given view at the given height — a
-/// convenience for experiments that only need the size.
-pub fn encoded_size_bits(view: &ViewTree, height: usize) -> usize {
-    encode_view(view, height).len()
+/// Read the header [`write_header`] writes: the field width and the height.
+pub(crate) fn read_header(r: &mut BitReader<'_>) -> Result<(usize, usize), DecodeError> {
+    let w = r.read_uint(6).ok_or(DecodeError::Truncated)? as usize;
+    if w == 0 || w > 63 {
+        return Err(DecodeError::BadWidth);
+    }
+    let height = r.read_uint(w).ok_or(DecodeError::Truncated)? as usize;
+    Ok((w, height))
 }
 
 /// The exact length [`encode_view_interned`] would produce, computed in closed form
@@ -198,27 +246,21 @@ pub fn encoded_size_bits(view: &ViewTree, height: usize) -> usize {
 /// runs report their tree-bits counterpart (saturating: a view whose unfolded size
 /// saturates [`View::size`] could not be materialised by the tree codec either).
 pub fn tree_encoded_size_bits(view: &View, height: usize) -> usize {
-    let max_val = u64::from(view.max_degree())
-        .max(view.max_port().map(u64::from).unwrap_or(0))
-        .max(height as u64);
-    let w = BitString::width_for(max_val);
-    6 + 2usize.saturating_mul(w).saturating_mul(view.size())
+    6 + 2usize
+        .saturating_mul(field_width(view, height))
+        .saturating_mul(view.size())
 }
 
-/// [`encode_view`] for a shared [`View`] handle. This is the single implementation
-/// of the bit format (the owned entry points delegate through the lossless
-/// `View ↔ ViewTree` conversions, so the two forms cannot diverge); note the output
-/// is the *unfolded* tree either way — for a format that charges per distinct
-/// subtree instead, use [`crate::dag_encoding::encode_view_dag`].
+/// Encode an augmented truncated view of the given height in the unfolded-tree
+/// format ([`ViewCodec::Tree`]).
+///
+/// `height` must be the truncation depth the view was built with (it cannot always be
+/// recovered from the tree itself: a view that happens to hit only degree-1 nodes stops
+/// branching early). The output is the *unfolded* tree however much the handle
+/// shares; an owned [`crate::ViewTree`] is encoded through [`View::from_tree`].
 pub fn encode_view_interned(view: &View, height: usize) -> BitString {
-    let max_val = u64::from(view.max_degree())
-        .max(view.max_port().map(u64::from).unwrap_or(0))
-        .max(height as u64);
-    let w = BitString::width_for(max_val);
-    assert!(w <= 63, "view values too large to encode");
     let mut bits = BitString::new();
-    bits.push_uint(w as u64, 6);
-    bits.push_uint(height as u64, w);
+    let w = write_header(view, height, &mut bits);
     encode_interned_node(view, height, w, &mut bits);
     bits
 }
@@ -239,15 +281,12 @@ fn encode_interned_node(node: &View, remaining: usize, w: usize, bits: &mut BitS
     }
 }
 
-/// [`decode_view`] producing a shared [`View`] handle (unshared internally — run it
-/// through [`crate::ViewInterner::intern`] to collapse repeated subtrees).
+/// Decode a view previously produced by [`encode_view_interned`]; returns the view
+/// (unshared internally — run it through [`crate::ViewInterner::intern`] to collapse
+/// repeated subtrees, or [`View::to_tree`] for the owned form) and its height.
 pub fn decode_view_interned(bits: &BitString) -> Result<(View, usize), DecodeError> {
     let mut r = bits.reader();
-    let w = r.read_uint(6).ok_or(DecodeError::Truncated)? as usize;
-    if w == 0 || w > 63 {
-        return Err(DecodeError::BadWidth);
-    }
-    let height = r.read_uint(w).ok_or(DecodeError::Truncated)? as usize;
+    let (w, height) = read_header(&mut r)?;
     let view = decode_interned_node(&mut r, height, w)?;
     Ok((view, height))
 }
@@ -283,7 +322,17 @@ fn decode_interned_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view_tree::ViewTree;
     use anet_graph::generators;
+
+    /// The tree codec on an owned tree, through the lossless conversions.
+    fn encode_tree(view: &ViewTree, height: usize) -> BitString {
+        encode_view_interned(&View::from_tree(view), height)
+    }
+
+    fn decode_tree(bits: &BitString) -> Result<(ViewTree, usize), DecodeError> {
+        decode_view_interned(bits).map(|(view, height)| (view.to_tree(), height))
+    }
 
     #[test]
     fn round_trip_on_line_views() {
@@ -291,8 +340,8 @@ mod tests {
         for v in g.nodes() {
             for h in 0..=3usize {
                 let view = ViewTree::build(&g, v, h);
-                let bits = encode_view(&view, h);
-                let (decoded, dh) = decode_view(&bits).unwrap();
+                let bits = encode_tree(&view, h);
+                let (decoded, dh) = decode_tree(&bits).unwrap();
                 assert_eq!(dh, h);
                 assert_eq!(decoded, view);
             }
@@ -306,8 +355,8 @@ mod tests {
             for v in [0u32, 7, 17] {
                 for h in 0..=3usize {
                     let view = ViewTree::build(&g, v, h);
-                    let bits = encode_view(&view, h);
-                    let (decoded, dh) = decode_view(&bits).unwrap();
+                    let bits = encode_tree(&view, h);
+                    let (decoded, dh) = decode_tree(&bits).unwrap();
                     assert_eq!((decoded, dh), (view, h));
                 }
             }
@@ -322,7 +371,7 @@ mod tests {
         let delta = g.max_degree() as u64;
         for h in 1..=3usize {
             let view = ViewTree::build(&g, root, h);
-            let bits = encode_view(&view, h);
+            let bits = encode_tree(&view, h);
             let w = BitString::width_for(delta.max(h as u64));
             let exact = 6 + w * (1 + view.size() + view.num_edges());
             assert_eq!(bits.len(), exact);
@@ -335,15 +384,15 @@ mod tests {
     fn truncated_bitstring_reports_error() {
         let g = generators::star(3).unwrap();
         let view = ViewTree::build(&g, 0, 2);
-        let bits = encode_view(&view, 2);
+        let bits = encode_tree(&view, 2);
         let short =
             BitString::from_binary_string(&bits.to_binary_string()[..bits.len() - 5]).unwrap();
-        assert_eq!(decode_view(&short), Err(DecodeError::Truncated));
+        assert_eq!(decode_tree(&short), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn empty_bitstring_is_truncated() {
-        assert_eq!(decode_view(&BitString::new()), Err(DecodeError::Truncated));
+        assert_eq!(decode_tree(&BitString::new()), Err(DecodeError::Truncated));
     }
 
     #[test]
@@ -351,7 +400,7 @@ mod tests {
         let mut bits = BitString::new();
         bits.push_uint(0, 6); // width 0 is invalid
         bits.push_uint(0, 8);
-        assert_eq!(decode_view(&bits), Err(DecodeError::BadWidth));
+        assert_eq!(decode_tree(&bits), Err(DecodeError::BadWidth));
     }
 
     #[test]
@@ -360,7 +409,7 @@ mod tests {
         bits.push_uint(33, 6); // w = 33 (legal: the height field may need it)
         bits.push_uint(1, 33); // height 1
         bits.push_uint(1u64 << 32, 33); // root degree 2^32: outside the u32 domain
-        assert_eq!(decode_view(&bits), Err(DecodeError::ValueTooLarge));
+        assert_eq!(decode_tree(&bits), Err(DecodeError::ValueTooLarge));
     }
 
     #[test]
@@ -371,14 +420,14 @@ mod tests {
         bits.push_uint(32, 6);
         bits.push_uint(1, 32);
         bits.push_uint(u64::from(u32::MAX), 32);
-        assert_eq!(decode_view(&bits), Err(DecodeError::Truncated));
+        assert_eq!(decode_tree(&bits), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn distinct_views_have_distinct_encodings() {
         let g = generators::oriented_ring(&[true, true, false, true, false]).unwrap();
         let views: Vec<_> = g.nodes().map(|v| ViewTree::build(&g, v, 3)).collect();
-        let encs: Vec<_> = views.iter().map(|v| encode_view(v, 3)).collect();
+        let encs: Vec<_> = views.iter().map(|v| encode_tree(v, 3)).collect();
         for i in 0..views.len() {
             for j in 0..views.len() {
                 assert_eq!(views[i] == views[j], encs[i] == encs[j]);
@@ -387,10 +436,21 @@ mod tests {
     }
 
     #[test]
-    fn size_helper_matches_encoding() {
-        let g = generators::star(4).unwrap();
-        let view = ViewTree::build(&g, 0, 2);
-        assert_eq!(encoded_size_bits(&view, 2), encode_view(&view, 2).len());
+    fn codec_labels_round_trip() {
+        // Labels name codecs in scenario names and sweep artifacts: distinct, and
+        // mapped back through `ALL`. The default is the DAG format.
+        for codec in ViewCodec::ALL {
+            let parsed = ViewCodec::ALL
+                .into_iter()
+                .find(|c| c.label() == codec.label());
+            assert_eq!(parsed, Some(codec));
+            assert_eq!(format!("{codec}"), codec.label());
+        }
+        assert_eq!(
+            ViewCodec::ALL.map(ViewCodec::label),
+            ["tree", "dag", "delta"]
+        );
+        assert_eq!(ViewCodec::default(), ViewCodec::Dag);
     }
 
     #[test]
@@ -429,7 +489,7 @@ mod tests {
                 for h in 0..=3usize {
                     let owned = ViewTree::build(&g, v, h);
                     let shared = View::build(&g, v, h);
-                    let owned_bits = encode_view(&owned, h);
+                    let owned_bits = encode_tree(&owned, h);
                     assert_eq!(encode_view_interned(&shared, h), owned_bits);
                     let (decoded, dh) = decode_view_interned(&owned_bits).unwrap();
                     assert_eq!(dh, h);

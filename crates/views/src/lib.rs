@@ -25,12 +25,13 @@
 //!   (within one graph or jointly across several graphs, as needed by the paper's
 //!   cross-graph indistinguishability lemmas),
 //! * [`bits`] — exact-length bit strings (the unit in which advice size is measured),
-//! * [`encoding`] — the unfolded-tree binary encoding of augmented truncated views
-//!   used by the Theorem 2.2 oracle (`O((Δ−1)^h log Δ)` bits), its decoder, and the
-//!   [`ViewCodec`] selector,
-//! * [`dag_encoding`] — the shared-DAG binary encoding: one table entry per
-//!   *distinct* subtree, so symmetric views cost `O(h)` instead of `Θ(Δ^h)` bits,
-//! * [`delta_encoding`] — the delta codec of the metered transport: a view encoded
+//! * [`encoding`] — [`ViewCodec`], the one codec for Theorem 2.2 advice and for
+//!   metered wire messages, with the header its three formats share and the
+//!   unfolded-tree format used by the Theorem 2.2 oracle (`O((Δ−1)^h log Δ)` bits),
+//! * [`dag_encoding`] — the shared-DAG format: one table entry per *distinct*
+//!   subtree, so symmetric views cost `O(h)` instead of `Θ(Δ^h)` bits; its node
+//!   table writer and reader also serve the delta format,
+//! * [`delta_encoding`] — the delta format of the metered transport: a view encoded
 //!   against the previous round's view the receiver already holds, shipping only
 //!   the new DAG table entries (never more than one bit over the DAG format),
 //! * [`paths`] — simple-path utilities underlying the PE / PPE / CPPE verifiers,
@@ -40,19 +41,19 @@
 //! * [`election_index`] — feasibility (all views distinct) and the election indices
 //!   `ψ_S`, `ψ_PE`, `ψ_PPE`, `ψ_CPPE` of the four shades of leader election.
 //!
-//! A view in one handle, and its two wire forms:
+//! A view in one handle, and two of its wire forms:
 //!
 //! ```
-//! use anet_views::{encoding, dag_encoding, View};
+//! use anet_views::{View, ViewCodec};
 //!
 //! let g = anet_graph::generators::star(4).unwrap();
 //! let view = View::build(&g, 0, 4); // B⁴(centre), structurally shared
 //! assert_eq!(view.degree(), 4);
 //!
-//! let tree_bits = encoding::encode_view_interned(&view, 4);
-//! let dag_bits = dag_encoding::encode_view_dag(&view, 4);
-//! assert_eq!(encoding::decode_view_interned(&tree_bits).unwrap().0, view);
-//! assert_eq!(dag_encoding::decode_view_dag(&dag_bits).unwrap().0, view);
+//! let tree_bits = ViewCodec::Tree.encode(&view, 4, None);
+//! let dag_bits = ViewCodec::Dag.encode(&view, 4, None);
+//! assert_eq!(ViewCodec::Tree.decode(&tree_bits, None).unwrap().0, view);
+//! assert_eq!(ViewCodec::Dag.decode(&dag_bits, None).unwrap().0, view);
 //! // The star's four identical branches collapse to shared table entries.
 //! assert!(dag_bits.len() < tree_bits.len());
 //! ```

@@ -122,7 +122,8 @@ fn random_bit_flips_never_panic_and_valid_decodes_are_self_consistent() {
                 | DecodeError::BadNodeId { .. }
                 | DecodeError::DuplicateNode { .. }
                 | DecodeError::ValueTooLarge
-                | DecodeError::BaseMismatch,
+                | DecodeError::BaseMismatch
+                | DecodeError::TooDeep { .. },
             ) => rejected += 1,
             Ok((decoded, h)) => {
                 decoded_ok += 1;

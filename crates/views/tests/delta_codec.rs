@@ -9,7 +9,7 @@
 use anet_graph::rng::Rng;
 use anet_graph::{generators, PortGraph};
 use anet_views::dag_encoding::encode_view_dag;
-use anet_views::delta_encoding::{decode_view_delta, delta_encoded_size_bits, encode_view_delta};
+use anet_views::delta_encoding::{decode_view_delta, encode_view_delta};
 use anet_views::encoding::DecodeError;
 use anet_views::{BitString, View};
 
@@ -38,15 +38,10 @@ fn round_trip_is_identity_with_and_without_a_base() {
                 let base = View::build(&g, v as u32, depth - 1);
                 // Standalone (round 1: no previous message exists).
                 let lone = encode_view_delta(&view, depth, None);
-                assert_eq!(lone.len(), delta_encoded_size_bits(&view, depth, None));
                 let (decoded, h) = decode_view_delta(&lone, None).unwrap();
                 assert_eq!((decoded, h), (view.clone(), depth), "node {v} standalone");
                 // Against the successive-round base, decoded with the same base.
                 let delta = encode_view_delta(&view, depth, Some(&base));
-                assert_eq!(
-                    delta.len(),
-                    delta_encoded_size_bits(&view, depth, Some(&base))
-                );
                 let (decoded, h) = decode_view_delta(&delta, Some(&base)).unwrap();
                 assert_eq!((decoded, h), (view, depth), "node {v} depth {depth}");
             }
@@ -181,7 +176,8 @@ fn random_bit_flips_never_panic_and_valid_decodes_are_self_consistent() {
                 | DecodeError::BadNodeId { .. }
                 | DecodeError::DuplicateNode { .. }
                 | DecodeError::ValueTooLarge
-                | DecodeError::BaseMismatch,
+                | DecodeError::BaseMismatch
+                | DecodeError::TooDeep { .. },
             ) => rejected += 1,
             Ok((decoded, h)) => {
                 decoded_ok += 1;

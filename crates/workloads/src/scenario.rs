@@ -11,8 +11,7 @@ use crate::families::{CirculantFamily, HypercubeFamily, RandomRegularFamily, Tor
 use anet_constructions::{FamilyInstance, GraphFamily};
 use anet_election::advice::run_with_advice;
 use anet_election::engine::{
-    Backend, BatchRow, BatchRunner, EngineError, MapSolver, MessageCodec, RunContext, Solver,
-    SolverRun,
+    Backend, BatchRow, BatchRunner, EngineError, MapSolver, RunContext, Solver, SolverRun,
 };
 use anet_election::selection::{SelectionAlgorithm, SelectionOracle};
 use anet_election::tasks::Task;
@@ -116,7 +115,7 @@ pub struct Scenario {
     pub max_instances: usize,
     /// The wire codec, when this scenario meters its runs (see
     /// [`Scenario::metered`]); `None` runs the zero-serialisation fast path.
-    pub wire: Option<MessageCodec>,
+    pub wire: Option<ViewCodec>,
 }
 
 impl Scenario {
@@ -163,7 +162,7 @@ impl Scenario {
     /// per-edge bit counts (serialised into the sweep JSON) and the name gains a
     /// `+wire-{codec}` suffix so the metered grid point never collides with its
     /// unmetered twin. Outputs and logical accounting are unchanged.
-    pub fn metered(mut self, codec: MessageCodec) -> Self {
+    pub fn metered(mut self, codec: ViewCodec) -> Self {
         self.wire = Some(codec);
         self.name = format!("{}+wire-{}", self.name, codec.label());
         self
@@ -393,7 +392,7 @@ impl ScenarioRegistry {
         // on a 10⁴-node graph the tree codec alone would ship Θ((Δ−1)^h) bits per
         // edge per round.
         let wire_family = || RandomRegularFamily::new(3, vec![16, 24], Self::GRID_SEED);
-        for codec in MessageCodec::ALL {
+        for codec in ViewCodec::ALL {
             registry
                 .register(
                     Scenario::new(
@@ -591,7 +590,7 @@ mod tests {
             Backend::Sequential,
             1,
         )
-        .metered(MessageCodec::Delta);
+        .metered(ViewCodec::Delta);
         assert!(
             metered.name().ends_with("/S/map/seq+wire-delta"),
             "{}",

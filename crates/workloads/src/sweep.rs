@@ -448,7 +448,7 @@ mod tests {
     use super::*;
     use crate::families::RandomRegularFamily;
     use crate::scenario::SolverSpec;
-    use anet_election::engine::{Backend, MessageCodec};
+    use anet_election::engine::{Backend, ViewCodec};
     use anet_election::tasks::Task;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -634,7 +634,7 @@ mod tests {
                     Backend::Sequential,
                     1,
                 )
-                .metered(MessageCodec::Dag),
+                .metered(ViewCodec::Dag),
             )
             .unwrap();
         registry
@@ -816,7 +816,7 @@ mod tests {
                         Backend::Sequential,
                         2,
                     )
-                    .metered(MessageCodec::Delta),
+                    .metered(ViewCodec::Delta),
                 )
                 .unwrap();
             registry

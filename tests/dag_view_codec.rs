@@ -177,6 +177,7 @@ fn selection_oracle_advice_matches_the_every_view_reference() {
             let shipped = match codec {
                 ViewCodec::Tree => tree,
                 ViewCodec::Dag => dag,
+                ViewCodec::Delta => unreachable!("the reference covers the tree and dag pairs"),
             };
             assert_eq!(&advice.bits, shipped, "{name}: {codec} advice");
             assert_eq!(advice.tree_bits, Some(tree.len()), "{name}: {codec}");

@@ -11,8 +11,7 @@ use four_shades::graph::{generators, permute, PortGraph};
 use four_shades::prelude::*;
 use four_shades::sim::{Backend, ViewCollectorFactory};
 use four_shades::views::election_index::{compute_all, feasibility, psi_s};
-use four_shades::views::encoding::{decode_view, encode_view};
-use four_shades::views::{Refinement, ViewTree};
+use four_shades::views::{Refinement, View, ViewCodec, ViewTree};
 
 const CASES: u64 = 32;
 
@@ -75,10 +74,10 @@ fn view_encoding_round_trips() {
         let depth = (case % 4) as usize;
         for v in g.nodes() {
             let view = ViewTree::build(&g, v, depth);
-            let bits = encode_view(&view, depth);
-            let (decoded, h) = decode_view(&bits).unwrap();
+            let bits = ViewCodec::Tree.encode(&View::from_tree(&view), depth, None);
+            let (decoded, h) = ViewCodec::Tree.decode(&bits, None).unwrap();
             assert_eq!(h, depth, "case {case}");
-            assert_eq!(decoded, view, "case {case}, node {v}");
+            assert_eq!(decoded.to_tree(), view, "case {case}, node {v}");
         }
     }
 }

@@ -8,10 +8,9 @@ use four_shades::graph::generators;
 use four_shades::graph::PortGraph;
 use four_shades::prelude::*;
 use four_shades::sim::full_info::ViewMessage;
-use four_shades::sim::{
-    run_full_information_traced, run_metered, MessageCodec, ViewCollectorFactory,
-};
+use four_shades::sim::{run_full_information_traced, run_metered, ViewCollectorFactory};
 use four_shades::trace::{Phase, Recorder, RoundProfile, Tagged, TraceEvent};
+use four_shades::views::ViewCodec;
 use four_shades::workloads::{chrome_trace_json, parse_trace, TraceFile};
 use std::sync::Arc;
 
@@ -237,7 +236,7 @@ fn trace_layout_is_pinned_for_every_backend_and_the_metered_transport() {
     }
 
     let recorder = Recorder::new();
-    run_metered(&g, rounds, MessageCodec::Dag, None, &recorder);
+    run_metered(&g, rounds, ViewCodec::Dag, None, &recorder);
     let metered = expected_layout(3, &[1, 1], &[(4, 100), (4, 158)]);
     assert_eq!(without_timings(&recorder), metered, "metered dag");
 

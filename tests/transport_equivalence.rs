@@ -13,9 +13,9 @@
 //!   all reconcile, capped or not.
 
 use four_shades::constructions::UClass;
-use four_shades::election::engine::MessageCodec;
 use four_shades::prelude::*;
 use four_shades::sim::run_metered;
+use four_shades::views::ViewCodec;
 use four_shades::workloads::{RandomRegularFamily, TorusFamily};
 
 /// Small, irregular-enough instances: one random 3-regular graph and one
@@ -51,7 +51,7 @@ fn metering_changes_nothing_but_the_wire_fields_across_the_smoke_set() {
                 .unwrap_or_else(|e| panic!("{}: {task}: {e}", instance.name));
             assert!(plain.wire.is_none(), "unmetered runs carry no wire stats");
             for backend in Backend::smoke_set() {
-                for codec in MessageCodec::ALL {
+                for codec in ViewCodec::ALL {
                     let metered = Election::task(task)
                         .solver(MapSolver::default())
                         .backend(backend)
@@ -80,7 +80,7 @@ fn a_generous_cap_degenerates_to_the_uncapped_run() {
         let g = &instance.graph;
         let uncapped = Election::task(Task::Selection)
             .solver(MapSolver::default())
-            .metered(MessageCodec::default())
+            .metered(ViewCodec::default())
             .run(g)
             .unwrap();
         let wire = uncapped.wire.as_ref().unwrap();
@@ -141,7 +141,7 @@ fn per_round_and_per_edge_accounting_reconcile() {
     for instance in wire_instances() {
         let g = &instance.graph;
         let mut runs = Vec::new();
-        for codec in MessageCodec::ALL {
+        for codec in ViewCodec::ALL {
             runs.push(
                 Election::task(Task::Selection)
                     .solver(MapSolver::default())
@@ -154,7 +154,7 @@ fn per_round_and_per_edge_accounting_reconcile() {
             Election::task(Task::Selection)
                 .solver(MapSolver::default())
                 .backend(Backend::capped(16))
-                .metered(MessageCodec::Delta)
+                .metered(ViewCodec::Delta)
                 .run(g)
                 .unwrap(),
         );
@@ -188,7 +188,7 @@ fn advice_pairs_meter_their_wire_too() {
         .solver(AdviceSolver::theorem_2_2())
         .run(&g)
         .unwrap();
-    for codec in MessageCodec::ALL {
+    for codec in ViewCodec::ALL {
         let metered = Election::task(Task::Selection)
             .solver(AdviceSolver::theorem_2_2())
             .metered(codec)
@@ -211,7 +211,7 @@ fn the_lemma_3_9_solver_honours_every_codec_and_a_cap() {
     let election = || Election::task(Task::PortElection).solver(PortElectionSolver::new(class.k));
     let plain = election().run(&g).unwrap();
     assert!(plain.solved(), "{}", plain.summary());
-    for codec in MessageCodec::ALL {
+    for codec in ViewCodec::ALL {
         let metered = election().metered(codec).profiled().run(&g).unwrap();
         assert_eq!(metered.outputs, plain.outputs, "{codec}");
         assert_eq!(metered.rounds, plain.rounds, "{codec}");
@@ -242,9 +242,9 @@ fn wire_bit_totals_are_pinned_on_the_bench_instances() {
     let rr = RandomRegularFamily::new(3, vec![96], 0xA5EED).generate(96);
     let torus = TorusFamily::generate(9, 9);
     let expected = [
-        (MessageCodec::Tree, 30240, 231984, 716),
-        (MessageCodec::Dag, 55656, 106272, 328),
-        (MessageCodec::Delta, 56178, 83592, 258),
+        (ViewCodec::Tree, 30240, 231984, 716),
+        (ViewCodec::Dag, 55656, 106272, 328),
+        (ViewCodec::Delta, 56178, 83592, 258),
     ];
     for (codec, rr_bits, torus_bits, torus_max_edge) in expected {
         let (_, stats) = run_metered(&rr, 3, codec, None, &NoopSink);
@@ -257,6 +257,6 @@ fn wire_bit_totals_are_pinned_on_the_bench_instances() {
             "torus 9x9 r4 via {codec}"
         );
     }
-    let (outcome, _) = run_metered(&rr, 3, MessageCodec::Dag, Some(64), &NoopSink);
+    let (outcome, _) = run_metered(&rr, 3, ViewCodec::Dag, Some(64), &NoopSink);
     assert_eq!(outcome.report.rounds, 4, "rr3 n96 r3 under a 64-bit cap");
 }
