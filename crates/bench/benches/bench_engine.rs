@@ -6,8 +6,8 @@
 //! Run with `cargo bench -p anet-bench --bench bench_engine`.
 
 use anet_bench::Harness;
-use anet_constructions::GClass;
-use anet_election::engine::{Backend, BatchRunner, Election, MapSolver};
+use anet_constructions::{GClass, GraphFamily};
+use anet_election::engine::{Backend, Election, MapSolver};
 use anet_election::tasks::Task;
 use anet_graph::generators;
 
@@ -36,10 +36,16 @@ fn main() {
     }
     let class = GClass::new(4, 1).unwrap();
     h.bench("batch_sweep_G41_all_tasks_x2", 5, || {
-        BatchRunner::default()
-            .max_instances(2)
-            .sweep_tasks(&class, &Task::ALL, |_| Box::new(MapSolver::default()))
-            .len()
+        let instances = class.instances(2);
+        Task::ALL
+            .iter()
+            .map(|&task| {
+                Election::task(task)
+                    .solver(MapSolver::default())
+                    .sweep(&class.family_name(), &instances)
+                    .len()
+            })
+            .sum::<usize>()
     });
     h.report();
 }

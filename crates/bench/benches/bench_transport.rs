@@ -17,10 +17,31 @@
 //! `crates/bench/baselines/bench_transport_smoke.json` via `bench_diff`.
 
 use anet_bench::Harness;
-use anet_sim::{run_full_information_on, run_metered, Backend};
+use anet_graph::PortGraph;
+use anet_sim::{
+    run_full_information_metered, run_full_information_traced, Backend, RunReport, WireStats,
+};
 use anet_trace::NoopSink;
 use anet_views::ViewCodec;
 use anet_workloads::families::{RandomRegularFamily, TorusFamily};
+
+/// Collect `rounds` rounds of views through `codec` on `backend` (capped or not),
+/// deciding nothing, and return the report and the bit accounting.
+fn metered(
+    g: &PortGraph,
+    rounds: usize,
+    backend: Backend,
+    codec: ViewCodec,
+) -> (RunReport, WireStats) {
+    let (_, report, stats) =
+        run_full_information_metered(g, rounds, backend, codec, &NoopSink, |_| ());
+    (report, stats)
+}
+
+/// The unmetered sequential fast path over the same rounds.
+fn unmetered(g: &PortGraph, rounds: usize) -> RunReport {
+    run_full_information_traced(g, rounds, Backend::Sequential, &NoopSink, |v| v.size()).1
+}
 
 fn main() {
     let mut h = Harness::new("transport");
@@ -32,14 +53,12 @@ fn main() {
     let rounds = 3;
 
     // Reference point: the unmetered sequential fast path (no serialisation).
-    h.bench("unmetered_seq_rr3_n96_r3", 10, || {
-        run_full_information_on(&rr, rounds, Backend::Sequential, |v| v.size()).1
-    });
+    h.bench("unmetered_seq_rr3_n96_r3", 10, || unmetered(&rr, rounds));
 
     // One timed run per codec; the per-codec totals become metrics below.
     for codec in ViewCodec::ALL {
         h.bench(&format!("metered_{codec}_rr3_n96_r3"), 10, || {
-            run_metered(&rr, rounds, codec, None, &NoopSink)
+            metered(&rr, rounds, Backend::Sequential, codec)
                 .1
                 .total_bits()
         });
@@ -49,9 +68,8 @@ fn main() {
     // edge per physical round. Measures the streaming loop's overhead, and the
     // physical round count shows the inflation next to the logical plan.
     h.bench("capped_b64_dag_rr3_n96_r3", 10, || {
-        run_metered(&rr, rounds, ViewCodec::Dag, Some(64), &NoopSink)
+        metered(&rr, rounds, Backend::capped(64), ViewCodec::Dag)
             .0
-            .report
             .rounds
     });
 
@@ -59,16 +77,16 @@ fn main() {
     // nodes, next to the unmetered run of the same rounds on the same graph.
     let rr_large = RandomRegularFamily::new(3, vec![10_000], 1).generate(10_000);
     h.bench("unmetered_seq_rr3_n10000_r3", 5, || {
-        run_full_information_on(&rr_large, rounds, Backend::Sequential, |v| v.size()).1
+        unmetered(&rr_large, rounds)
     });
     h.bench("metered_delta_rr3_n10000_r3", 5, || {
-        run_metered(&rr_large, rounds, ViewCodec::Delta, None, &NoopSink)
+        metered(&rr_large, rounds, Backend::Sequential, ViewCodec::Delta)
             .1
             .total_bits()
     });
 
     for codec in ViewCodec::ALL {
-        let (_, stats) = run_metered(&rr, rounds, codec, None, &NoopSink);
+        let (_, stats) = metered(&rr, rounds, Backend::Sequential, codec);
         h.metric(
             &format!("{codec}_total_bits_rr3_n96_r3"),
             stats.total_bits() as i64,
@@ -84,7 +102,7 @@ fn main() {
     let torus = TorusFamily::generate(9, 9);
     let torus_rounds = 4;
     for codec in ViewCodec::ALL {
-        let (_, stats) = run_metered(&torus, torus_rounds, codec, None, &NoopSink);
+        let (_, stats) = metered(&torus, torus_rounds, Backend::Sequential, codec);
         h.metric(
             &format!("{codec}_total_bits_torus9x9_r4"),
             stats.total_bits() as i64,
@@ -96,10 +114,10 @@ fn main() {
     }
 
     // The capped run's physical round count (logical plan: 3 rounds).
-    let (outcome, stats) = run_metered(&rr, rounds, ViewCodec::Dag, Some(64), &NoopSink);
+    let (report, stats) = metered(&rr, rounds, Backend::capped(64), ViewCodec::Dag);
     h.metric(
         "capped_b64_physical_rounds_rr3_n96_r3",
-        outcome.report.rounds as i64,
+        report.rounds as i64,
     );
     h.metric(
         "capped_b64_total_bits_rr3_n96_r3",

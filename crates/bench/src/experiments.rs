@@ -9,9 +9,9 @@
 
 use crate::suite::{small_suite, SuiteFamily};
 use crate::table::{fmt_f64, Table};
-use anet_constructions::{GClass, JClass, UClass};
+use anet_constructions::{GClass, GraphFamily, JClass, UClass};
 use anet_election::engine::{
-    AdviceSolver, Backend, BatchRow, BatchRunner, CppeSolver, Election, EngineError, MapSolver,
+    AdviceSolver, Backend, BatchRow, CppeSolver, Election, EngineError, MapSolver,
     PortElectionSolver,
 };
 use anet_election::selection::SelectionOracle;
@@ -527,34 +527,50 @@ pub fn e7_engine_matrix(backends: &[Backend]) -> Table {
             "wall",
         ],
     );
+    // Each family is materialised once per backend and swept task by task, so the
+    // rows of a family are grouped by task.
     for &backend in backends {
-        let runner = BatchRunner::new(backend).max_instances(2);
-
         let g_class = GClass::new(4, 1).expect("parameters");
-        let rows = runner.sweep_tasks(&g_class, &Task::ALL, |_| Box::new(MapSolver::default()));
-        push_batch_rows(&mut table, &rows, backend);
+        let instances = g_class.instances(2);
+        for task in Task::ALL {
+            let rows = Election::task(task)
+                .solver(MapSolver::default())
+                .backend(backend)
+                .sweep(&g_class.family_name(), &instances);
+            push_batch_rows(&mut table, &rows, backend);
+        }
 
         let u_class = UClass::new(4, 1).expect("parameters");
-        let rows = runner.sweep_tasks(&u_class, &[Task::Selection, Task::PortElection], |_| {
-            Box::new(PortElectionSolver::new(u_class.k))
-        });
-        push_batch_rows(&mut table, &rows, backend);
+        let instances = u_class.instances(2);
+        for task in [Task::Selection, Task::PortElection] {
+            let rows = Election::task(task)
+                .solver(PortElectionSolver::new(u_class.k))
+                .backend(backend)
+                .sweep(&u_class.family_name(), &instances);
+            push_batch_rows(&mut table, &rows, backend);
+        }
 
+        // The Lemma 4.8 solver is built from the member it runs on, so every `J`
+        // instance gets a builder of its own.
         let j_class = JClass::new(2, 4).expect("parameters");
-        let rows = runner.sweep_tasks(&j_class, &Task::ALL, |instance| {
-            let member = j_class
-                .template(Some(instance.param as usize))
-                .expect("param is the chain cap");
-            Box::new(CppeSolver::new(member, j_class.k))
-        });
-        push_batch_rows(&mut table, &rows, backend);
+        let instances = j_class.instances(2);
+        for task in Task::ALL {
+            for instance in &instances {
+                let member = j_class
+                    .template(Some(instance.param as usize))
+                    .expect("param is the chain cap");
+                let rows = Election::task(task)
+                    .solver(CppeSolver::new(member, j_class.k))
+                    .backend(backend)
+                    .sweep(&j_class.family_name(), std::slice::from_ref(instance));
+                push_batch_rows(&mut table, &rows, backend);
+            }
+        }
 
-        let rows =
-            BatchRunner::new(backend)
-                .max_instances(6)
-                .sweep(&SuiteFamily, Task::Selection, |_| {
-                    Box::new(MapSolver::default())
-                });
+        let rows = Election::task(Task::Selection)
+            .solver(MapSolver::default())
+            .backend(backend)
+            .sweep(&SuiteFamily.family_name(), &SuiteFamily.instances(6));
         push_batch_rows(&mut table, &rows, backend);
     }
     table

@@ -66,8 +66,8 @@ pub trait GraphFamily: Send + Sync {
 
 // Blanket impls so registries can hold `Box<dyn GraphFamily>` (or hand out `&dyn`
 // references) and still pass them wherever an `impl GraphFamily` is expected — e.g.
-// the scenario registry of `anet-workloads` stores families boxed and sweeps them
-// through `BatchRunner`.
+// the scenario registry of `anet-workloads` stores families boxed and sweeps their
+// instances with `ElectionBuilder::sweep`.
 impl<T: GraphFamily + ?Sized> GraphFamily for &T {
     fn family_name(&self) -> String {
         (**self).family_name()

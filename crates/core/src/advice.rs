@@ -84,6 +84,14 @@ pub trait Oracle {
     fn advise_with_sizes(&self, graph: &PortGraph) -> OracleAdvice {
         OracleAdvice::opaque(self.advise(graph))
     }
+
+    /// [`advise_with_sizes`](Oracle::advise_with_sizes), or `None` when the oracle
+    /// has no advice for this graph. The default always has one; the Theorem 2.2
+    /// `SelectionOracle` answers `None` on graphs with no unique view at any depth
+    /// (infinite Selection index), where its other two methods panic.
+    fn try_advise(&self, graph: &PortGraph) -> Option<OracleAdvice> {
+        Some(self.advise_with_sizes(graph))
+    }
 }
 
 /// Precomputed advice used as an oracle: it broadcasts itself whatever the graph,

@@ -1,16 +1,16 @@
-//! Sweeping one engine configuration across a family of graphs.
+//! Sweeping one configured election across the instances of a graph family.
 //!
 //! The paper's experiments all have the same shape: fix a task and an algorithm, walk
 //! a family of graphs (`G_{Δ,k}` members, `U_{Δ,k}` members, `J_{μ,k}` chains, or an
 //! ad-hoc suite), and tabulate measured quantities next to the paper's closed-form
-//! bounds. [`BatchRunner`] is that loop, factored out once: it drives the
-//! [`Election`](super::Election) builder over every instance of a
-//! [`GraphFamily`] and collects uniform [`BatchRow`]s that `anet-bench` renders as
+//! bounds. [`ElectionBuilder::sweep`] is that loop: it runs one configured election
+//! on every instance of a [`GraphFamily`](anet_constructions::GraphFamily) and
+//! collects uniform [`BatchRow`]s that `anet-bench` renders as
 //! paper-bound-vs-measured tables.
 
-use super::{Backend, Election, ElectionReport, EngineError, Solver, ViewCodec};
+use super::{ElectionBuilder, ElectionReport, EngineError};
 use crate::tasks::Task;
-use anet_constructions::{FamilyInstance, GraphFamily};
+use anet_constructions::FamilyInstance;
 
 /// The result of one engine run inside a sweep.
 #[derive(Debug)]
@@ -47,30 +47,6 @@ impl BatchRow {
         self.report.as_ref().ok().and_then(|r| r.advice_bits)
     }
 
-    /// Tree-codec size of the advice's encoded view, when the oracle reports it.
-    pub fn advice_tree_bits(&self) -> Option<usize> {
-        self.report.as_ref().ok().and_then(|r| r.advice_tree_bits)
-    }
-
-    /// Shared-DAG-codec size of the advice's encoded view, when the oracle reports
-    /// it (compare with [`advice_tree_bits`](BatchRow::advice_tree_bits) to see the
-    /// sharing collapse per instance).
-    pub fn advice_dag_bits(&self) -> Option<usize> {
-        self.report.as_ref().ok().and_then(|r| r.advice_dag_bits)
-    }
-
-    /// Quotient classes expanded by the map-side assignment search, if the run
-    /// produced a report (zero for solvers that never search).
-    pub fn classes_expanded(&self) -> Option<usize> {
-        self.report.as_ref().ok().map(|r| r.search.classes_expanded)
-    }
-
-    /// Candidate paths explored by the map-side assignment search, if the run
-    /// produced a report (zero for solvers that never search).
-    pub fn paths_explored(&self) -> Option<usize> {
-        self.report.as_ref().ok().map(|r| r.search.paths_explored)
-    }
-
     /// Total bits put on the wire, if the run was metered (see
     /// [`ElectionReport::wire`]); `None` on unmetered runs and engine errors.
     pub fn wire_bits(&self) -> Option<u64> {
@@ -91,133 +67,29 @@ impl BatchRow {
     }
 }
 
-/// Sweeps an election configuration across the instances of a [`GraphFamily`].
-#[derive(Debug, Clone, Copy)]
-pub struct BatchRunner {
-    backend: Backend,
-    max_instances: usize,
-    profiled: bool,
-    wire: Option<ViewCodec>,
-}
-
-impl Default for BatchRunner {
-    fn default() -> Self {
-        BatchRunner::new(Backend::Sequential)
-    }
-}
-
-impl BatchRunner {
-    /// A runner executing every instance on `backend`, visiting at most 8 instances
-    /// per family (override with [`BatchRunner::max_instances`]).
-    pub fn new(backend: Backend) -> Self {
-        BatchRunner {
-            backend,
-            max_instances: 8,
-            profiled: false,
-            wire: None,
-        }
-    }
-
-    /// Cap the number of instances visited per family.
-    pub fn max_instances(mut self, n: usize) -> Self {
-        self.max_instances = n;
-        self
-    }
-
-    /// Meter every instance run through `codec` (see
-    /// [`ElectionBuilder::metered`](super::ElectionBuilder::metered)): each row's
-    /// report carries [`ElectionReport::wire`] with per-round / per-edge bit
-    /// counts. Outputs and logical accounting are unchanged.
-    pub fn metered(mut self, codec: ViewCodec) -> Self {
-        self.wire = Some(codec);
-        self
-    }
-
-    /// Record a round-level profile for every instance run (see
-    /// [`ElectionBuilder::profiled`](super::ElectionBuilder::profiled)): each row's
-    /// report carries a `round_profile`, which the sweep driver serialises into its
-    /// trace artifact. Off by default — the disabled probe keeps sweep output
-    /// byte-identical to an unprofiled run.
-    pub fn profiled(mut self, on: bool) -> Self {
-        self.profiled = on;
-        self
-    }
-
-    /// Run `task` with a per-instance solver over up to
-    /// [`max_instances`](BatchRunner::max_instances) members of `family`.
+impl ElectionBuilder {
+    /// Run the configured election on each of `instances`, in order, and return one
+    /// [`BatchRow`] per instance, filed under the family name `family`.
     ///
-    /// `make_solver` builds the solver for each instance — families whose solvers
-    /// need per-instance data (the Lemma 4.8 CPPE solver needs the `JMember` map, the
-    /// Lemma 3.9 solver needs `k`) rebuild it from [`FamilyInstance::param`].
-    ///
-    /// Materialises the family's instances once and runs them borrowed; callers that
-    /// already hold materialised instances (several sweeps over one family) should use
-    /// [`sweep_instances`](BatchRunner::sweep_instances) directly.
-    pub fn sweep<F>(&self, family: &dyn GraphFamily, task: Task, make_solver: F) -> Vec<BatchRow>
-    where
-        F: Fn(&FamilyInstance) -> Box<dyn Solver>,
-    {
-        let instances = family.instances(self.max_instances);
-        self.sweep_instances(&family.family_name(), &instances, task, make_solver)
-    }
-
-    /// [`sweep`](BatchRunner::sweep) over already-materialised, *borrowed* instances:
-    /// every engine run borrows `&instance.graph` directly, so sweeping the same
-    /// instances across many tasks or backends never regenerates or clones a graph.
-    /// At most [`max_instances`](BatchRunner::max_instances) instances are visited.
-    pub fn sweep_instances<F>(
-        &self,
-        family_name: &str,
-        instances: &[FamilyInstance],
-        task: Task,
-        make_solver: F,
-    ) -> Vec<BatchRow>
-    where
-        F: Fn(&FamilyInstance) -> Box<dyn Solver>,
-    {
+    /// Every run borrows `&instance.graph`, so one materialisation
+    /// ([`GraphFamily::instances`](anet_constructions::GraphFamily::instances)) can
+    /// be swept across many tasks or backends without regenerating or cloning a
+    /// graph. Every setting of the builder (backend, thread budget, metering,
+    /// profiling, tracing, shared interner) applies to every run. A solver that needs
+    /// per-instance data, such as the Lemma 4.8 solver built from its `J_{μ,k}`
+    /// member, takes one builder per instance.
+    pub fn sweep(&self, family: &str, instances: &[FamilyInstance]) -> Vec<BatchRow> {
         instances
             .iter()
-            .take(self.max_instances)
-            .map(|instance| {
-                let mut builder = Election::task(task)
-                    .solver_boxed(make_solver(instance))
-                    .backend(self.backend);
-                if self.profiled {
-                    builder = builder.profiled();
-                }
-                if let Some(codec) = self.wire {
-                    builder = builder.metered(codec);
-                }
-                let report = builder.run(&instance.graph);
-                BatchRow {
-                    family: family_name.to_string(),
-                    instance: instance.name.clone(),
-                    param: instance.param,
-                    nodes: instance.graph.num_nodes(),
-                    max_degree: instance.graph.max_degree(),
-                    task,
-                    report,
-                }
+            .map(|instance| BatchRow {
+                family: family.to_string(),
+                instance: instance.name.clone(),
+                param: instance.param,
+                nodes: instance.graph.num_nodes(),
+                max_degree: instance.graph.max_degree(),
+                task: self.task,
+                report: self.run(&instance.graph),
             })
-            .collect()
-    }
-
-    /// [`sweep`](BatchRunner::sweep) over several tasks (rows grouped by task). The
-    /// family's instances are materialised once and shared, borrowed, by every task.
-    pub fn sweep_tasks<F>(
-        &self,
-        family: &dyn GraphFamily,
-        tasks: &[Task],
-        make_solver: F,
-    ) -> Vec<BatchRow>
-    where
-        F: Fn(&FamilyInstance) -> Box<dyn Solver>,
-    {
-        let instances = family.instances(self.max_instances);
-        let name = family.family_name();
-        tasks
-            .iter()
-            .flat_map(|&task| self.sweep_instances(&name, &instances, task, &make_solver))
             .collect()
     }
 }
@@ -225,14 +97,21 @@ impl BatchRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{AdviceSolver, CppeSolver, MapSolver};
-    use anet_constructions::{GClass, JClass};
+    use crate::engine::{AdviceSolver, Backend, CppeSolver, Election, MapSolver, ViewCodec};
+    use anet_constructions::{GClass, GraphFamily, JClass};
 
     #[test]
     fn map_sweep_over_g_family_solves_every_task() {
         let class = GClass::new(4, 1).unwrap();
-        let runner = BatchRunner::default().max_instances(2);
-        let rows = runner.sweep_tasks(&class, &Task::ALL, |_| Box::new(MapSolver::default()));
+        let instances = class.instances(2);
+        let rows: Vec<BatchRow> = Task::ALL
+            .iter()
+            .flat_map(|&task| {
+                Election::task(task)
+                    .solver(MapSolver::default())
+                    .sweep(&class.family_name(), &instances)
+            })
+            .collect();
         assert_eq!(rows.len(), 2 * Task::ALL.len());
         for row in &rows {
             assert!(row.solved(), "{} {} failed", row.instance, row.task);
@@ -250,44 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_over_borrowed_instances_matches_family_sweep() {
-        let class = GClass::new(4, 1).unwrap();
-        let runner = BatchRunner::default().max_instances(2);
-        let direct = runner.sweep(&class, Task::Selection, |_| Box::new(MapSolver::default()));
-        // Materialise once, sweep borrowed — same rows, graphs never rebuilt.
-        let instances = class.instances(2);
-        let borrowed =
-            runner.sweep_instances(&class.family_name(), &instances, Task::Selection, |_| {
-                Box::new(MapSolver::default())
-            });
-        assert_eq!(direct.len(), borrowed.len());
-        for (a, b) in direct.iter().zip(&borrowed) {
-            assert_eq!(a.family, b.family);
-            assert_eq!(a.instance, b.instance);
-            assert_eq!(a.param, b.param);
-            assert_eq!(a.rounds(), b.rounds());
-            assert_eq!(
-                a.report.as_ref().unwrap().outputs,
-                b.report.as_ref().unwrap().outputs
-            );
-        }
-        // The runner's cap still applies to an over-long borrowed slice.
-        let capped = BatchRunner::default().max_instances(1).sweep_instances(
-            &class.family_name(),
-            &instances,
-            Task::Selection,
-            |_| Box::new(MapSolver::default()),
-        );
-        assert_eq!(capped.len(), 1);
-    }
-
-    #[test]
     fn advice_sweep_records_bits() {
         let class = GClass::new(4, 1).unwrap();
-        let runner = BatchRunner::new(Backend::Parallel { threads: 2 }).max_instances(2);
-        let rows = runner.sweep(&class, Task::Selection, |_| {
-            Box::new(AdviceSolver::theorem_2_2())
-        });
+        let rows = Election::task(Task::Selection)
+            .solver(AdviceSolver::theorem_2_2())
+            .backend(Backend::Parallel { threads: 2 })
+            .sweep(&class.family_name(), &class.instances(2));
         for row in &rows {
             assert!(row.solved());
             assert!(row.advice_bits().unwrap() > 0);
@@ -297,13 +144,14 @@ mod tests {
     #[test]
     fn metered_sweep_rows_carry_wire_bits_without_changing_results() {
         let class = GClass::new(4, 1).unwrap();
-        let plain = BatchRunner::default()
-            .max_instances(2)
-            .sweep(&class, Task::Selection, |_| Box::new(MapSolver::default()));
-        let metered = BatchRunner::default()
-            .max_instances(2)
+        let instances = class.instances(2);
+        let plain = Election::task(Task::Selection)
+            .solver(MapSolver::default())
+            .sweep(&class.family_name(), &instances);
+        let metered = Election::task(Task::Selection)
+            .solver(MapSolver::default())
             .metered(ViewCodec::Delta)
-            .sweep(&class, Task::Selection, |_| Box::new(MapSolver::default()));
+            .sweep(&class.family_name(), &instances);
         assert_eq!(plain.len(), metered.len());
         for (a, b) in plain.iter().zip(&metered) {
             assert!(a.wire_bits().is_none(), "unmetered rows carry no bits");
@@ -320,13 +168,18 @@ mod tests {
     #[test]
     fn cppe_sweep_rebuilds_members_from_params() {
         let class = JClass::new(2, 4).unwrap();
-        let runner = BatchRunner::default().max_instances(2);
-        let rows = runner.sweep(&class, Task::CompletePortPathElection, |instance| {
-            let member = class
-                .template(Some(instance.param as usize))
-                .expect("param is the chain cap");
-            Box::new(CppeSolver::new(member, class.k))
-        });
+        let rows: Vec<BatchRow> = class
+            .instances(2)
+            .iter()
+            .flat_map(|instance| {
+                let member = class
+                    .template(Some(instance.param as usize))
+                    .expect("param is the chain cap");
+                Election::task(Task::CompletePortPathElection)
+                    .solver(CppeSolver::new(member, class.k))
+                    .sweep(&class.family_name(), std::slice::from_ref(instance))
+            })
+            .collect();
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.solved(), "{}", row.instance);

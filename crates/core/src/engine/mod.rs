@@ -51,8 +51,10 @@
 //! `Task::Selection`, is weakened to a Selection solution before verification). This
 //! mirrors the hierarchy `CPPE ⇒ PPE ⇒ PE ⇒ S` exactly as the paper uses it.
 //!
-//! For sweeping one configuration across a whole family of graphs (the paper's
-//! `G`/`U`/`J` constructions, or any `anet_constructions::GraphFamily`), see [`BatchRunner`].
+//! The builder is the one place a run's context is set, for a single run and for a
+//! sweep: [`ElectionBuilder::sweep`] runs one configuration on every instance of a
+//! family of graphs (the paper's `G`/`U`/`J` constructions, or any
+//! `anet_constructions::GraphFamily`).
 
 mod batch;
 mod solvers;
@@ -64,7 +66,7 @@ pub use anet_trace::{
 pub use anet_views::ViewCodec;
 /// Former name of [`ViewCodec`]; the benchmark package (`perfbench/`) still imports it.
 pub use anet_views::ViewCodec as MessageCodec;
-pub use batch::{BatchRow, BatchRunner};
+pub use batch::BatchRow;
 pub use solvers::{AdviceSolver, CppeSolver, MapSolver, PortElectionSolver};
 
 use crate::tasks::{self, ElectionOutcome, NodeOutput, Task, TaskError};
@@ -167,8 +169,9 @@ pub struct RunContext<'a> {
     /// The wire codec for metered runs: simulation-backed solvers serialise every
     /// message through it (via `anet_sim::run_full_information_metered`) and
     /// report [`WireStats`] in their [`SolverRun`]. `None` means the
-    /// zero-serialisation fast path — unless the backend is [`Backend::Capped`],
-    /// which forces metering under the default codec.
+    /// zero-serialisation fast path. A [`Backend::Capped`] backend applies its cap
+    /// only on the metered route, so the solvers' shared simulation step meters a
+    /// capped run under [`ViewCodec::default`] when this is `None`.
     pub wire: Option<ViewCodec>,
 }
 
@@ -240,7 +243,8 @@ impl Election {
 /// chain [`solver`](ElectionBuilder::solver) and optionally
 /// [`backend`](ElectionBuilder::backend), and execute with
 /// [`run`](ElectionBuilder::run). The builder is reusable: `run` borrows it, so one
-/// configuration can be applied to many graphs (this is what [`BatchRunner`] does).
+/// configuration can be applied to many graphs ([`sweep`](ElectionBuilder::sweep)
+/// does that over the instances of a graph family).
 pub struct ElectionBuilder {
     task: Task,
     solver: Option<Box<dyn Solver>>,
@@ -314,9 +318,9 @@ impl ElectionBuilder {
     /// [`wire`](ElectionReport::wire). Outputs, logical message accounting and —
     /// on ordinary backends — round counts are unchanged; under
     /// [`Backend::Capped`] rounds inflate to the physical count of the
-    /// bandwidth-limited stream. A capped backend forces metering (under
-    /// [`ViewCodec::default`]) even without this call. Analytic solvers
-    /// simulate nothing and ignore it.
+    /// bandwidth-limited stream. A cap binds only bits on the wire, so a capped
+    /// backend is metered under [`ViewCodec::default`] even without this call.
+    /// Analytic solvers simulate nothing and ignore it.
     pub fn metered(mut self, codec: ViewCodec) -> Self {
         self.wire = Some(codec);
         self

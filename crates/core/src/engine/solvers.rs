@@ -54,7 +54,9 @@ impl Solver for MapSolver {
 /// `(advice, B^r(v))`. The engine records the advice size in the report.
 ///
 /// The requested task is ignored by the solver itself — the pair produces whatever
-/// shade its decision function outputs, and the engine weakens per Fact 1.1.
+/// shade its decision function outputs, and the engine weakens per Fact 1.1. A graph
+/// the oracle has no advice for ([`Oracle::try_advise`] answers `None`) is a solver
+/// error, not a panic.
 pub struct AdviceSolver<O, A> {
     label: String,
     oracle: O,
@@ -81,9 +83,9 @@ impl AdviceSolver<SelectionOracle, SelectionAlgorithm> {
     /// `O((Δ−1)^{ψ_S} log Δ)` advice bits (the encoded view ships in the paper's
     /// unfolded-tree format).
     ///
-    /// The oracle requires a graph with finite Selection index and panics otherwise
-    /// (matching `SelectionOracle::advise`; `SelectionOracle::try_advise` answers
-    /// `None` instead).
+    /// On a graph with no unique view at any depth (infinite Selection index) the
+    /// oracle has no advice, and [`Solver::solve`] returns an
+    /// [`EngineError::Solver`].
     pub fn theorem_2_2() -> Self {
         AdviceSolver::new(
             "advice(thm-2.2)",
@@ -122,7 +124,15 @@ where
         _task: Task,
         ctx: &RunContext<'_>,
     ) -> Result<SolverRun, EngineError> {
-        Ok(run_with_advice(graph, &self.oracle, &self.algorithm, ctx))
+        // The oracle advises once; the pair then runs on that advice, which
+        // broadcasts itself as an `Oracle`.
+        let advice = self.oracle.try_advise(graph).ok_or_else(|| {
+            EngineError::solver(
+                self.name(),
+                "unsolvable: the oracle has no advice for this graph",
+            )
+        })?;
+        Ok(run_with_advice(graph, &advice, &self.algorithm, ctx))
     }
 }
 

@@ -24,8 +24,9 @@
 //!   experiment binaries to print paper-vs-measured tables;
 //! * [`engine`] — the **`ElectionEngine` facade**: one builder-style API
 //!   (`Election::task(…).solver(…).backend(…).run(&graph)`) over the four shades, all
-//!   of the solvers above, and all `anet-sim` execution backends, plus a
-//!   [`engine::BatchRunner`] for sweeping configurations across graph families.
+//!   of the solvers above, and all `anet-sim` execution backends; the same builder
+//!   sweeps a configuration across a graph family
+//!   ([`ElectionBuilder::sweep`](engine::ElectionBuilder::sweep)).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +43,7 @@ pub mod tasks;
 
 pub use advice::{AdviceAlgorithm, Oracle};
 pub use engine::{
-    AdviceSolver, Backend, BatchRow, BatchRunner, CppeSolver, Election, ElectionBuilder,
-    ElectionReport, EngineError, MapSolver, PortElectionSolver, RunContext, Solver, SolverRun,
+    AdviceSolver, Backend, BatchRow, CppeSolver, Election, ElectionBuilder, ElectionReport,
+    EngineError, MapSolver, PortElectionSolver, RunContext, Solver, SolverRun,
 };
 pub use tasks::{ElectionOutcome, NodeOutput, Task, TaskError};

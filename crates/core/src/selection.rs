@@ -52,10 +52,21 @@ impl SelectionOracle {
             codec: ViewCodec::Dag,
         }
     }
+}
+
+impl Oracle for SelectionOracle {
+    fn advise(&self, graph: &PortGraph) -> BitString {
+        self.advise_with_sizes(graph).bits
+    }
+
+    fn advise_with_sizes(&self, graph: &PortGraph) -> OracleAdvice {
+        self.try_advise(graph)
+            .expect("Selection oracle requires a graph with finite Selection index")
+    }
 
     /// The advice for `graph`, or `None` when no view is unique at any depth
     /// (infinite Selection index), where [`Oracle::advise_with_sizes`] panics.
-    pub fn try_advise(&self, graph: &PortGraph) -> Option<OracleAdvice> {
+    fn try_advise(&self, graph: &PortGraph) -> Option<OracleAdvice> {
         let refinement = Refinement::compute_until_unique(graph);
         let psi = psi_s_with(&refinement)?;
         // The lexicographically smallest unique view at depth ψ, read off the class
@@ -81,17 +92,6 @@ impl SelectionOracle {
             tree_bits: Some(tree_bits),
             dag_bits: Some(dag_bits),
         })
-    }
-}
-
-impl Oracle for SelectionOracle {
-    fn advise(&self, graph: &PortGraph) -> BitString {
-        self.advise_with_sizes(graph).bits
-    }
-
-    fn advise_with_sizes(&self, graph: &PortGraph) -> OracleAdvice {
-        self.try_advise(graph)
-            .expect("Selection oracle requires a graph with finite Selection index")
     }
 }
 

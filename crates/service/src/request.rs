@@ -45,9 +45,9 @@ impl SolverRecipe {
         SolverRecipe::new("map", Box::new(|| Box::new(MapSolver::default())))
     }
 
-    /// The Theorem 2.2 advice pair (unfolded-tree codec). The underlying oracle
-    /// panics on graphs with no finite Selection index; the service catches the
-    /// panic and reports the request as failed rather than losing a worker.
+    /// The Theorem 2.2 advice pair (unfolded-tree codec). On a graph with no finite
+    /// Selection index the oracle has no advice, and the request fails with the
+    /// solver's error.
     pub fn advice() -> Self {
         SolverRecipe::new("advice", Box::new(|| Box::new(AdviceSolver::theorem_2_2())))
     }

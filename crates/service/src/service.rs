@@ -176,7 +176,7 @@ impl SharedState {
         let queue_wait = job.submitted_at.elapsed();
         let started = Instant::now();
         let request = &job.request;
-        // A panicking solver (e.g. an unguarded oracle on an infeasible graph)
+        // A panicking solver (a bug in a built-in or tenant-supplied solver)
         // must cost one request, not one worker: catch it and report it as a
         // failed outcome. `AssertUnwindSafe` is sound here because the closure
         // only touches the request and fresh per-run state.

@@ -231,11 +231,40 @@ fn overlapping_waits_finish_faster_on_more_workers() {
     );
 }
 
+/// A solver with a bug: it panics on every graph.
+struct PanickingSolver;
+
+impl Solver for PanickingSolver {
+    fn name(&self) -> String {
+        "panicking".to_string()
+    }
+
+    fn solve(
+        &self,
+        _graph: &PortGraph,
+        _task: Task,
+        _ctx: &RunContext<'_>,
+    ) -> Result<SolverRun, EngineError> {
+        panic!("solver bug")
+    }
+}
+
 #[test]
 fn a_panicking_solver_costs_one_request_not_a_worker() {
     let service = ElectionService::new(ServiceConfig::with_workers(2));
-    // The unguarded Theorem 2.2 oracle panics on infeasible graphs (no finite
-    // Selection index) — exactly what a tenant could submit by accident.
+    assert!(service
+        .submit(ElectionRequest::new(
+            "tenant-bad",
+            "panicking",
+            generators::star(4).unwrap(),
+            Task::Selection,
+            SolverRecipe::new("panicking", Box::new(|| Box::new(PanickingSolver))),
+            Backend::Sequential,
+        ))
+        .is_enqueued());
+    // The Theorem 2.2 oracle has no advice for an infeasible graph (no finite
+    // Selection index) — exactly what a tenant could submit by accident. That is
+    // a typed solver error, not a panic.
     assert!(service
         .submit(ElectionRequest::new(
             "tenant-bad",
@@ -258,13 +287,17 @@ fn a_panicking_solver_costs_one_request_not_a_worker() {
         ))
         .is_enqueued());
     let (completed, report) = service.shutdown();
-    assert_eq!(completed.len(), 2);
-    let bad = &completed[0];
-    assert!(!bad.solved());
-    let message = bad.outcome.as_ref().unwrap_err();
+    assert_eq!(completed.len(), 3);
+    let panicked = &completed[0];
+    assert!(!panicked.solved());
+    let message = panicked.outcome.as_ref().unwrap_err();
     assert!(message.contains("panicked"), "{message}");
-    assert!(completed[1].solved());
-    assert_eq!(report.failed, 1);
+    let no_advice = &completed[1];
+    assert!(!no_advice.solved());
+    let message = no_advice.outcome.as_ref().unwrap_err();
+    assert!(!message.contains("panicked"), "{message}");
+    assert!(completed[2].solved());
+    assert_eq!(report.failed, 2);
     assert_eq!(report.solved, 1);
 }
 

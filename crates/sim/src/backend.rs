@@ -72,10 +72,10 @@ pub enum Backend {
     /// large for one round streams across several and the *measured* round count
     /// inflates as bandwidth shrinks (outputs and message totals stay identical —
     /// only the rounds axis moves). The cap is only meaningful for messages the
-    /// metered transport can serialise: the full-information entry points
-    /// ([`crate::run_full_information_traced`] and the metered variants) honour
-    /// it via [`crate::transport`]; for arbitrary message types [`Backend::run`]
-    /// cannot measure bits and degenerates to a sequential uncapped run.
+    /// metered transport can serialise, so only
+    /// [`crate::run_full_information_metered`] applies it; everywhere else
+    /// ([`Backend::run`], [`crate::run_full_information_traced`]) messages are not
+    /// serialised, and a capped backend runs sequentially and uncapped.
     /// Construct via [`Backend::capped`], which normalises a zero cap to 1.
     Capped {
         /// Bits each directed edge may carry per round (≥ 1 wherever it is used).
@@ -167,8 +167,8 @@ impl Backend {
     /// counts are backend-independent (enforced by the equivalence suite).
     ///
     /// An arbitrary message type has no wire encoding, so [`Backend::Capped`]
-    /// runs here sequentially and uncapped; the full-information entry points
-    /// recognise it and take the metered route of [`crate::transport`] instead.
+    /// runs here sequentially and uncapped; the cap applies only on the metered
+    /// route, [`crate::run_full_information_metered`].
     pub fn run_traced<F>(
         &self,
         graph: &PortGraph,

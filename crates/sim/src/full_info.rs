@@ -101,51 +101,20 @@ impl AlgorithmFactory for ViewCollectorFactory {
 }
 
 /// Run a deterministic algorithm with allotted time `rounds` in its *canonical form*:
-/// collect `B^rounds(v)` by message passing, then apply `decide` — an arbitrary
-/// function of the augmented truncated view — at every node. Returns the per-node
-/// outputs (and the run report via the second element).
+/// collect `B^rounds(v)` by message passing on `backend`, then apply `decide` — an
+/// arbitrary function of the augmented truncated view — at every node. Returns the
+/// per-node outputs and the run report. Every backend produces identical outputs and
+/// reports.
 ///
-/// Convenience wrapper over [`run_full_information_on`] with the sequential backend.
-pub fn run_full_information<O, D>(
-    graph: &PortGraph,
-    rounds: usize,
-    decide: D,
-) -> (Vec<O>, crate::runner::RunReport)
-where
-    O: Clone + Send,
-    D: Fn(&View) -> O,
-{
-    run_full_information_on(graph, rounds, Backend::Sequential, decide)
-}
-
-/// [`run_full_information`] on an explicit execution [`Backend`]: the view-collection
-/// phase (the entire communication cost) runs on the chosen backend; the decision map
-/// is applied afterwards. Every backend produces identical outputs and reports.
-pub fn run_full_information_on<O, D>(
-    graph: &PortGraph,
-    rounds: usize,
-    backend: Backend,
-    decide: D,
-) -> (Vec<O>, crate::runner::RunReport)
-where
-    O: Clone + Send,
-    D: Fn(&View) -> O,
-{
-    run_full_information_traced(graph, rounds, backend, &anet_trace::NoopSink, decide)
-}
-
-/// [`run_full_information_on`] with a trace probe: the view-collection rounds emit
-/// [`anet_trace::TraceEvent`]s (round markers, per-phase timings, per-round message
-/// counts) into `sink`. With [`anet_trace::NoopSink`] this *is*
-/// `run_full_information_on` — the disabled probe reads no clock. The decision map
-/// runs after the last round and is not part of the traced communication.
+/// The view-collection rounds emit [`anet_trace::TraceEvent`]s (round markers,
+/// per-phase timings, per-round message counts) into `sink`; with
+/// [`anet_trace::NoopSink`] the disabled probe reads no clock. The decision map runs
+/// after the last round and is not part of the traced communication.
 ///
-/// [`Backend::Capped`] is honoured here (unlike in the generic
-/// [`Backend::run`], which cannot serialise arbitrary messages): the run goes
-/// through the metered transport with the default [`anet_views::ViewCodec`], large
-/// views stream across multiple physical rounds, and the returned
-/// `report.rounds` counts physical rounds. Callers that also want the bit
-/// accounting use [`crate::run_full_information_metered`] directly.
+/// Messages move as shared view handles on every backend, as in
+/// [`Backend::run_traced`]: nothing is serialised, so no bandwidth cap applies here.
+/// [`crate::run_full_information_metered`] puts the messages on a metered wire,
+/// under the backend's cap if it has one.
 pub fn run_full_information_traced<O, D>(
     graph: &PortGraph,
     rounds: usize,
@@ -157,17 +126,6 @@ where
     O: Clone + Send,
     D: Fn(&View) -> O,
 {
-    if let Backend::Capped { .. } = backend {
-        let (decisions, report, _) = crate::transport::run_full_information_metered(
-            graph,
-            rounds,
-            backend,
-            anet_views::ViewCodec::default(),
-            sink,
-            decide,
-        );
-        return (decisions, report);
-    }
     let RunOutcome { outputs, report } =
         backend.run_traced(graph, &ViewCollectorFactory, rounds, sink);
     let decisions = outputs.iter().map(decide).collect();
@@ -178,15 +136,17 @@ where
 mod tests {
     use super::*;
     use anet_graph::generators;
+    use anet_trace::NoopSink;
     use anet_views::ViewTree;
 
     #[test]
     fn backends_collect_identical_views() {
         let g = generators::random_connected(24, 4, 8, 5).unwrap();
         let (seq, seq_report) =
-            run_full_information_on(&g, 3, Backend::Sequential, |view| view.clone());
+            run_full_information_traced(&g, 3, Backend::Sequential, &NoopSink, View::clone);
         for backend in Backend::smoke_set() {
-            let (views, report) = run_full_information_on(&g, 3, backend, |view| view.clone());
+            let (views, report) =
+                run_full_information_traced(&g, 3, backend, &NoopSink, View::clone);
             assert_eq!(views, seq, "{backend}");
             assert_eq!(report, seq_report, "{backend}");
         }
@@ -274,7 +234,10 @@ mod tests {
         // Decide "leader" iff the view has a degree-3 node at the root — on a star this
         // elects exactly the centre after 0 rounds.
         let g = generators::star(3).unwrap();
-        let (decisions, report) = run_full_information(&g, 0, |view| view.degree() == 3);
+        let (decisions, report) =
+            run_full_information_traced(&g, 0, Backend::Sequential, &NoopSink, |view| {
+                view.degree() == 3
+            });
         assert_eq!(decisions, vec![true, false, false, false]);
         assert_eq!(report.rounds, 0);
     }

@@ -24,14 +24,16 @@
 //! * [`full_info`] — the *full-information* algorithm in which every node forwards
 //!   everything it knows each round; after `r` rounds its knowledge is exactly the
 //!   augmented truncated view `B^r(v)`, which is the information-theoretic ceiling the
-//!   paper's model assumes. The helper [`full_info::run_full_information_on`] runs it
-//!   on any backend and applies an arbitrary decision function of `B^r(v)` — precisely
-//!   the paper's notion of a deterministic algorithm with allotted time `r`,
+//!   paper's model assumes. [`run_full_information_traced`] runs it on any backend
+//!   and applies an arbitrary decision function of `B^r(v)` — precisely the paper's
+//!   notion of a deterministic algorithm with allotted time `r`,
 //! * [`transport`] — the bit-metered wire mode: every message serialised in an
 //!   [`anet_views::ViewCodec`] format (unfolded tree, shared DAG, or round-over-round
 //!   delta), exact per-round/per-edge bit accounting in [`WireStats`], and the
 //!   CONGEST-style [`Backend::Capped`] bandwidth cap under which large views stream
-//!   across multiple physical rounds.
+//!   across multiple physical rounds. Its entry point
+//!   [`run_full_information_metered`] is the metered twin of
+//!   [`run_full_information_traced`], and the only one that applies a cap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,11 +48,8 @@ pub mod transport;
 
 pub use backend::Backend;
 pub use budget::{thread_budget, with_thread_budget};
-pub use full_info::{
-    run_full_information, run_full_information_on, run_full_information_traced, ViewCollector,
-    ViewCollectorFactory,
-};
+pub use full_info::{run_full_information_traced, ViewCollector, ViewCollectorFactory};
 pub use model::{AlgorithmFactory, NodeAlgorithm};
 pub use pool::{run_indexed, PoolStats};
 pub use runner::{RunOutcome, RunReport};
-pub use transport::{run_full_information_metered, run_metered, WireStats};
+pub use transport::{run_full_information_metered, WireStats};

@@ -275,13 +275,16 @@ impl RouteStep<ViewMessage> for WireRoute {
     }
 }
 
-/// Run the full-information algorithm for `rounds` *logical* rounds with every
-/// message serialised through `codec`, returning the collected views together
-/// with exact bit accounting. With `bits_per_edge: Some(B)` the run is
-/// bandwidth-capped: each physical round moves at most `B` bits per directed
-/// edge (a zero cap is normalised to 1), large messages stream across several
-/// physical rounds, and `report.rounds` counts *physical* rounds. With `None`
-/// every message crosses in the round it was sent and physical == logical.
+/// [`crate::run_full_information_traced`] in metered mode: collect `B^rounds(v)`
+/// with every message serialised through `codec`, apply `decide`, and return the
+/// per-node outputs together with the run report *and* exact bit accounting.
+///
+/// The `backend` selects bandwidth, not scheduling. [`Backend::Capped`] moves at
+/// most its `bits_per_edge` per directed edge and physical round (a zero cap is
+/// normalised to 1): large messages stream across several physical rounds, and
+/// `report.rounds` counts *physical* rounds. On every other backend each message
+/// crosses in the round it was sent and physical == logical. Outputs are identical
+/// either way.
 ///
 /// The send and receive phases run inline. They are `O(m)` handle operations a
 /// round, while the codec work, one encode and one decode per sender and round,
@@ -289,42 +292,6 @@ impl RouteStep<ViewMessage> for WireRoute {
 /// are backend-independent either way (the equivalence tests pin outputs against
 /// every unmetered backend). Threads would pay off only on the route step's
 /// codec work, not on the phases.
-pub fn run_metered(
-    graph: &PortGraph,
-    rounds: usize,
-    codec: ViewCodec,
-    bits_per_edge: Option<u64>,
-    sink: &dyn TraceSink,
-) -> (RunOutcome<View>, WireStats) {
-    let cap = bits_per_edge.map(|b| b.max(1));
-    let slots = 2 * graph.num_edges();
-    let mut wire = WireRoute {
-        codec,
-        chunk: cap.unwrap_or(u64::MAX),
-        bodies: Vec::new(),
-        links: std::iter::repeat_with(Link::default).take(slots).collect(),
-        bases: vec![None; slots],
-        per_edge_bits: vec![0; slots],
-        per_round_bits: Vec::new(),
-    };
-    let outcome =
-        Backend::Sequential.run_arena(graph, &ViewCollectorFactory, rounds, &mut wire, sink);
-    let stats = WireStats {
-        codec,
-        bits_per_edge_cap: cap,
-        per_round_bits: wire.per_round_bits,
-        per_edge_bits: wire.per_edge_bits,
-    };
-    (outcome, stats)
-}
-
-/// [`crate::run_full_information_traced`] in metered mode: collect `B^rounds(v)`
-/// with every message serialised through `codec`, apply `decide`, and return the
-/// per-node outputs together with the run report *and* the wire accounting.
-///
-/// The `backend` selects bandwidth, not scheduling: [`Backend::Capped`] streams
-/// at its per-edge cap (inflating `report.rounds` to the physical count), every
-/// other backend runs unrestricted — outputs are identical either way.
 pub fn run_full_information_metered<O, D>(
     graph: &PortGraph,
     rounds: usize,
@@ -341,27 +308,62 @@ where
         Backend::Capped { bits_per_edge } => Some(bits_per_edge.max(1)),
         _ => None,
     };
-    let (outcome, stats) = run_metered(graph, rounds, codec, cap, sink);
-    let decisions = outcome.outputs.iter().map(decide).collect();
-    (decisions, outcome.report, stats)
+    let slots = 2 * graph.num_edges();
+    let mut wire = WireRoute {
+        codec,
+        chunk: cap.unwrap_or(u64::MAX),
+        bodies: Vec::new(),
+        links: std::iter::repeat_with(Link::default).take(slots).collect(),
+        bases: vec![None; slots],
+        per_edge_bits: vec![0; slots],
+        per_round_bits: Vec::new(),
+    };
+    let RunOutcome { outputs, report } =
+        Backend::Sequential.run_arena(graph, &ViewCollectorFactory, rounds, &mut wire, sink);
+    let stats = WireStats {
+        codec,
+        bits_per_edge_cap: cap,
+        per_round_bits: wire.per_round_bits,
+        per_edge_bits: wire.per_edge_bits,
+    };
+    let decisions = outputs.iter().map(decide).collect();
+    (decisions, report, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::full_info::run_full_information_on;
+    use crate::full_info::run_full_information_traced;
     use anet_graph::generators;
     use anet_trace::{NoopSink, Recorder, RoundProfile};
+
+    /// The views of `rounds` logical rounds collected through `codec`, capped at
+    /// `cap` bits per directed edge and physical round when a cap is given.
+    fn metered(
+        g: &PortGraph,
+        rounds: usize,
+        codec: ViewCodec,
+        cap: Option<u64>,
+        sink: &dyn TraceSink,
+    ) -> (Vec<View>, RunReport, WireStats) {
+        let backend = cap.map_or(Backend::Sequential, Backend::capped);
+        run_full_information_metered(g, rounds, backend, codec, sink, View::clone)
+    }
+
+    /// The same views collected on the unmetered sequential backend.
+    fn unmetered(g: &PortGraph, rounds: usize) -> (Vec<View>, RunReport) {
+        run_full_information_traced(g, rounds, Backend::Sequential, &NoopSink, View::clone)
+    }
 
     #[test]
     fn metered_outputs_match_unmetered_for_every_codec() {
         let g = generators::random_connected(18, 4, 6, 11).unwrap();
         let rounds = 3;
-        let (seq, report) = run_full_information_on(&g, rounds, Backend::Sequential, |v| v.clone());
+        let (seq, report) = unmetered(&g, rounds);
         for codec in ViewCodec::ALL {
-            let (outcome, stats) = run_metered(&g, rounds, codec, None, &NoopSink);
-            assert_eq!(outcome.outputs, seq, "{codec}");
-            assert_eq!(outcome.report, report, "{codec}");
+            let (views, metered_report, stats) = metered(&g, rounds, codec, None, &NoopSink);
+            assert_eq!(views, seq, "{codec}");
+            assert_eq!(metered_report, report, "{codec}");
             // Uncapped: one physical round per logical round, every round on the wire.
             assert_eq!(stats.per_round_bits.len(), rounds, "{codec}");
             assert!(stats.per_round_bits.iter().all(|&b| b > 0), "{codec}");
@@ -373,21 +375,17 @@ mod tests {
     fn capped_runs_inflate_rounds_but_preserve_outputs_and_messages() {
         let g = generators::symmetric_ring(6).unwrap();
         let rounds = 3;
-        let (seq, uncapped) =
-            run_full_information_on(&g, rounds, Backend::Sequential, |v| v.clone());
-        let (outcome, stats) = run_metered(&g, rounds, ViewCodec::Dag, Some(16), &NoopSink);
-        assert_eq!(outcome.outputs, seq);
-        assert_eq!(
-            outcome.report.messages_delivered,
-            uncapped.messages_delivered
-        );
+        let (seq, uncapped) = unmetered(&g, rounds);
+        let (views, report, stats) = metered(&g, rounds, ViewCodec::Dag, Some(16), &NoopSink);
+        assert_eq!(views, seq);
+        assert_eq!(report.messages_delivered, uncapped.messages_delivered);
         assert!(
-            outcome.report.rounds > rounds,
+            report.rounds > rounds,
             "16-bit cap must stretch {} logical rounds, got {}",
             rounds,
-            outcome.report.rounds
+            report.rounds
         );
-        assert_eq!(stats.per_round_bits.len(), outcome.report.rounds);
+        assert_eq!(stats.per_round_bits.len(), report.rounds);
         // No physical round moved more than B bits on any edge: with 12 directed
         // edges the round total is bounded by 12 × 16.
         assert!(stats.per_round_bits.iter().all(|&b| b <= 16 * 12));
@@ -398,27 +396,28 @@ mod tests {
     fn shrinking_the_cap_only_stretches_the_same_bit_total() {
         let g = generators::random_connected(12, 4, 4, 3).unwrap();
         let rounds = 2;
-        let (_, baseline) = run_metered(&g, rounds, ViewCodec::Dag, None, &NoopSink);
+        let (_, _, baseline) = metered(&g, rounds, ViewCodec::Dag, None, &NoopSink);
         let mut previous_rounds = rounds;
         for cap in [512u64, 64, 8, 1] {
-            let (outcome, stats) = run_metered(&g, rounds, ViewCodec::Dag, Some(cap), &NoopSink);
+            let (_, report, stats) = metered(&g, rounds, ViewCodec::Dag, Some(cap), &NoopSink);
             assert_eq!(stats.total_bits(), baseline.total_bits(), "cap {cap}");
             assert_eq!(stats.per_edge_bits, baseline.per_edge_bits, "cap {cap}");
             assert!(
-                outcome.report.rounds >= previous_rounds,
+                report.rounds >= previous_rounds,
                 "cap {cap}: rounds must not shrink as bandwidth shrinks"
             );
-            previous_rounds = outcome.report.rounds;
+            previous_rounds = report.rounds;
         }
     }
 
     #[test]
     fn generous_cap_agrees_with_uncapped_exactly() {
         let g = generators::random_connected(14, 4, 5, 7).unwrap();
-        let (free, free_stats) = run_metered(&g, 3, ViewCodec::Delta, None, &NoopSink);
-        let (capped, capped_stats) = run_metered(&g, 3, ViewCodec::Delta, Some(1 << 20), &NoopSink);
-        assert_eq!(capped.outputs, free.outputs);
-        assert_eq!(capped.report, free.report);
+        let (free, free_report, free_stats) = metered(&g, 3, ViewCodec::Delta, None, &NoopSink);
+        let (capped, capped_report, capped_stats) =
+            metered(&g, 3, ViewCodec::Delta, Some(1 << 20), &NoopSink);
+        assert_eq!(capped, free);
+        assert_eq!(capped_report, free_report);
         assert_eq!(capped_stats.per_round_bits, free_stats.per_round_bits);
         assert_eq!(capped_stats.per_edge_bits, free_stats.per_edge_bits);
     }
@@ -431,9 +430,9 @@ mod tests {
         // codec's (and the DAG total is at most the tree total).
         let g = generators::symmetric_ring(9).unwrap();
         let rounds = 5;
-        let (_, tree) = run_metered(&g, rounds, ViewCodec::Tree, None, &NoopSink);
-        let (_, dag) = run_metered(&g, rounds, ViewCodec::Dag, None, &NoopSink);
-        let (_, delta) = run_metered(&g, rounds, ViewCodec::Delta, None, &NoopSink);
+        let (_, _, tree) = metered(&g, rounds, ViewCodec::Tree, None, &NoopSink);
+        let (_, _, dag) = metered(&g, rounds, ViewCodec::Dag, None, &NoopSink);
+        let (_, _, delta) = metered(&g, rounds, ViewCodec::Delta, None, &NoopSink);
         assert!(
             delta.total_bits() < dag.total_bits(),
             "delta {} must beat dag {}",
@@ -447,9 +446,9 @@ mod tests {
     fn wire_events_reconcile_with_stats_and_profile_covers_physical_rounds() {
         let g = generators::symmetric_ring(5).unwrap();
         let recorder = Recorder::new();
-        let (outcome, stats) = run_metered(&g, 3, ViewCodec::Dag, Some(8), &recorder);
+        let (_, report, stats) = metered(&g, 3, ViewCodec::Dag, Some(8), &recorder);
         let profile = RoundProfile::from_events(&recorder.drain());
-        assert_eq!(profile.len(), outcome.report.rounds);
+        assert_eq!(profile.len(), report.rounds);
         assert_eq!(profile.total_wire_bits(), stats.total_bits());
         for (stat, &bits) in profile.rounds().iter().zip(stats.per_round_bits.iter()) {
             assert_eq!(stat.wire_bits, bits, "round {}", stat.round);
@@ -460,20 +459,20 @@ mod tests {
     fn single_node_and_single_edge_graphs_survive_every_cap() {
         // n = 1: no edges, nothing on the wire, one physical round per logical.
         let lonely = anet_graph::GraphBuilder::with_nodes(1).build().unwrap();
-        let (outcome, stats) = run_metered(&lonely, 2, ViewCodec::Delta, Some(1), &NoopSink);
-        assert_eq!(outcome.report.rounds, 2);
-        assert_eq!(outcome.report.messages_delivered, 0);
+        let (_, report, stats) = metered(&lonely, 2, ViewCodec::Delta, Some(1), &NoopSink);
+        assert_eq!(report.rounds, 2);
+        assert_eq!(report.messages_delivered, 0);
         assert_eq!(stats.total_bits(), 0);
         // A single edge under a one-bit cap: every message streams bit by bit,
         // and the collected views still match the combinatorial definition.
         let mut b = anet_graph::GraphBuilder::with_nodes(2);
         b.add_edge(0, 0, 1, 0).unwrap();
         let pair = b.build().unwrap();
-        let (outcome, stats) = run_metered(&pair, 2, ViewCodec::Dag, Some(1), &NoopSink);
-        assert_eq!(outcome.outputs[0], View::build(&pair, 0, 2));
-        assert_eq!(outcome.outputs[1], View::build(&pair, 1, 2));
+        let (views, report, stats) = metered(&pair, 2, ViewCodec::Dag, Some(1), &NoopSink);
+        assert_eq!(views[0], View::build(&pair, 0, 2));
+        assert_eq!(views[1], View::build(&pair, 1, 2));
         // Both directed edges stream one bit per physical round in parallel.
-        assert_eq!(2 * outcome.report.rounds as u64, stats.total_bits());
+        assert_eq!(2 * report.rounds as u64, stats.total_bits());
         assert_eq!(stats.per_round_bits.iter().max(), Some(&2u64)); // 2 edges × 1 bit
     }
 
@@ -489,8 +488,7 @@ mod tests {
         let rounds = 3;
         for codec in ViewCodec::ALL {
             for cap in [None, Some(16)] {
-                let (outcome, _) = run_metered(&g, rounds, codec, cap, &NoopSink);
-                let views = &outcome.outputs;
+                let (views, _, _) = metered(&g, rounds, codec, cap, &NoopSink);
                 for v in g.nodes() {
                     let view = &views[v as usize];
                     assert_eq!(
@@ -538,16 +536,16 @@ mod tests {
         // short-tag links deliver the shared body before its four long-tag ones.
         let g = generators::star(20).unwrap();
         let rounds = 3;
-        let (seq, report) = run_full_information_on(&g, rounds, Backend::Sequential, |v| v.clone());
+        let (seq, report) = unmetered(&g, rounds);
         for (codec, total) in ViewCodec::ALL.into_iter().zip([18_820, 23_840, 23_960]) {
-            let (_, free) = run_metered(&g, rounds, codec, None, &NoopSink);
+            let (_, _, free) = metered(&g, rounds, codec, None, &NoopSink);
             assert_eq!(free.total_bits(), total, "{codec}");
             for cap in [1, 7] {
                 let recorder = Recorder::new();
-                let (outcome, stats) = run_metered(&g, rounds, codec, Some(cap), &recorder);
-                assert_eq!(outcome.outputs, seq, "{codec} cap {cap}");
+                let (views, capped, stats) = metered(&g, rounds, codec, Some(cap), &recorder);
+                assert_eq!(views, seq, "{codec} cap {cap}");
                 assert_eq!(
-                    outcome.report.messages_delivered, report.messages_delivered,
+                    capped.messages_delivered, report.messages_delivered,
                     "{codec} cap {cap}"
                 );
                 assert_eq!(stats.per_edge_bits, free.per_edge_bits, "{codec} cap {cap}");

@@ -10,16 +10,17 @@
 //!   port labellings (shuffling typically breaks the symmetry that makes the
 //!   canonical labellings infeasible for election);
 //! * [`scenario`] — a [`Scenario`] names one grid point
-//!   (family × task × solver × backend × instance cap) and resolves it through the
-//!   `ElectionEngine` facade; a [`ScenarioRegistry`]
+//!   (family × task × solver × backend × instance cap) and hands out its
+//!   configured election ([`Scenario::election`]); a [`ScenarioRegistry`]
 //!   holds a named grid and answers selections;
-//! * [`sweep`] — the driver behind the `sweep` binary: run a registry selection
-//!   through [`BatchRunner`](anet_election::engine::BatchRunner), collect the
-//!   reports, and emit a machine-readable `BENCH_*.json` (schema
-//!   [`sweep::SCHEMA`] = `anet-workloads/v2`; per cell it records rounds, messages,
-//!   wall time, verdict, and the advice size under *both* view codecs —
-//!   `advice_tree_bits` vs `advice_dag_bits` — see the [`sweep`] module docs for the
-//!   v1 → v2 history and compatibility guarantees);
+//! * [`sweep`] — the driver behind the `sweep` binary: sweep each selected
+//!   scenario's election over its family
+//!   ([`ElectionBuilder::sweep`](anet_election::engine::ElectionBuilder::sweep)),
+//!   collect the reports, and emit a machine-readable `BENCH_*.json` (schema
+//!   [`sweep::SCHEMA`] = `anet-workloads/v4`; per cell it records rounds, messages,
+//!   wall time, verdict, the advice size under *both* view codecs, the map-side
+//!   search counters and, on metered cells, the bits on the wire — see the
+//!   [`sweep`] module docs for the v1 → v4 history and compatibility guarantees);
 //! * [`service_mix`] — the service scenario axis: deterministic multi-tenant
 //!   request mixes (interleaved tenants, rotating task/solver/backend axes) that
 //!   `anet-service` and the `service_bench` binary consume;

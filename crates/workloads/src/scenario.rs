@@ -2,20 +2,17 @@
 //!
 //! A [`Scenario`] is one cell of the benchmark grid — a [`GraphFamily`] to sweep, a
 //! [`Task`] shade, a [`SolverSpec`] describing which solver to run, and a [`Backend`]
-//! to execute on. It resolves to `Election` configurations through the PR-1 facade
-//! and runs via [`BatchRunner`]. A [`ScenarioRegistry`] holds a named grid, answers
-//! substring selections, and ships two built-in grids ([`ScenarioRegistry::smoke`]
-//! and [`ScenarioRegistry::standard`]).
+//! to execute on. It hands out its configured election ([`Scenario::election`]) and
+//! sweeps it with [`ElectionBuilder::sweep`]. A [`ScenarioRegistry`] holds a named
+//! grid, answers substring selections, and ships two built-in grids
+//! ([`ScenarioRegistry::smoke`] and [`ScenarioRegistry::standard`]).
 
 use crate::families::{CirculantFamily, HypercubeFamily, RandomRegularFamily, TorusFamily};
 use anet_constructions::{FamilyInstance, GraphFamily};
-use anet_election::advice::run_with_advice;
 use anet_election::engine::{
-    Backend, BatchRow, BatchRunner, EngineError, MapSolver, RunContext, Solver, SolverRun,
+    AdviceSolver, Backend, BatchRow, Election, ElectionBuilder, MapSolver, Solver,
 };
-use anet_election::selection::{SelectionAlgorithm, SelectionOracle};
 use anet_election::tasks::Task;
-use anet_graph::PortGraph;
 use anet_views::ViewCodec;
 
 /// Which solver a scenario runs. Kept as a spec (not a `Box<dyn Solver>`) so that the
@@ -27,11 +24,11 @@ pub enum SolverSpec {
     /// with a solver error, which the sweep records as an unsolved cell.
     Map,
     /// The Theorem 2.2 oracle/algorithm advice pair shipping the unfolded-tree
-    /// encoding, guarded by a feasibility check (the raw oracle panics on graphs with
-    /// no finite Selection index; the guard turns that into a reported solver error
-    /// instead).
+    /// encoding ([`AdviceSolver::theorem_2_2`]). On a graph with no finite Selection
+    /// index the oracle has no advice and the solver reports an error, which the
+    /// sweep records as an unsolved cell.
     MinTimeAdvice,
-    /// The same guarded Theorem 2.2 pair shipping the **shared-DAG** encoding:
+    /// The same Theorem 2.2 pair shipping the **shared-DAG** encoding:
     /// identical outputs, but the advice costs `O(distinct subtrees)` bits — the
     /// sweep's JSON records both sizes per cell either way.
     MinTimeAdviceDag,
@@ -51,52 +48,9 @@ impl SolverSpec {
     pub fn build(&self) -> Box<dyn Solver> {
         match self {
             SolverSpec::Map => Box::new(MapSolver::default()),
-            SolverSpec::MinTimeAdvice => Box::new(GuardedAdviceSolver {
-                codec: ViewCodec::Tree,
-            }),
-            SolverSpec::MinTimeAdviceDag => Box::new(GuardedAdviceSolver {
-                codec: ViewCodec::Dag,
-            }),
+            SolverSpec::MinTimeAdvice => Box::new(AdviceSolver::theorem_2_2()),
+            SolverSpec::MinTimeAdviceDag => Box::new(AdviceSolver::theorem_2_2_dag()),
         }
-    }
-}
-
-/// The Theorem 2.2 pair behind a feasibility guard: on graphs where no view class has
-/// multiplicity 1 (infinite Selection index) the oracle would panic; the guard asks
-/// the oracle's fallible entry ([`SelectionOracle::try_advise`], one refinement) and
-/// answers `None` with a regular [`EngineError::Solver`], so sweeps over symmetric
-/// workloads (canonical tori, hypercubes, …) record the cell as unsolved and continue.
-/// Otherwise the pair runs on the advice the guard already holds.
-struct GuardedAdviceSolver {
-    /// Which wire format the encoded-view advice ships in.
-    codec: ViewCodec,
-}
-
-impl Solver for GuardedAdviceSolver {
-    fn name(&self) -> String {
-        format!("advice(thm-2.2, guarded, {})", self.codec)
-    }
-
-    fn solve(
-        &self,
-        graph: &PortGraph,
-        _task: Task,
-        ctx: &RunContext<'_>,
-    ) -> Result<SolverRun, EngineError> {
-        let codec = self.codec;
-        let Some(advice) = SelectionOracle { codec }.try_advise(graph) else {
-            return Err(EngineError::Solver {
-                solver: self.name(),
-                message: "unsolvable: no view class of multiplicity 1 (infinite Selection index)"
-                    .to_string(),
-            });
-        };
-        Ok(run_with_advice(
-            graph,
-            &advice,
-            &SelectionAlgorithm { codec },
-            ctx,
-        ))
     }
 }
 
@@ -182,34 +136,33 @@ impl Scenario {
         self.family.instances(self.max_instances)
     }
 
-    /// Run the scenario against already-materialised, borrowed instances: every
-    /// engine run borrows `&instance.graph`, nothing is regenerated or cloned. The
-    /// instances must come from this scenario's family (same generator, same seed)
-    /// with a cap of at least [`max_instances`](Scenario::max_instances) — in
-    /// practice, from [`materialize`](Scenario::materialize) of a scenario sharing
-    /// the family coordinates.
-    pub fn run_on(&self, instances: &[FamilyInstance]) -> Vec<BatchRow> {
-        self.run_on_profiled(instances, false)
-    }
-
-    /// [`run_on`](Scenario::run_on) with round-level profiling switched on or off:
-    /// when `profiled`, every row's report carries a `round_profile` the sweep
-    /// driver serialises into its trace artifact. `run_on_profiled(i, false)` *is*
-    /// `run_on(i)` — the disabled probe changes nothing about the rows.
-    pub fn run_on_profiled(&self, instances: &[FamilyInstance], profiled: bool) -> Vec<BatchRow> {
-        let mut runner = BatchRunner::new(self.backend)
-            .max_instances(self.max_instances)
-            .profiled(profiled);
-        if let Some(codec) = self.wire {
-            runner = runner.metered(codec);
+    /// The scenario's election: its task, a fresh solver built from its
+    /// [`SolverSpec`], its backend, and its wire codec when it is
+    /// [`metered`](Scenario::metered). Callers add run-time settings such as a
+    /// thread budget or profiling before they [`sweep`](ElectionBuilder::sweep) it.
+    pub fn election(&self) -> ElectionBuilder {
+        let election = Election::task(self.task)
+            .solver_boxed(self.solver.build())
+            .backend(self.backend);
+        match self.wire {
+            Some(codec) => election.metered(codec),
+            None => election,
         }
-        runner.sweep_instances(&self.family.family_name(), instances, self.task, |_| {
-            self.solver.build()
-        })
     }
 
-    /// Resolve and run: sweep the family through [`BatchRunner`] on the configured
-    /// task, solver and backend.
+    /// Run the scenario against already-materialised, borrowed instances: every
+    /// engine run borrows `&instance.graph`, nothing is regenerated or cloned. At
+    /// most [`max_instances`](Scenario::max_instances) of them are visited. The
+    /// instances must come from this scenario's family (same generator, same seed)
+    /// — in practice, from [`materialize`](Scenario::materialize) of a scenario
+    /// sharing the family coordinates.
+    pub fn run_on(&self, instances: &[FamilyInstance]) -> Vec<BatchRow> {
+        let visited = &instances[..instances.len().min(self.max_instances)];
+        self.election().sweep(&self.family.family_name(), visited)
+    }
+
+    /// Resolve and run: sweep the scenario's [`election`](Scenario::election) over
+    /// its family's instances.
     pub fn run(&self) -> Vec<BatchRow> {
         self.run_on(&self.materialize())
     }
@@ -354,7 +307,7 @@ impl ScenarioRegistry {
                     .expect("built-in grid has unique names");
             }
         }
-        // Every family × Selection × the guarded Theorem 2.2 advice pair, once per
+        // Every family × Selection × the Theorem 2.2 advice pair, once per
         // view codec (the JSON cells record both sizes either way; the codec axis
         // additionally exercises shipping + decoding each wire format end to end).
         for advice in [SolverSpec::MinTimeAdvice, SolverSpec::MinTimeAdviceDag] {
@@ -469,6 +422,7 @@ impl ScenarioRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anet_election::engine::{EngineError, RunContext};
 
     #[test]
     fn scenario_names_encode_the_grid_point() {
@@ -547,13 +501,14 @@ mod tests {
     }
 
     #[test]
-    fn guarded_advice_solver_reports_instead_of_panicking_on_symmetric_graphs() {
+    fn advice_specs_report_instead_of_panicking_on_symmetric_graphs() {
         let symmetric = TorusFamily::generate(3, 3);
-        for codec in [ViewCodec::Tree, ViewCodec::Dag] {
-            let err = GuardedAdviceSolver { codec }
+        for spec in [SolverSpec::MinTimeAdvice, SolverSpec::MinTimeAdviceDag] {
+            let err = spec
+                .build()
                 .solve(&symmetric, Task::Selection, &RunContext::default())
                 .unwrap_err();
-            assert!(matches!(err, EngineError::Solver { .. }));
+            assert!(matches!(err, EngineError::Solver { .. }), "{spec:?}");
         }
     }
 

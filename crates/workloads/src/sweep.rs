@@ -261,27 +261,29 @@ pub fn run_sweep(
     // Fan the scenarios out over the work-stealing pool. `run_indexed` returns
     // rows in job (= scenario) order whatever thread ran what, so the emitted
     // cells — and hence the JSON, modulo timing fields — are independent of
-    // `jobs`. With more than one job, each scenario runs under a thread budget of
-    // its fair share of the machine, so a scenario on a parallel backend cannot
+    // `jobs`. With more than one job, each run gets a thread budget of its job's
+    // fair share of the machine, so a scenario on a parallel backend cannot
     // oversubscribe the cores the other jobs are using (backend labels are
     // budget-independent, keeping report keys stable).
     let jobs = config.jobs.max(1);
-    let per_job_budget = if jobs > 1 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .div_ceil(jobs)
-    } else {
-        usize::MAX
-    };
+    let per_job_budget = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .div_ceil(jobs);
     let profiled = config.trace_dir.is_some();
     let (rows_per_scenario, _pool_stats) = anet_sim::run_indexed(jobs, selected.len(), |i| {
         let scenario = selected[i];
         let key = (scenario.family.instance_cache_key(), scenario.max_instances);
-        let instances = &instance_cache[&key];
-        anet_sim::with_thread_budget(per_job_budget, || {
-            scenario.run_on_profiled(instances, profiled)
-        })
+        let mut election = scenario.election();
+        if jobs > 1 {
+            election = election.thread_budget(per_job_budget);
+        }
+        if profiled {
+            election = election.profiled();
+        }
+        // The cache holds `materialize()` of this scenario's (family, cap)
+        // coordinate: at most `max_instances` graphs.
+        election.sweep(&scenario.family.family_name(), &instance_cache[&key])
     });
 
     let mut cells = Vec::new();

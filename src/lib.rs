@@ -52,8 +52,8 @@ pub use anet_workloads as workloads;
 pub mod prelude {
     pub use anet_constructions::{FamilyInstance, GraphFamily};
     pub use anet_election::engine::{
-        AdviceSolver, Backend, BatchRow, BatchRunner, CppeSolver, Election, ElectionBuilder,
-        ElectionReport, EngineError, MapSolver, PortElectionSolver, RunContext, Solver, SolverRun,
+        AdviceSolver, Backend, BatchRow, CppeSolver, Election, ElectionBuilder, ElectionReport,
+        EngineError, MapSolver, PortElectionSolver, RunContext, Solver, SolverRun,
     };
     pub use anet_election::tasks::{ElectionOutcome, NodeOutput, Task, TaskError};
     pub use anet_service::{

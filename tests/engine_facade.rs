@@ -145,14 +145,21 @@ fn every_backend_produces_identical_election_reports() {
     }
 }
 
-/// The batch runner sweeps a family × task matrix and the measured rounds respect
-/// the paper's hierarchy (Fact 1.1) on every instance.
+/// One builder per task sweeps a family × task matrix and the measured rounds
+/// respect the paper's hierarchy (Fact 1.1) on every instance.
 #[test]
 fn batch_sweep_respects_the_hierarchy_on_g_members() {
     let class = GClass::new(4, 1).unwrap();
-    let rows = BatchRunner::new(Backend::Parallel { threads: 2 })
-        .max_instances(3)
-        .sweep_tasks(&class, &Task::ALL, |_| Box::new(MapSolver::default()));
+    let instances = class.instances(3);
+    let rows: Vec<BatchRow> = Task::ALL
+        .iter()
+        .flat_map(|&task| {
+            Election::task(task)
+                .solver(MapSolver::default())
+                .backend(Backend::Parallel { threads: 2 })
+                .sweep(&class.family_name(), &instances)
+        })
+        .collect();
     assert_eq!(rows.len(), 4 * 3);
     for instance in 0..3 {
         let rounds: Vec<usize> = (0..4)

@@ -8,7 +8,7 @@ use four_shades::graph::generators;
 use four_shades::graph::PortGraph;
 use four_shades::prelude::*;
 use four_shades::sim::full_info::ViewMessage;
-use four_shades::sim::{run_full_information_traced, run_metered, ViewCollectorFactory};
+use four_shades::sim::{run_full_information_metered, ViewCollectorFactory};
 use four_shades::trace::{Phase, Recorder, RoundProfile, Tagged, TraceEvent};
 use four_shades::views::ViewCodec;
 use four_shades::workloads::{chrome_trace_json, parse_trace, TraceFile};
@@ -236,12 +236,26 @@ fn trace_layout_is_pinned_for_every_backend_and_the_metered_transport() {
     }
 
     let recorder = Recorder::new();
-    run_metered(&g, rounds, ViewCodec::Dag, None, &recorder);
+    run_full_information_metered(
+        &g,
+        rounds,
+        Backend::Sequential,
+        ViewCodec::Dag,
+        &recorder,
+        |v| v.degree(),
+    );
     let metered = expected_layout(3, &[1, 1], &[(4, 100), (4, 158)]);
     assert_eq!(without_timings(&recorder), metered, "metered dag");
 
     let recorder = Recorder::new();
-    run_full_information_traced(&g, rounds, Backend::capped(8), &recorder, |v| v.degree());
+    run_full_information_metered(
+        &g,
+        rounds,
+        Backend::capped(8),
+        ViewCodec::default(),
+        &recorder,
+        |v| v.degree(),
+    );
     let capped = expected_layout(
         3,
         &[4, 6],

@@ -14,7 +14,7 @@
 
 use four_shades::constructions::UClass;
 use four_shades::prelude::*;
-use four_shades::sim::run_metered;
+use four_shades::sim::run_full_information_metered;
 use four_shades::views::ViewCodec;
 use four_shades::workloads::{RandomRegularFamily, TorusFamily};
 
@@ -198,6 +198,19 @@ fn advice_pairs_meter_their_wire_too() {
         assert_eq!(metered.advice_bits, plain.advice_bits, "{codec}");
         assert!(metered.wire.as_ref().unwrap().total_bits() > 0, "{codec}");
     }
+    // A cap with no codec named meters under the default codec, as on the map
+    // solver's route, and streams the one logical round over two physical ones.
+    let capped = Election::task(Task::Selection)
+        .solver(AdviceSolver::theorem_2_2())
+        .backend(Backend::capped(16))
+        .run(&g)
+        .unwrap();
+    assert_eq!(verdict(&capped), verdict(&plain));
+    assert_eq!(capped.advice_bits, plain.advice_bits);
+    let wire = capped.wire.as_ref().expect("a capped run is metered");
+    assert_eq!(wire.codec, ViewCodec::default());
+    assert_eq!(wire.bits_per_edge_cap, Some(16));
+    assert_eq!((plain.rounds, capped.rounds), (1, 2), "rounds inflate only");
 }
 
 #[test]
@@ -246,10 +259,11 @@ fn wire_bit_totals_are_pinned_on_the_bench_instances() {
         (ViewCodec::Dag, 55656, 106272, 328),
         (ViewCodec::Delta, 56178, 83592, 258),
     ];
+    let seq = Backend::Sequential;
     for (codec, rr_bits, torus_bits, torus_max_edge) in expected {
-        let (_, stats) = run_metered(&rr, 3, codec, None, &NoopSink);
+        let (_, _, stats) = run_full_information_metered(&rr, 3, seq, codec, &NoopSink, |_| ());
         assert_eq!(stats.total_bits(), rr_bits, "rr3 n96 r3 via {codec}");
-        let (_, stats) = run_metered(&torus, 4, codec, None, &NoopSink);
+        let (_, _, stats) = run_full_information_metered(&torus, 4, seq, codec, &NoopSink, |_| ());
         assert_eq!(stats.total_bits(), torus_bits, "torus 9x9 r4 via {codec}");
         assert_eq!(
             stats.max_edge_bits(),
@@ -257,6 +271,8 @@ fn wire_bit_totals_are_pinned_on_the_bench_instances() {
             "torus 9x9 r4 via {codec}"
         );
     }
-    let (outcome, _) = run_metered(&rr, 3, ViewCodec::Dag, Some(64), &NoopSink);
-    assert_eq!(outcome.report.rounds, 4, "rr3 n96 r3 under a 64-bit cap");
+    let cap64 = Backend::capped(64);
+    let (_, report, _) =
+        run_full_information_metered(&rr, 3, cap64, ViewCodec::Dag, &NoopSink, |_| ());
+    assert_eq!(report.rounds, 4, "rr3 n96 r3 under a 64-bit cap");
 }
