@@ -155,11 +155,12 @@ pub struct RunContext<'a> {
     /// A process-wide concurrent view interner. Solvers that hash-cons views intern
     /// through this table instead of a run-private one, so concurrent runs on
     /// overlapping graph families dedup their view DAGs against each other: the
-    /// map solver files the leader's view for Selection, and for the stronger
-    /// shades — like the Lemma 3.9 solver — every node's view (`build_all`) and the
-    /// canonicalised collected views. The Theorem 2.2 oracle interns privately: an
-    /// `Oracle` takes no context. Set by the multi-tenant election service; `None`
-    /// for standalone runs.
+    /// map solver files only Selection's leader view (it decides the stronger
+    /// shades by refinement class and interns nothing for them), and the Lemma 3.9
+    /// solver files every node's view (`build_all`) and the canonicalised
+    /// collected views. The Theorem 2.2 oracle interns privately: an `Oracle`
+    /// takes no context. Set by the multi-tenant election service; `None` for
+    /// standalone runs.
     pub shared_interner: Option<&'a SharedViewInterner>,
     /// A trace sink for round-level probes: simulation-backed solvers thread it to
     /// [`anet_sim::Backend::run_traced`], so the engine (and through it the

@@ -16,12 +16,12 @@
 use crate::engine::{Backend, RunContext, SolverRun};
 use crate::selection::elect_by_view;
 use crate::tasks::{NodeOutput, Task};
-use anet_graph::PortGraph;
+use anet_graph::{NodeId, PortGraph};
 use anet_views::election_index::{
     cppe_election, pe_election, ppe_election, psi_s_with, IndexError,
 };
-use anet_views::{QuotientSearch, Refinement, View, ViewCodec, ViewInterner};
-use std::collections::HashMap;
+use anet_views::{QuotientSearch, Refinement, View, ViewClassifier, ViewCodec, ViewInterner};
+use std::cell::RefCell;
 
 /// Errors of the map-based solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,28 +71,33 @@ impl From<IndexError> for MapSolveError {
 /// every node outputs `leader` iff its own view equals it — the Theorem 2.2 rule with
 /// the map in place of the advice. No search runs, so its counters are zero.
 ///
+/// The other shades decide by refinement class: two views of depth `h` are equal
+/// exactly when the nodes' classes at depth `h` are, and the assignment is constant
+/// on classes, so each collected view is read through a [`ViewClassifier`] built
+/// from the same refinement and answered with its class's output. No node's view
+/// is built from the map.
+///
 /// The context picks the backend the full-information simulation runs on, and
-/// optionally a process-wide [`anet_views::SharedViewInterner`] that files the
-/// map-side views — the leader's view for Selection, every node's view and the
-/// canonicalised collected views for the other shades — so concurrent runs on
-/// overlapping graph families dedup their view DAGs against each other. It also
-/// carries a trace sink for the simulated rounds (the map-side precomputation is not
-/// traced) and a wire codec that meters every message. Outputs and message
-/// accounting are the same under every context.
+/// optionally a process-wide [`anet_views::SharedViewInterner`] that files the one
+/// map-side view, Selection's leader view, so concurrent runs on overlapping graph
+/// families share it; the stronger shades file nothing. It also carries a trace
+/// sink for the simulated rounds (the map-side precomputation is not traced) and a
+/// wire codec that meters every message. Outputs and message accounting are the
+/// same under every context.
 pub fn solve_with_map(
     graph: &PortGraph,
     task: Task,
     max_paths: usize,
     ctx: &RunContext<'_>,
 ) -> Result<SolverRun, MapSolveError> {
-    let mut interner = ctx
-        .shared_interner
-        .map_or_else(ViewInterner::new, ViewInterner::shared);
     if task == Task::Selection {
         let refinement = Refinement::compute_until_unique(graph);
         let rounds = psi_s_with(&refinement).ok_or(MapSolveError::Unsolvable(task))?;
         let leader = refinement.unique_nodes_at(rounds)[0];
-        let target = interner.build(graph, leader, rounds);
+        let target = ctx
+            .shared_interner
+            .map_or_else(ViewInterner::new, ViewInterner::shared)
+            .build(graph, leader, rounds);
         let decide = |view: &View| elect_by_view(view, &target);
         return Ok(run_full_information_wired(graph, rounds, ctx, decide));
     }
@@ -112,27 +117,28 @@ pub fn solve_with_map(
     let (rounds, per_node) = chosen.ok_or(MapSolveError::Unsolvable(task))?;
 
     // Turn the per-node assignment into a genuine view-function and run it through the
-    // simulator: the assignment is constant on view classes by construction, so the
-    // map from view (at depth `rounds`) to output is well-defined. The map side is one
-    // shared `build_all` pass (hash-consed handles). Collected views are canonicalized
-    // through the *same* interner before lookup: interning costs the view's distinct
-    // nodes (the collector's output is a shared DAG), after which the table hit is
-    // pointer-equal — without this, a positive equality check would walk the full
-    // unfolded Θ(Δ^rounds) tree, since collector- and map-built views share no Arcs.
-    let views = interner.build_all(graph, rounds);
-    let mut by_view: HashMap<View, NodeOutput> = HashMap::new();
-    for v in graph.nodes() {
-        by_view.insert(views[v as usize].clone(), per_node[v as usize].clone());
+    // simulator: the assignment is constant on view classes by construction, so one
+    // output per class at depth `rounds` is the whole decision map, and a collected
+    // view is decided by its class. The classifier's walk is memoised by view node,
+    // so the run's collected views, a shared DAG, cost one lookup per distinct node.
+    let mut by_class: Vec<Option<NodeOutput>> = vec![None; refinement.num_classes_at(rounds)];
+    for (v, output) in per_node.into_iter().enumerate() {
+        match &mut by_class[refinement.class_at(v as NodeId, rounds) as usize] {
+            slot @ None => *slot = Some(output),
+            Some(first) => debug_assert_eq!(*first, output, "the assignment is class-uniform"),
+        }
     }
     // The decision map is applied sequentially after the communication phase, so a
-    // RefCell suffices for the interner's interior mutability.
-    let interner = std::cell::RefCell::new(interner);
+    // RefCell suffices for the classifier's memo.
+    let classifier = RefCell::new(ViewClassifier::new(graph, &refinement, rounds));
     let decide = |view: &View| {
-        let canonical = interner.borrow_mut().intern(view);
-        by_view
-            .get(&canonical)
-            .cloned()
-            .expect("every view observed in the run appears in the map")
+        let class = classifier
+            .borrow_mut()
+            .class_of(view, rounds)
+            .expect("every view observed in the run is some node's view");
+        by_class[class as usize]
+            .clone()
+            .expect("every class has a node")
     };
     let run = run_full_information_wired(graph, rounds, ctx, decide);
     Ok(SolverRun {

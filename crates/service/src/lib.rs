@@ -17,13 +17,15 @@
 //!   beyond that, [`ElectionService::submit`] answers [`Submission::Rejected`]
 //!   *with the request handed back*, so callers own the retry policy and the
 //!   service never blocks a submitter nor drops admitted work.
-//! * **Cross-tenant sharing** — every run interns its views through the shared
-//!   concurrent interner (via the facade's `shared_interner` hook) under a
-//!   per-run thread budget (via `thread_budget`), so tenants on overlapping graph
-//!   families dedup view DAGs against each other and parallel backends don't
-//!   oversubscribe the machine. The [`ServiceReport`] measures both: interner
-//!   hit-rate, elections/sec, queue/turnaround latency percentiles (globally and
-//!   per tenant via [`TenantBreakdown`]), steal counts.
+//! * **Cross-tenant sharing** — every run interns what views it builds through
+//!   the shared concurrent interner (via the facade's `shared_interner` hook)
+//!   under a per-run thread budget (via `thread_budget`), so tenants on
+//!   overlapping graph families dedup view DAGs against each other and parallel
+//!   backends don't oversubscribe the machine. The map solver files only
+//!   Selection's leader view there (it decides the stronger shades by refinement
+//!   class); the Lemma 3.9 solver files every node's view. The [`ServiceReport`]
+//!   measures both: interner hit-rate, elections/sec, queue/turnaround latency
+//!   percentiles (globally and per tenant via [`TenantBreakdown`]), steal counts.
 //!
 //! The service is also a trace source: set
 //! [`ServiceConfig::trace_sink`](service::ServiceConfig::trace_sink) and every

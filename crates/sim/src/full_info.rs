@@ -230,6 +230,31 @@ mod tests {
     }
 
     #[test]
+    fn collected_views_classify_by_refinement_class_once_per_node() {
+        // A map-based decision reads each collected view's class off the map's
+        // refinement; the collected views share one DAG of a node per (graph
+        // node, round), and the classifier's memo visits each of them once.
+        let g = generators::random_connected(30, 4, 12, 3).unwrap();
+        let refinement = anet_views::Refinement::compute(&g, None);
+        let rounds = 3;
+        let want: Vec<Option<u32>> = g
+            .nodes()
+            .map(|v| Some(refinement.class_at(v, rounds)))
+            .collect();
+        for backend in Backend::smoke_set() {
+            let classifier =
+                std::cell::RefCell::new(anet_views::ViewClassifier::new(&g, &refinement, rounds));
+            let (classes, _) =
+                run_full_information_traced(&g, rounds, backend, &NoopSink, |view| {
+                    classifier.borrow_mut().class_of(view, rounds)
+                });
+            assert_eq!(classes, want, "{backend}");
+            let memoised = classifier.borrow().memoised();
+            assert_eq!(memoised, g.num_nodes() * (rounds + 1), "{backend}");
+        }
+    }
+
+    #[test]
     fn full_information_decision_runs_the_paper_model() {
         // Decide "leader" iff the view has a degree-3 node at the root — on a star this
         // elects exactly the centre after 0 rounds.

@@ -23,7 +23,8 @@
 //! * [`refinement`] — *port colour refinement*, an `O(h·m)` computation of the
 //!   equivalence classes "`B^h(u) = B^h(v)`" for every depth `h` simultaneously
 //!   (within one graph or jointly across several graphs, as needed by the paper's
-//!   cross-graph indistinguishability lemmas),
+//!   cross-graph indistinguishability lemmas), and the [`ViewClassifier`] that reads
+//!   a view's class back off those rows,
 //! * [`bits`] — exact-length bit strings (the unit in which advice size is measured),
 //! * [`encoding`] — [`ViewCodec`], the one codec for Theorem 2.2 advice and for
 //!   metered wire messages, with the header its three formats share and the
@@ -78,6 +79,6 @@ pub use election_index::{ElectionIndices, Feasibility};
 pub use encoding::ViewCodec;
 pub use interned::{View, ViewInterner};
 pub use quotient::{ClassQuotient, QuotientSearch, SearchStats};
-pub use refinement::{JointRefinement, Refinement};
+pub use refinement::{JointRefinement, Refinement, ViewClassifier};
 pub use shared::{lock_or_poison, wait_timeout_or_poison, InternerStats, SharedViewInterner};
 pub use view_tree::ViewTree;

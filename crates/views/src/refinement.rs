@@ -18,9 +18,16 @@
 //! The same computation run on several graphs *jointly* answers the paper's cross-graph
 //! questions ("`B^k(r_{j,b})` in `G_α` equals `B^k(r_{j',b'})` in `G_β`", Lemma 2.5,
 //! Lemma 2.8, Lemma 4.10(1), …): see [`JointRefinement`].
+//!
+//! Read the other way, the class rows decide views: a [`ViewClassifier`] turns a
+//! [`View`] back into the class of the nodes that have it, without building any
+//! node's view — how a map-based algorithm reads its own `B^h(v)` against the map.
 
+use crate::View;
 use anet_graph::{NodeId, PortGraph};
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a node inside a [`JointRefinement`]: which graph, and which node.
 pub type JointNode = (usize, NodeId);
@@ -451,6 +458,250 @@ impl Refinement {
     }
 }
 
+/// The FxHash step with a rotating finish, for the classifier's word keys (node
+/// addresses and signature hashes). Those keys come from this process's own
+/// graphs and views, so the tables need speed, not SipHash's resistance to
+/// chosen keys. The finish rotates the well-mixed high bits of the product down,
+/// because the tables index buckets by the low bits and an address is a multiple
+/// of its alignment.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7C_C1_B7_27_22_0A_95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// End of a [`Level`] collision chain.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// The signatures of one depth: entry `e` has the key
+/// `keys[offsets[e]..offsets[e + 1]]` and the class `classes[e]`. Keys are found by
+/// hash (`heads`), and entries whose keys share a hash are chained through `next`,
+/// so a lookup is exact and the table holds no per-entry allocation.
+#[derive(Debug)]
+struct Level {
+    keys: Vec<u32>,
+    offsets: Vec<usize>,
+    classes: Vec<u32>,
+    heads: WordMap<u64, u32>,
+    next: Vec<u32>,
+}
+
+impl Level {
+    fn with_capacity(entries: usize) -> Level {
+        Level {
+            keys: Vec::new(),
+            offsets: vec![0],
+            classes: Vec::with_capacity(entries),
+            heads: WordMap::with_capacity_and_hasher(entries, Default::default()),
+            next: Vec::with_capacity(entries),
+        }
+    }
+
+    fn hash(key: &[u32]) -> u64 {
+        let mut hasher = WordHasher::default();
+        for &word in key {
+            hasher.write_u32(word);
+        }
+        hasher.finish()
+    }
+
+    fn find(&self, key: &[u32]) -> Option<u32> {
+        let mut entry = *self.heads.get(&Self::hash(key))?;
+        while entry != NO_ENTRY {
+            let e = entry as usize;
+            if &self.keys[self.offsets[e]..self.offsets[e + 1]] == key {
+                return Some(self.classes[e]);
+            }
+            entry = self.next[e];
+        }
+        None
+    }
+
+    fn insert(&mut self, key: &[u32], class: u32) {
+        let entry = self.classes.len() as u32;
+        self.keys.extend_from_slice(key);
+        self.offsets.push(self.keys.len());
+        self.classes.push(class);
+        let head = self.heads.insert(Self::hash(key), entry);
+        self.next.push(head.unwrap_or(NO_ENTRY));
+    }
+}
+
+/// Decides views by refinement class: `class_of(B^d(v), d)` is
+/// [`Refinement::class_at`]`(v, d)`, read off one table per depth instead of
+/// comparing the view with any node's.
+///
+/// The table of depth 0 is keyed by the degree, and the table of depth `d ≥ 1` by
+/// a class's ordered list of (far port, neighbour's class at `d − 1`) — the
+/// signature the refinement step assigns classes by, which determines `B^d` — so
+/// the tables are exact: one entry per class, and a view no node has finds none.
+/// [`ViewClassifier::class_of`] walks a view bottom-up through them, memoised by
+/// view node, so classifying all of a run's collected views (which share their
+/// subtrees) costs one table lookup per *distinct* node. Each memoised node is
+/// pinned (the memo holds a handle to it, as the foreign memo of
+/// [`crate::ViewInterner`] does), so its address, the memo key, cannot be reused
+/// while the classifier lives. The walk reuses one key stack and allocates nothing
+/// per node; drop the classifier to release the pinned views.
+pub struct ViewClassifier {
+    /// The depth the classifier was built for: views up to this depth classify.
+    depth: usize,
+    /// Tables of depths `0..levels.len()`; a deeper depth reads the last one,
+    /// as [`Refinement::class_at`] reads the last computed row.
+    levels: Vec<Level>,
+    /// (view node address, depth) → (pin of the node, its class).
+    memo: WordMap<(usize, usize), (View, Option<u32>)>,
+    /// The walk's key stack: a frame per depth of the walk, reused across calls.
+    keys: Vec<u32>,
+}
+
+impl ViewClassifier {
+    /// The classifier of `B^d` for every `d ≤ depth` on `g`. `refinement` must be
+    /// computed on `g`; classes past its computed range are read clamped, like
+    /// [`Refinement::class_at`] reads them, which is exact once the partition is
+    /// stable. `O(n · Δ)` per depth, and no depth past the first stable one is built.
+    pub fn new(g: &PortGraph, refinement: &Refinement, depth: usize) -> ViewClassifier {
+        let computed = refinement.computed_depth();
+        let top = depth.min(computed + 1);
+        let mut levels = Vec::with_capacity(top + 1);
+        let mut key = Vec::new();
+        for d in 0..=top {
+            let row = refinement.inner.row(d);
+            // Up to the computed depth the class decides the signature, so one
+            // node per class is enough; past it, where the rows are read clamped,
+            // every distinct signature is filed.
+            let one_per_class = d <= computed;
+            let classes = refinement.num_classes_at(d);
+            let mut filed = vec![false; classes];
+            let mut level = Level::with_capacity(classes);
+            for v in g.nodes() {
+                let class = row[v as usize];
+                if one_per_class && std::mem::replace(&mut filed[class as usize], true) {
+                    continue;
+                }
+                key.clear();
+                if d == 0 {
+                    key.push(g.degree(v) as u32);
+                } else {
+                    let below = refinement.inner.row(d - 1);
+                    for (_, u, q) in g.ports(v) {
+                        key.extend_from_slice(&[q, below[u as usize]]);
+                    }
+                }
+                if one_per_class || level.find(&key).is_none() {
+                    level.insert(&key, class);
+                }
+            }
+            levels.push(level);
+        }
+        ViewClassifier {
+            depth,
+            levels,
+            // Room for what a run collects: every node's view at every depth.
+            memo: WordMap::with_capacity_and_hasher(
+                g.num_nodes() * (depth + 1),
+                Default::default(),
+            ),
+            keys: Vec::new(),
+        }
+    }
+
+    /// The class at `depth` of the nodes whose `B^depth` is `view`, or `None` if no
+    /// node of the graph has that view. `depth` must not exceed the depth the
+    /// classifier was built for.
+    pub fn class_of(&mut self, view: &View, depth: usize) -> Option<u32> {
+        assert!(
+            depth <= self.depth,
+            "the classifier was built for depths up to {}, not {depth}",
+            self.depth
+        );
+        self.classify(view, depth)
+    }
+
+    /// Number of distinct (view node, depth) pairs classified so far.
+    pub fn memoised(&self) -> usize {
+        self.memo.len()
+    }
+
+    /// One node of the walk: its children's classes one depth down, then its own
+    /// from the table of its depth. The key is built in a frame on top of the key
+    /// stack, which the children's frames above it have left as they found it.
+    // anet-lint: hot-path
+    fn classify(&mut self, view: &View, depth: usize) -> Option<u32> {
+        let address = (view.node_id(), depth);
+        if let Some(&(_, class)) = self.memo.get(&address) {
+            return class;
+        }
+        let frame = self.keys.len();
+        let children = view.children();
+        let mut valid = if depth == 0 {
+            self.keys.push(view.degree());
+            children.is_empty()
+        } else {
+            children.len() == view.degree() as usize
+        };
+        if depth > 0 && valid {
+            for (i, (p, q, child)) in children.iter().enumerate() {
+                let class = if *p as usize == i {
+                    self.classify(child, depth - 1)
+                } else {
+                    None
+                };
+                let Some(class) = class else {
+                    valid = false;
+                    break;
+                };
+                self.keys.extend_from_slice(&[*q, class]);
+            }
+        }
+        let level = &self.levels[depth.min(self.levels.len() - 1)];
+        let class = if valid {
+            level.find(&self.keys[frame..])
+        } else {
+            None
+        };
+        self.keys.truncate(frame);
+        // anet-lint: allow(hot-path-alloc) — pins the memo's address key
+        self.memo.insert(address, (view.clone(), class));
+        class
+    }
+}
+
+impl std::fmt::Debug for ViewClassifier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ViewClassifier")
+            .field("depth", &self.depth)
+            .field(
+                "entries",
+                &self.levels.iter().map(|l| l.classes.len()).sum::<usize>(),
+            )
+            .field("memoised", &self.memo.len())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,6 +893,115 @@ mod tests {
         let fast = Refinement::compute_until_unique(&g);
         assert_eq!(fast.computed_depth(), 0);
         assert_eq!(fast.unique_nodes_at(0), vec![0]);
+    }
+
+    /// The views of every node as the full-information collector assembles them:
+    /// each round grafts one fresh root over the neighbours' handles of the
+    /// round before, so all nodes' views share one DAG of `n · (depth + 1)` nodes.
+    fn collected_views(g: &PortGraph, depth: usize) -> Vec<View> {
+        let mut level: Vec<View> = g.nodes().map(|v| View::leaf(g.degree(v) as u32)).collect();
+        for _ in 0..depth {
+            level = g
+                .nodes()
+                .map(|v| {
+                    let children = g
+                        .ports(v)
+                        .map(|(p, u, q)| (p, q, level[u as usize].clone()))
+                        .collect();
+                    View::from_parts(g.degree(v) as u32, children)
+                })
+                .collect();
+        }
+        level
+    }
+
+    fn classifier_graphs() -> Vec<PortGraph> {
+        vec![
+            generators::paper_three_node_line(),
+            generators::star(4).unwrap(),
+            generators::oriented_ring(&[true, true, false, true, false]).unwrap(),
+            generators::random_connected(14, 4, 5, 77).unwrap(),
+            generators::random_connected(30, 4, 12, 3).unwrap(),
+            // One class at every depth.
+            generators::symmetric_ring(6).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn classifier_gives_every_view_its_refinement_class() {
+        for g in classifier_graphs() {
+            let r = Refinement::compute(&g, None);
+            // Past `stable_depth() + 1` the class rows are read clamped.
+            let top = r.stable_depth() + 2;
+            let mut classifier = ViewClassifier::new(&g, &r, top);
+            let mut interner = crate::ViewInterner::new();
+            for d in 0..=top {
+                let built = interner.build_all(&g, d);
+                let collected = collected_views(&g, d);
+                for v in g.nodes() {
+                    let want = Some(r.class_at(v, d));
+                    let ctx = format!("{} nodes, node {v}, depth {d}", g.num_nodes());
+                    // A fresh view per query: its nodes are freed after the call
+                    // unless the classifier pins them, and a recycled address
+                    // would hit a stale memo entry.
+                    assert_eq!(
+                        classifier.class_of(&View::build(&g, v, d), d),
+                        want,
+                        "{ctx}"
+                    );
+                    assert_eq!(classifier.class_of(&built[v as usize], d), want, "{ctx}");
+                    assert_eq!(
+                        classifier.class_of(&collected[v as usize], d),
+                        want,
+                        "{ctx}"
+                    );
+                    if d < top {
+                        // A view of another depth is no node's view at this one.
+                        let deeper = &collected_views(&g, d + 1)[v as usize];
+                        assert_eq!(classifier.class_of(deeper, d), None, "{ctx}");
+                        assert_eq!(classifier.class_of(&collected[v as usize], d + 1), None);
+                    }
+                }
+            }
+            // No graph here has a degree-7 node, so no node has this view.
+            let star_centre = View::build(&generators::star(7).unwrap(), 0, 1);
+            assert_eq!(classifier.class_of(&star_centre, 1), None);
+            // A refinement cut short at ψ_S is read clamped one depth past it.
+            let cut = Refinement::compute_until_unique(&g);
+            let d = cut.computed_depth() + 1;
+            let mut classifier = ViewClassifier::new(&g, &cut, d);
+            for (v, view) in collected_views(&g, d).iter().enumerate() {
+                let want = Some(cut.class_at(v as NodeId, d));
+                assert_eq!(classifier.class_of(view, d), want, "node {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn classifier_memoises_each_distinct_collected_node_once() {
+        for g in classifier_graphs() {
+            let r = Refinement::compute(&g, None);
+            let depth = r.stable_depth() + 1;
+            let views = collected_views(&g, depth);
+            let mut classifier = ViewClassifier::new(&g, &r, depth);
+            for _ in 0..2 {
+                for v in g.nodes() {
+                    let class = classifier.class_of(&views[v as usize], depth);
+                    assert_eq!(class, Some(r.class_at(v, depth)));
+                }
+                // One entry per node and depth of the shared DAG, and none added
+                // by classifying the same views again.
+                assert_eq!(classifier.memoised(), g.num_nodes() * (depth + 1));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "built for depths up to 2")]
+    fn classifier_rejects_depths_it_was_not_built_for() {
+        let g = generators::star(4).unwrap();
+        let r = Refinement::compute(&g, None);
+        ViewClassifier::new(&g, &r, 2).class_of(&View::build(&g, 0, 3), 3);
     }
 
     #[test]
