@@ -13,7 +13,9 @@ use anet_election::tasks::Task;
 
 fn main() {
     let mut h = Harness::new("port_election_on_U");
-    for (delta, k) in [(4usize, 1usize), (5, 1)] {
+    // U_{4,2} (86 022 nodes, 2 654 classes at depth 2) is the size where the
+    // per-class map work and the classifier's teardown show.
+    for (delta, k) in [(4usize, 1usize), (5, 1), (4, 2)] {
         let class = UClass::new(delta, k).unwrap();
         let sigma: Vec<u32> = (0..class.y())
             .map(|j| (j % (delta as u64 - 1)) as u32 + 1)

@@ -116,11 +116,8 @@ pub fn solve_with_map(
     };
     let (rounds, per_node) = chosen.ok_or(MapSolveError::Unsolvable(task))?;
 
-    // Turn the per-node assignment into a genuine view-function and run it through the
-    // simulator: the assignment is constant on view classes by construction, so one
-    // output per class at depth `rounds` is the whole decision map, and a collected
-    // view is decided by its class. The classifier's walk is memoised by view node,
-    // so the run's collected views, a shared DAG, cost one lookup per distinct node.
+    // The assignment is constant on view classes by construction, so one output per
+    // class at depth `rounds` is the whole decision map.
     let mut by_class: Vec<Option<NodeOutput>> = vec![None; refinement.num_classes_at(rounds)];
     for (v, output) in per_node.into_iter().enumerate() {
         match &mut by_class[refinement.class_at(v as NodeId, rounds) as usize] {
@@ -128,23 +125,43 @@ pub fn solve_with_map(
             Some(first) => debug_assert_eq!(*first, output, "the assignment is class-uniform"),
         }
     }
+    let by_class = by_class
+        .into_iter()
+        .map(|output| output.expect("every class has a node"))
+        .collect();
+    let run = run_by_class(graph, &refinement, rounds, by_class, ctx);
+    Ok(SolverRun {
+        search: search.stats(),
+        ..run
+    })
+}
+
+/// Run a decision map given per refinement class: collect `B^rounds(v)` on
+/// `ctx.backend` (see [`run_full_information_wired`]) and answer each collected
+/// view with `by_class[c]`, where `c` is the view's class at depth `rounds`, read
+/// through a [`ViewClassifier`] built from `refinement`. The classifier's walk is
+/// memoised by view node, so the run's collected views, a shared DAG, cost one
+/// lookup per distinct node. The one place this crate turns a class table into
+/// decisions; `refinement` must be computed on `graph`.
+pub(crate) fn run_by_class(
+    graph: &PortGraph,
+    refinement: &Refinement,
+    rounds: usize,
+    by_class: Vec<NodeOutput>,
+    ctx: &RunContext<'_>,
+) -> SolverRun {
+    debug_assert_eq!(by_class.len(), refinement.num_classes_at(rounds));
     // The decision map is applied sequentially after the communication phase, so a
     // RefCell suffices for the classifier's memo.
-    let classifier = RefCell::new(ViewClassifier::new(graph, &refinement, rounds));
+    let classifier = RefCell::new(ViewClassifier::new(graph, refinement, rounds));
     let decide = |view: &View| {
         let class = classifier
             .borrow_mut()
             .class_of(view, rounds)
             .expect("every view observed in the run is some node's view");
-        by_class[class as usize]
-            .clone()
-            .expect("every class has a node")
+        by_class[class as usize].clone()
     };
-    let run = run_full_information_wired(graph, rounds, ctx, decide);
-    Ok(SolverRun {
-        search: search.stats(),
-        ..run
-    })
+    run_full_information_wired(graph, rounds, ctx, decide)
 }
 
 /// Per-node outputs of an assignment: the one unassigned node is the leader.

@@ -15,26 +15,32 @@
 //!   their own view towards a medium node if one is visible, otherwise towards a heavy
 //!   node (one of the two is always within distance `k`).
 //!
-//! The decision of every node is a function of the map and of `B^k(v)` only, so the
-//! algorithm is executed here exactly like every other algorithm in this crate:
-//! through the full-information simulator, with a decision closure.
+//! The decision of every node is a function of the map and of `B^k(v)` only, and
+//! nodes with equal `B^k` are exactly the nodes of one refinement class at depth
+//! `k`. So the rule is evaluated once per class, on the map, and the class table is
+//! run through the full-information simulator like the map solver's: each node
+//! reads its collected view's class and outputs the class's entry. No view is built
+//! from the map, and no view is searched or filed in a table.
 
 use crate::engine::{RunContext, SolverRun};
-use crate::map_algorithms::run_full_information_wired;
+use crate::map_algorithms::run_by_class;
 use crate::tasks::NodeOutput;
 use anet_graph::{GraphError, NodeId, PortGraph};
-use anet_views::{View, ViewInterner};
-use std::collections::HashMap;
+use anet_views::Refinement;
+use std::collections::HashSet;
 
 /// Solve Port Election on a member of `U_{Δ,k}` in `k` rounds, given the map.
 ///
 /// `graph` must be (port-isomorphic to) a member of `U_{Δ,k}`; `k` is the class
-/// parameter (equal to `ψ_S = ψ_PE` of the graph, Lemma 3.9). The map's views and
-/// the collected ones are interned through `ctx.shared_interner` when it is set. The
-/// `k` view-collection rounds run on `ctx.backend`, emit trace events into
-/// `ctx.trace` and are metered when `ctx.wire` names a codec (or the backend is
-/// capped, which also inflates `rounds` to the physical count). Lemma 3.9 reads the
-/// ports off the map's structure, so the run reports no advice and no search.
+/// parameter (equal to `ψ_S = ψ_PE` of the graph, Lemma 3.9). The rule is read off
+/// the map once per refinement class at depth `k`, so a map on which it is undefined
+/// (no cycle node, a heavy node that cannot reach the cycle, a light node that sees
+/// no medium or heavy node within `k`) is rejected before any round runs. The `k`
+/// view-collection rounds run on `ctx.backend`, emit trace events into `ctx.trace`
+/// and are metered when `ctx.wire` names a codec (or the backend is capped, which
+/// also inflates `rounds` to the physical count); each node decides by its view's
+/// class, so the context's shared view table is left untouched. Lemma 3.9 reads
+/// the ports off the map's structure, so the run reports no advice and no search.
 pub fn solve_port_election_on_u(
     graph: &PortGraph,
     k: usize,
@@ -51,120 +57,85 @@ pub fn solve_port_election_on_u(
     let heavy_degree = 2 * delta - 1;
 
     // Pre-processing on the map (all of this is information every node can derive from
-    // the map it was given).
-    let medium_nodes: Vec<NodeId> = graph
+    // the map it was given): `r_min` is the medium node whose `B^k` is smallest.
+    let refinement = Refinement::compute(graph, Some(k));
+    let r_min = graph
         .nodes()
         .filter(|&v| graph.degree(v) == medium_degree)
-        .collect();
-    if medium_nodes.is_empty() {
-        return Err(GraphError::invalid(
-            "no cycle (degree Δ+2) nodes in the map",
-        ));
-    }
-    // One shared pass builds every node's B^k (hash-consed, so on the highly
-    // repetitive U members most subtrees collapse to one representative each),
-    // through the context's shared table when there is one.
-    let mut interner = ctx
-        .shared_interner
-        .map_or_else(ViewInterner::new, ViewInterner::shared);
-    let views = interner.build_all(graph, k);
-    let r_min_view = medium_nodes
-        .iter()
-        .map(|&v| views[v as usize].clone())
-        .min()
-        .expect("non-empty");
+        .min_by(|&a, &b| refinement.view_cmp(graph, a, b, k))
+        .ok_or_else(|| GraphError::invalid("no cycle (degree Δ+2) nodes in the map"))?;
 
-    // Heavy nodes: view → first port of a simple path towards the closest medium node.
-    // Keys are View handles: hashing is O(1) (precomputed structural hash) and a map
-    // entry holds a refcount, not a token vector.
-    let mut heavy_port: HashMap<View, u32> = HashMap::new();
-    for v in graph.nodes().filter(|&v| graph.degree(v) == heavy_degree) {
-        let port = first_port_towards_degree(graph, v, medium_degree)
-            .ok_or_else(|| GraphError::invalid("a heavy node cannot reach the cycle in the map"))?;
-        let view = views[v as usize].clone();
-        if let Some(&existing) = heavy_port.get(&view) {
+    // The output of one node, which is the output of its whole class at depth `k`.
+    let output_of = |v: NodeId| -> Result<NodeOutput, GraphError> {
+        let degree = graph.degree(v);
+        let port = if degree == 1 {
+            // A leaf may be farther than `k` from every medium and heavy node; its
+            // one port leads towards both.
+            0
+        } else if degree == medium_degree {
+            if refinement.same_view(v, r_min, k) {
+                return Ok(NodeOutput::Leader);
+            }
+            delta as u32 + 1
+        } else if degree == heavy_degree {
             // Lemma 3.9 (Claim 1): the only other node with this view is the twin
             // r_{j,1,2}, at which the same swap was applied, so the ports agree.
-            debug_assert_eq!(existing, port, "twin heavy nodes must agree on the port");
-        }
-        heavy_port.insert(view, port);
-    }
-
-    // Canonicalize collected views through the same interner before comparing: the
-    // intern walk costs the view's distinct (shared) nodes, after which the r_min
-    // comparison and the heavy-port lookup are pointer-equal instead of unfolding
-    // Θ(Δ^k) walk-tree nodes. Decisions are applied sequentially after the run, so a
-    // RefCell provides the interior mutability.
-    let interner = std::cell::RefCell::new(interner);
-    let decide = move |view: &View| -> NodeOutput {
-        let degree = view.degree() as usize;
-        if degree == 1 {
-            return NodeOutput::FirstPort(0);
-        }
-        if degree == medium_degree {
-            let view = interner.borrow_mut().intern(view);
-            return if view == r_min_view {
-                NodeOutput::Leader
-            } else {
-                NodeOutput::FirstPort(delta as u32 + 1)
-            };
-        }
-        if degree == heavy_degree {
-            let view = interner.borrow_mut().intern(view);
-            let port = heavy_port
-                .get(&view)
-                .copied()
-                .expect("every heavy view appears in the map");
-            return NodeOutput::FirstPort(port);
-        }
-        // Light node: head towards a visible medium node, else towards a heavy node.
-        let path = view
-            .shortest_path_to_degree(medium_degree as u32)
-            .or_else(|| view.shortest_path_to_degree(heavy_degree as u32))
-            .expect("Lemma 3.9: every light node sees a medium or heavy node within k");
-        NodeOutput::FirstPort(
-            *path
-                .first()
-                .expect("a light node is never itself medium or heavy"),
-        )
+            first_port_towards_degree(graph, v, medium_degree).ok_or_else(|| {
+                GraphError::invalid("a heavy node cannot reach the cycle in the map")
+            })?
+        } else {
+            // Light node: head towards a medium node within `k`, else a heavy one.
+            first_port_within(graph, v, medium_degree, k)
+                .or_else(|| first_port_within(graph, v, heavy_degree, k))
+                .ok_or_else(|| {
+                    GraphError::invalid("a light node sees no medium or heavy node within k")
+                })?
+        };
+        Ok(NodeOutput::FirstPort(port))
     };
-
-    Ok(run_full_information_wired(graph, k, ctx, decide))
+    let mut first: Vec<Option<NodeId>> = vec![None; refinement.num_classes_at(k)];
+    for v in graph.nodes() {
+        first[refinement.class_at(v, k) as usize].get_or_insert(v);
+    }
+    let by_class = first
+        .into_iter()
+        .map(|v| output_of(v.expect("every class has a node")))
+        .collect::<Result<_, _>>()?;
+    Ok(run_by_class(graph, &refinement, k, by_class, ctx))
 }
 
 /// First port of a shortest path (ties broken by port order) from `v` to the nearest
 /// node of the given degree in the map. Public because the advice-lower-bound witness
 /// machinery reuses it to read off the unique correct answer at the heavy roots.
 pub fn first_port_towards_degree(graph: &PortGraph, v: NodeId, degree: usize) -> Option<u32> {
-    // BFS over nodes, remembering the first outgoing port of the path used to reach
-    // each node.
-    use std::collections::VecDeque;
-    let mut first_port: Vec<Option<u32>> = vec![None; graph.num_nodes()];
-    let mut visited = vec![false; graph.num_nodes()];
-    visited[v as usize] = true;
-    let mut queue = VecDeque::new();
-    for (p, u, _) in graph.ports(v) {
-        if graph.degree(u) == degree {
-            return Some(p);
-        }
-        if !visited[u as usize] {
-            visited[u as usize] = true;
-            first_port[u as usize] = Some(p);
-            queue.push_back(u);
-        }
-    }
-    while let Some(x) = queue.pop_front() {
-        for (_, u, _) in graph.ports(x) {
-            if visited[u as usize] {
-                continue;
+    first_port_within(graph, v, degree, usize::MAX)
+}
+
+/// [`first_port_towards_degree`] among the nodes within distance `radius` of `v`.
+/// Breadth-first one level at a time, in port order, so a node is first reached
+/// through the smallest first port of its shortest paths; the visited set grows
+/// with the ball explored, so a call costs that ball, not `n`.
+fn first_port_within(graph: &PortGraph, v: NodeId, degree: usize, radius: usize) -> Option<u32> {
+    let mut visited = HashSet::from([v]);
+    // (node, first port of the path that reached it); the root has none.
+    let mut level = vec![(v, None)];
+    for _ in 0..radius {
+        let mut next = Vec::new();
+        for &(x, first) in &level {
+            for (p, u, _) in graph.ports(x) {
+                if visited.insert(u) {
+                    let first = first.or(Some(p));
+                    if graph.degree(u) == degree {
+                        return first;
+                    }
+                    next.push((u, first));
+                }
             }
-            visited[u as usize] = true;
-            first_port[u as usize] = first_port[x as usize];
-            if graph.degree(u) == degree {
-                return first_port[u as usize];
-            }
-            queue.push_back(u);
         }
+        if next.is_empty() {
+            break;
+        }
+        level = next;
     }
     None
 }

@@ -21,9 +21,9 @@
 //!   the shared concurrent interner (via the facade's `shared_interner` hook)
 //!   under a per-run thread budget (via `thread_budget`), so tenants on
 //!   overlapping graph families dedup view DAGs against each other and parallel
-//!   backends don't oversubscribe the machine. The map solver files only
-//!   Selection's leader view there (it decides the stronger shades by refinement
-//!   class); the Lemma 3.9 solver files every node's view. The [`ServiceReport`]
+//!   backends don't oversubscribe the machine. Only map Selection files a view
+//!   there, its leader's; the map solver's stronger shades and the Lemma 3.9
+//!   solver decide by refinement class and file nothing. The [`ServiceReport`]
 //!   measures both: interner hit-rate, elections/sec, queue/turnaround latency
 //!   percentiles (globally and per tenant via [`TenantBreakdown`]), steal counts.
 //!

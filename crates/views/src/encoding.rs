@@ -18,6 +18,9 @@
 //!   degree and `h` the height of the encoded view),
 //! * `w` bits: the height `h` of the encoded view.
 //!
+//! Every decoder rejects a header that declares `h` above [`MAX_DECODED_HEIGHT`]
+//! ([`DecodeError::HeightTooLarge`]) before it reads anything else.
+//!
 //! The tree format follows it with the tree in pre-order: for every tree node, its
 //! degree (`w` bits); for every non-leaf-level tree node additionally, for each of its
 //! `degree` children in port order, the far-end port `q` (`w` bits) followed by the
@@ -41,6 +44,16 @@ use crate::dag_encoding::{decode_view_dag, encode_view_dag};
 use crate::delta_encoding::{decode_view_delta, encode_view_delta};
 use crate::interned::View;
 
+/// The largest height any decoder accepts. A decoded view is no deeper than its
+/// header declares: the tree format nests exactly that deep, and the DAG and delta
+/// tables are held to it by [`DecodeError::TooDeep`]. The tree decoder, and `View`'s
+/// drop and equality, recurse once per level, so this bound is what keeps a forged
+/// header from nesting a view past the stack: a chain of this height encodes,
+/// decodes, compares and drops on a 2 MiB thread in every codec. The encoders do
+/// not enforce it, so a taller view, such as a message of a metered run longer than
+/// this many rounds, does not decode.
+pub const MAX_DECODED_HEIGHT: usize = 4096;
+
 /// Errors produced while decoding an encoded view in any [`ViewCodec`] format (the
 /// table conditions only arise in the DAG and delta formats).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +63,11 @@ pub enum DecodeError {
     Truncated,
     /// The header declared an invalid field width.
     BadWidth,
+    /// The header declared a height above [`MAX_DECODED_HEIGHT`].
+    HeightTooLarge {
+        /// The height the header declares.
+        height: u64,
+    },
     /// DAG format: the node table is empty (a view always has a root).
     EmptyTable,
     /// DAG format: a child or root id does not reference an *earlier* table entry.
@@ -98,6 +116,10 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "bit string too short for the declared view"),
             DecodeError::BadWidth => write!(f, "invalid field width in view encoding header"),
+            DecodeError::HeightTooLarge { height } => write!(
+                f,
+                "declared height {height} exceeds the decodable {MAX_DECODED_HEIGHT}"
+            ),
             DecodeError::EmptyTable => write!(f, "DAG node table is empty"),
             DecodeError::BadNodeId { id, limit } => {
                 write!(f, "node id {id} out of range (must be < {limit})")
@@ -229,14 +251,18 @@ pub(crate) fn write_header(view: &View, height: usize, bits: &mut BitString) -> 
     w
 }
 
-/// Read the header [`write_header`] writes: the field width and the height.
+/// Read the header [`write_header`] writes: the field width and the height, which
+/// must not exceed [`MAX_DECODED_HEIGHT`].
 pub(crate) fn read_header(r: &mut BitReader<'_>) -> Result<(usize, usize), DecodeError> {
     let w = r.read_uint(6).ok_or(DecodeError::Truncated)? as usize;
     if w == 0 || w > 63 {
         return Err(DecodeError::BadWidth);
     }
-    let height = r.read_uint(w).ok_or(DecodeError::Truncated)? as usize;
-    Ok((w, height))
+    let height = r.read_uint(w).ok_or(DecodeError::Truncated)?;
+    if height > MAX_DECODED_HEIGHT as u64 {
+        return Err(DecodeError::HeightTooLarge { height });
+    }
+    Ok((w, height as usize))
 }
 
 /// The exact length [`encode_view_interned`] would produce, computed in closed form
@@ -498,5 +524,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Run `f` on a thread with a 2 MiB stack, the stack [`MAX_DECODED_HEIGHT`] is
+    /// sized for.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn forged_deep_tree_string_is_rejected_at_the_header() {
+        on_small_stack(|| {
+            // K₂'s view at height 20 000 as the tree format writes it (w = 15): a
+            // degree-1 chain that the decoder would nest 20 000 levels deep.
+            let (w, height) = (15, 20_000u64);
+            let mut bits = BitString::new();
+            bits.push_uint(w as u64, 6);
+            bits.push_uint(height, w);
+            for level in 0..=height {
+                bits.push_uint(1, w);
+                if level < height {
+                    bits.push_uint(0, w);
+                }
+            }
+            assert_eq!(bits.len(), 600_036);
+            assert_eq!(
+                ViewCodec::Tree.decode(&bits, None),
+                Err(DecodeError::HeightTooLarge { height })
+            );
+        });
+    }
+
+    #[test]
+    fn forged_deep_dag_chain_is_rejected_at_the_header() {
+        on_small_stack(|| {
+            // A 200 000-record chain under height 199 999 (w = 18): each record
+            // is a degree-1 node over the one before. It satisfies `TooDeep`, and
+            // a decoded chain that long would overflow the stack when dropped.
+            let (w, height) = (18, 199_999u64);
+            let mut bits = BitString::new();
+            bits.push_uint(w as u64, 6);
+            bits.push_uint(height, w);
+            bits.push_varint(height + 1);
+            bits.push_uint(1, w);
+            bits.push_bit(false);
+            for id in 0..height {
+                bits.push_uint(1, w);
+                bits.push_bit(true);
+                bits.push_uint(0, w);
+                bits.push_varint(id);
+            }
+            bits.push_varint(height);
+            for codec in [ViewCodec::Dag, ViewCodec::Delta] {
+                assert_eq!(
+                    codec.decode(&bits, None),
+                    Err(DecodeError::HeightTooLarge { height }),
+                    "{codec}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn views_at_the_height_cap_round_trip_in_every_codec() {
+        on_small_stack(|| {
+            let g = generators::path(2).unwrap();
+            let h = MAX_DECODED_HEIGHT;
+            let base = View::build(&g, 0, h - 1);
+            let view = View::build(&g, 0, h);
+            let taller = View::build(&g, 0, h + 1);
+            for codec in ViewCodec::ALL {
+                let bits = codec.encode(&view, h, Some(&base));
+                assert_eq!(
+                    codec.decode(&bits, Some(&base)),
+                    Ok((view.clone(), h)),
+                    "{codec}"
+                );
+                // One level more is refused before the body is read.
+                let bits = codec.encode(&taller, h + 1, Some(&view));
+                assert_eq!(
+                    codec.decode(&bits, Some(&view)),
+                    Err(DecodeError::HeightTooLarge {
+                        height: h as u64 + 1
+                    }),
+                    "{codec}"
+                );
+            }
+        });
     }
 }

@@ -371,63 +371,6 @@ impl View {
         max
     }
 
-    /// Does this view contain (at any tree node, root included) a node of the given
-    /// graph degree? Each distinct subtree is visited once.
-    pub fn contains_degree(&self, degree: u32) -> bool {
-        let mut seen = HashSet::new();
-        seen.insert(self.node_id());
-        self.contains_degree_unseen(degree, &mut seen)
-    }
-
-    fn contains_degree_unseen(&self, degree: u32, seen: &mut HashSet<usize>) -> bool {
-        self.node.degree == degree
-            || self
-                .node
-                .children
-                .iter()
-                .any(|(_, _, c)| seen.insert(c.node_id()) && c.contains_degree_unseen(degree, seen))
-    }
-
-    /// The port sequence (outgoing ports only) of the lexicographically smallest
-    /// shortest root-to-node path reaching a tree node of the given degree, or `None`
-    /// if no such node exists.
-    ///
-    /// Breadth-first in port order: `visited[i]` records (parent index or `usize::MAX`
-    /// for the root, port taken from the parent, node), each level is scanned for a
-    /// match before the next is expanded, and only the returned path is rebuilt from
-    /// the parent links. A shared subtree is enqueued only at its first occurrence,
-    /// which the scan reaches through the lexicographically smallest shortest path, so
-    /// the dedup never changes the result; it keeps `visited` linear in distinct nodes.
-    pub fn shortest_path_to_degree(&self, degree: u32) -> Option<Vec<Port>> {
-        let mut seen = HashSet::new();
-        seen.insert(self.node_id());
-        let mut visited: Vec<(usize, Port, &View)> = vec![(usize::MAX, 0, self)];
-        let mut level_start = 0usize;
-        while level_start < visited.len() {
-            let level_end = visited.len();
-            if let Some(mut cur) =
-                (level_start..level_end).find(|&i| visited[i].2.degree() == degree)
-            {
-                let mut path = Vec::new();
-                while visited[cur].0 != usize::MAX {
-                    path.push(visited[cur].1);
-                    cur = visited[cur].0;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for i in level_start..level_end {
-                for (p, _, c) in visited[i].2.children() {
-                    if seen.insert(c.node_id()) {
-                        visited.push((i, *p, c));
-                    }
-                }
-            }
-            level_start = level_end;
-        }
-        None
-    }
-
     /// Convert to the owned tree form (deep copy; `O(size)`).
     pub fn to_tree(&self) -> ViewTree {
         ViewTree {
@@ -910,10 +853,6 @@ mod tests {
         assert_eq!(t.size(), (1usize << 51) - 1);
         // Both children of the rebuilt root are one object, as in the input.
         assert!(View::ptr_eq(&t.children()[0].2, &t.children()[1].2));
-        // The degree searches dedup on shared nodes too: an exhaustive (absent-degree)
-        // search over the 2^61-node unfolded tree must visit its 61 distinct nodes.
-        assert_eq!(deep.shortest_path_to_degree(99), None);
-        assert!(!deep.contains_degree(99));
         assert_eq!(deep.max_degree(), 2);
         assert_eq!(deep.max_port(), Some(1));
     }
@@ -951,32 +890,6 @@ mod tests {
         assert_eq!(interner.len(), walked);
         for (x, y) in first.iter().zip(&second) {
             assert!(View::ptr_eq(x, y));
-        }
-    }
-
-    #[test]
-    fn shortest_path_to_degree_matches_owned() {
-        let g = generators::star(3).unwrap();
-        let view = View::build(&g, 2, 2);
-        let owned = ViewTree::build(&g, 2, 2);
-        for d in [1u32, 3, 9] {
-            assert_eq!(
-                view.shortest_path_to_degree(d),
-                owned.shortest_path_to_degree(d)
-            );
-            assert_eq!(view.contains_degree(d), owned.contains_degree(d));
-        }
-        let g = generators::random_connected(16, 5, 6, 42).unwrap();
-        for v in [0u32, 7, 15] {
-            let view = View::build(&g, v, 3);
-            let owned = ViewTree::build(&g, v, 3);
-            for d in 0..=6u32 {
-                assert_eq!(
-                    view.shortest_path_to_degree(d),
-                    owned.shortest_path_to_degree(d),
-                    "node {v} degree {d}"
-                );
-            }
         }
     }
 

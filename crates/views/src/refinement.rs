@@ -561,18 +561,22 @@ impl Level {
 /// [`ViewClassifier::class_of`] walks a view bottom-up through them, memoised by
 /// view node, so classifying all of a run's collected views (which share their
 /// subtrees) costs one table lookup per *distinct* node. Each memoised node is
-/// pinned (the memo holds a handle to it, as the foreign memo of
-/// [`crate::ViewInterner`] does), so its address, the memo key, cannot be reused
-/// while the classifier lives. The walk reuses one key stack and allocates nothing
-/// per node; drop the classifier to release the pinned views.
+/// pinned (a handle to it is kept, as the foreign memo of [`crate::ViewInterner`]
+/// keeps one), so its address, the memo key, cannot be reused while the classifier
+/// lives. The pins sit in a `Vec` in the order the walk files them, children before
+/// parents, so dropping the classifier releases the views in walk order rather than
+/// in hash order. The walk reuses one key stack and allocates nothing per node but
+/// its pin; drop the classifier to release the pinned views.
 pub struct ViewClassifier {
     /// The depth the classifier was built for: views up to this depth classify.
     depth: usize,
     /// Tables of depths `0..levels.len()`; a deeper depth reads the last one,
     /// as [`Refinement::class_at`] reads the last computed row.
     levels: Vec<Level>,
-    /// (view node address, depth) → (pin of the node, its class).
-    memo: WordMap<(usize, usize), (View, Option<u32>)>,
+    /// (view node address, depth) → the node's class.
+    memo: WordMap<(usize, usize), Option<u32>>,
+    /// One handle per memo entry, in the order the walk filed them.
+    pins: Vec<View>,
     /// The walk's key stack: a frame per depth of the walk, reused across calls.
     keys: Vec<u32>,
 }
@@ -616,14 +620,13 @@ impl ViewClassifier {
             }
             levels.push(level);
         }
+        // Room for what a run collects: every node's view at every depth.
+        let collected = g.num_nodes() * (depth + 1);
         ViewClassifier {
             depth,
             levels,
-            // Room for what a run collects: every node's view at every depth.
-            memo: WordMap::with_capacity_and_hasher(
-                g.num_nodes() * (depth + 1),
-                Default::default(),
-            ),
+            memo: WordMap::with_capacity_and_hasher(collected, Default::default()),
+            pins: Vec::with_capacity(collected),
             keys: Vec::new(),
         }
     }
@@ -651,7 +654,7 @@ impl ViewClassifier {
     // anet-lint: hot-path
     fn classify(&mut self, view: &View, depth: usize) -> Option<u32> {
         let address = (view.node_id(), depth);
-        if let Some(&(_, class)) = self.memo.get(&address) {
+        if let Some(&class) = self.memo.get(&address) {
             return class;
         }
         let frame = self.keys.len();
@@ -684,7 +687,8 @@ impl ViewClassifier {
         };
         self.keys.truncate(frame);
         // anet-lint: allow(hot-path-alloc) — pins the memo's address key
-        self.memo.insert(address, (view.clone(), class));
+        self.pins.push(view.clone());
+        self.memo.insert(address, class);
         class
     }
 }

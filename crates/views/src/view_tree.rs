@@ -25,7 +25,6 @@
 
 use anet_graph::{NodeId, Port, PortGraph};
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 /// An augmented truncated view: a rooted tree whose edges carry the pair of port
 /// numbers of the corresponding graph edge and whose nodes carry graph degrees.
@@ -138,38 +137,6 @@ impl ViewTree {
             .iter()
             .map(|(_, _, c)| c.max_degree())
             .fold(self.degree, u32::max)
-    }
-
-    /// Does this view contain (at any tree node, root included) a node of the given
-    /// graph degree? Used by algorithms of the paper that branch on "is there a node
-    /// of degree `Δ + 2` in my view?" (e.g. Lemma 3.9).
-    pub fn contains_degree(&self, degree: u32) -> bool {
-        self.degree == degree
-            || self
-                .children
-                .iter()
-                .any(|(_, _, c)| c.contains_degree(degree))
-    }
-
-    /// The port sequence (outgoing ports only) of the lexicographically smallest
-    /// root-to-node path that reaches a tree node of the given degree, or `None` if no
-    /// such node exists. Distance ties are *not* broken by length: the search is
-    /// breadth-first, so the returned path is a shortest one.
-    pub fn shortest_path_to_degree(&self, degree: u32) -> Option<Vec<Port>> {
-        // FIFO in port order: nodes leave the queue level by level, each level in
-        // lexicographic order of their paths.
-        let mut queue = VecDeque::from([(Vec::new(), self)]);
-        while let Some((path, node)) = queue.pop_front() {
-            if node.degree == degree {
-                return Some(path);
-            }
-            for (p, _, c) in &node.children {
-                let mut longer = path.clone();
-                longer.push(*p);
-                queue.push_back((longer, c));
-            }
-        }
-        None
     }
 
     /// Compare two views lexicographically (by their canonical token sequences).
@@ -293,18 +260,6 @@ mod tests {
         assert_eq!(v.max_port(), Some(3));
         let leaf = ViewTree::build(&g, 1, 0);
         assert_eq!(leaf.max_port(), None);
-    }
-
-    #[test]
-    fn contains_degree_and_shortest_path_to_degree() {
-        let g = generators::star(3).unwrap();
-        // From a leaf, the centre (degree 3) is one hop through port 0.
-        let v = ViewTree::build(&g, 2, 2);
-        assert!(v.contains_degree(3));
-        assert!(!v.contains_degree(7));
-        assert_eq!(v.shortest_path_to_degree(3), Some(vec![0]));
-        assert_eq!(v.shortest_path_to_degree(1), Some(vec![]));
-        assert_eq!(v.shortest_path_to_degree(9), None);
     }
 
     #[test]

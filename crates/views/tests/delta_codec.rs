@@ -172,6 +172,7 @@ fn random_bit_flips_never_panic_and_valid_decodes_are_self_consistent() {
             Err(
                 DecodeError::Truncated
                 | DecodeError::BadWidth
+                | DecodeError::HeightTooLarge { .. }
                 | DecodeError::EmptyTable
                 | DecodeError::BadNodeId { .. }
                 | DecodeError::DuplicateNode { .. }

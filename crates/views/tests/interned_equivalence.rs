@@ -1,7 +1,7 @@
 //! Owned-vs-interned equivalence: the shared [`View`] handles must be
 //! observationally identical to the owned [`ViewTree`] form on every operation the
 //! workspace relies on — construction, truncation, token sequences, lexicographic
-//! order, statistics, degree searches — and the [`ViewInterner`] must be canonical
+//! order, statistics — and the [`ViewInterner`] must be canonical
 //! (structurally equal subtrees are pointer-equal).
 //!
 //! No external property-testing framework is available in this build environment;
@@ -106,30 +106,6 @@ fn tokens_and_lex_order_agree() {
         let mut by_tree: Vec<Vec<u32>> = owned.iter().map(ViewTree::tokens).collect();
         by_tree.sort();
         assert_eq!(by_handle, by_tree, "case {case}");
-    }
-}
-
-/// Degree containment and the parent-link BFS agree with the owned implementation.
-#[test]
-fn degree_searches_agree() {
-    for case in 0..CASES / 2 {
-        let (g, _) = build(case);
-        let views = ViewInterner::new().build_all(&g, 3);
-        for v in g.nodes() {
-            let owned = ViewTree::build(&g, v, 3);
-            for d in 0..=(g.max_degree() as u32 + 1) {
-                assert_eq!(
-                    views[v as usize].contains_degree(d),
-                    owned.contains_degree(d),
-                    "case {case}, node {v}, degree {d}"
-                );
-                assert_eq!(
-                    views[v as usize].shortest_path_to_degree(d),
-                    owned.shortest_path_to_degree(d),
-                    "case {case}, node {v}, degree {d}"
-                );
-            }
-        }
     }
 }
 
