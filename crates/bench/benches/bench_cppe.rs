@@ -1,8 +1,9 @@
 //! E5 — the Lemma 4.8 CPPE algorithm on chains of gadgets from `J_{μ,k}`.
 //!
 //! Times `Solver::solve` directly (the engine's solver interface) rather than
-//! `Election::run`, so the measurement covers the algorithm alone — the CPPE
-//! verifier walks Θ(n²) path output and would otherwise dominate.
+//! `Election::run`, so the measurement covers the algorithm alone — the per-class
+//! rule on the map and the `k` view-collection rounds on the sequential backend;
+//! the CPPE verifier walks Θ(n²) path output and would otherwise dominate.
 //!
 //! Run with `cargo bench -p anet-bench --bench bench_cppe`.
 

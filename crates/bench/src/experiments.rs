@@ -507,9 +507,8 @@ fn push_batch_rows(table: &mut Table, rows: &[BatchRow], backend: Backend) {
 ///   report as unsolved rather than failing the sweep).
 ///
 /// Every sweep is run on every backend; outputs and message counts are
-/// backend-invariant, so the matrix doubles as an engine-equivalence check for the
-/// simulation-backed rows (the `J` rows use the analytic Lemma 4.8 solver, which runs
-/// no simulation and ignores the backend by design).
+/// backend-invariant, so the matrix doubles as an engine-equivalence check for
+/// every row.
 pub fn e7_engine_matrix(backends: &[Backend]) -> Table {
     let mut table = Table::new(
         "E7 — ElectionEngine matrix: task × solver × backend × family",

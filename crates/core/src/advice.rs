@@ -30,7 +30,7 @@
 //!         if view.degree() == 4 { NodeOutput::Leader } else { NodeOutput::NonLeader }
 //!     },
 //! };
-//! let run = run_with_advice(&g, &oracle, &algo, &RunContext::default());
+//! let run = run_with_advice(&g, &oracle, &algo, &RunContext::default()).unwrap();
 //! assert_eq!(run.advice_bits, Some(0));
 //! assert_eq!(run.outputs.iter().filter(|o| **o == NodeOutput::Leader).count(), 1);
 //! // Opaque advice carries no per-codec sizes (contrast the Theorem 2.2 oracle).
@@ -41,6 +41,7 @@ use crate::engine::{RunContext, SolverRun};
 use crate::map_algorithms::run_full_information_wired;
 use crate::tasks::NodeOutput;
 use anet_graph::PortGraph;
+use anet_views::encoding::DecodeError;
 use anet_views::{BitString, View};
 
 /// An oracle's advice together with its size under both view codecs.
@@ -136,13 +137,15 @@ pub trait AdviceAlgorithm {
 /// the advice length in `advice_bits` and its per-codec view sizes when the oracle
 /// reports them (see [`OracleAdvice`]). Advice, outputs and message accounting are
 /// the same under every context; only a capped backend moves `rounds`, to the
-/// physical count of the bandwidth-limited stream.
+/// physical count of the bandwidth-limited stream. A metered run of more than
+/// `MAX_DECODED_HEIGHT + 1` rounds would ship views no decoder accepts, so it
+/// returns [`DecodeError::HeightTooLarge`] before any round runs.
 pub fn run_with_advice<O, A>(
     graph: &PortGraph,
     oracle: &O,
     algorithm: &A,
     ctx: &RunContext<'_>,
-) -> SolverRun
+) -> Result<SolverRun, DecodeError>
 where
     O: Oracle,
     A: AdviceAlgorithm,
@@ -153,12 +156,13 @@ where
         dag_bits,
     } = oracle.advise_with_sizes(graph);
     let rounds = algorithm.rounds(&advice);
-    SolverRun {
+    let run = run_full_information_wired(graph, rounds, ctx, algorithm.decider(&advice))?;
+    Ok(SolverRun {
         advice_bits: Some(advice.len()),
         advice_tree_bits: tree_bits,
         advice_dag_bits: dag_bits,
-        ..run_full_information_wired(graph, rounds, ctx, algorithm.decider(&advice))
-    }
+        ..run
+    })
 }
 
 /// An oracle defined by a closure (handy in tests and experiments).
@@ -217,7 +221,7 @@ mod tests {
                 }
             },
         };
-        let run = run_with_advice(&g, &oracle, &algo, &RunContext::default());
+        let run = run_with_advice(&g, &oracle, &algo, &RunContext::default()).unwrap();
         assert_eq!(run.advice_bits, Some(0));
         assert_eq!(run.rounds, 0);
         assert_eq!(run.messages_delivered, 0);
@@ -236,7 +240,7 @@ mod tests {
             rounds: |advice: &BitString| advice.reader().read_uint(4).unwrap() as usize,
             decide: |_: &BitString, _: &View| NodeOutput::NonLeader,
         };
-        let run = run_with_advice(&g, &oracle, &algo, &RunContext::default());
+        let run = run_with_advice(&g, &oracle, &algo, &RunContext::default()).unwrap();
         assert_eq!(run.rounds, 3);
         assert_eq!(run.advice_bits, Some(4));
         // 6 nodes × 2 ports × 3 rounds messages.
@@ -256,7 +260,7 @@ mod tests {
             rounds: |_: &BitString| 2usize,
             decide: |_: &BitString, view: &View| NodeOutput::FirstPort(view.degree() % 2),
         };
-        let run = run_with_advice(&g, &oracle, &algo, &RunContext::default());
+        let run = run_with_advice(&g, &oracle, &algo, &RunContext::default()).unwrap();
         assert!(run.outputs.windows(2).all(|w| w[0] == w[1]));
     }
 }

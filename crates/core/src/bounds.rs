@@ -162,6 +162,36 @@ mod tests {
     }
 
     #[test]
+    fn class_size_facts_match_the_constructions() {
+        // The parameters experiment E6 prints.
+        use anet_constructions::{GClass, JClass, UClass};
+        for (delta, k) in [(4, 1), (4, 2), (5, 1), (6, 1), (5, 2)] {
+            let class = GClass::new(delta, k).unwrap();
+            assert_eq!(
+                fact_2_3_log2_class_size(delta, k),
+                class.log2_size(),
+                "G Δ={delta} k={k}"
+            );
+        }
+        for (delta, k) in [(4, 1), (5, 1), (4, 2)] {
+            let class = UClass::new(delta, k).unwrap();
+            assert_eq!(
+                fact_3_1_log2_class_size(delta, k),
+                class.log2_size(),
+                "U Δ={delta} k={k}"
+            );
+        }
+        for (mu, k) in [(2, 4), (2, 5), (3, 4)] {
+            let class = JClass::new(mu, k).unwrap();
+            assert_eq!(
+                fact_4_2_log2_class_size(mu, k),
+                class.log2_size(),
+                "J μ={mu} k={k}"
+            );
+        }
+    }
+
+    #[test]
     fn ppe_lower_bound_forms_agree_in_spirit() {
         // 2^{Δ^{k/6}} with Δ = 4μ equals the proof-level form.
         assert_eq!(

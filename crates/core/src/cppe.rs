@@ -9,24 +9,31 @@
 //! path `P_x` at their first common node, so the concatenation stays simple), then the
 //! pre-computed paths `P_x, P_{x−1}, …, P_1` down to `ρ_0`.
 //!
-//! The implementation evaluates the paper's case analysis directly on the map (the
+//! The implementation evaluates the paper's case analysis on the map (the
 //! construction handles from [`anet_constructions::j_class::JMember`] play the role of
-//! the map every node is given); correctness of the produced outputs is established by
-//! the CPPE verifier in `tasks`, and time-optimality (`ψ_CPPE = k`, Lemma 4.9) by the
-//! structural results verified in `anet-constructions` (no node has a unique view at
-//! depth `k−1`).
+//! the map every node is given). The output is a function of the map and `B^k(v)`,
+//! so it is evaluated once per refinement class at depth `k` and the class table is
+//! run through the full-information simulator, as the Lemma 3.9 solver's is.
+//! Correctness of the produced outputs is established by the CPPE verifier in
+//! `tasks`, and time-optimality (`ψ_CPPE = k`, Lemma 4.9) by the structural results
+//! verified in `anet-constructions` (no node has a unique view at depth `k−1`).
 
-use crate::engine::SolverRun;
+use crate::engine::{RunContext, SolverRun};
+use crate::map_algorithms::run_rule_by_class;
 use crate::tasks::NodeOutput;
 use anet_constructions::component::Side;
 use anet_constructions::j_class::JMember;
 use anet_graph::{GraphError, NodeId, Port, Result};
+use anet_views::Refinement;
 use std::collections::{HashMap, VecDeque};
 
 /// Solve CPPE on a member of `J_{μ,k}` in `k = member`'s class parameter rounds,
-/// given the map. Returns the per-node outputs (leader = `ρ_0`); the decision is
-/// evaluated analytically, so nothing is simulated, traced or metered.
-pub fn solve_cppe_on_j(member: &JMember, k: usize) -> Result<SolverRun> {
+/// given the map; the leader is `ρ_0`. The rule is read off the map once per
+/// refinement class at depth `k`, and the `k` view-collection rounds run under
+/// `ctx` (backend, trace sink, wire codec) like every other solver's, each node
+/// outputting its view's class entry. Lemma 4.8 splices pre-computed paths from the
+/// map, so the run reports no advice and no search.
+pub fn solve_cppe_on_j(member: &JMember, k: usize, ctx: &RunContext<'_>) -> Result<SolverRun> {
     let graph = &member.labeled.graph;
     let count = member.num_gadgets();
     if count < 2 {
@@ -74,24 +81,21 @@ pub fn solve_cppe_on_j(member: &JMember, k: usize) -> Result<SolverRun> {
         }
     }
 
-    let mut outputs: Vec<NodeOutput> = Vec::with_capacity(graph.num_nodes());
-    for v in graph.nodes() {
+    // The output of one node, which is the output of its whole class at depth `k`.
+    let output_of = |v: NodeId| -> Result<NodeOutput> {
         let x = gadget_of[v as usize];
         if v == member.rho(0) {
-            outputs.push(NodeOutput::Leader);
-            continue;
+            return Ok(NodeOutput::Leader);
         }
         if v == member.rho(x) {
-            outputs.push(NodeOutput::FullPath(suffix[x].clone()));
-            continue;
+            return Ok(NodeOutput::FullPath(suffix[x].clone()));
         }
         // Path Q_x from v to ρ_x, restricted to gadget x (a shortest path never needs
         // to leave the gadget, and restricting keeps the final concatenation simple).
         let q = shortest_path_within(graph, v, member.rho(x), |n| gadget_of[n as usize] == x)
             .ok_or_else(|| GraphError::invalid("node cannot reach its gadget centre"))?;
         if x == 0 {
-            outputs.push(NodeOutput::FullPath(graph.full_ports_of_path(&q)));
-            continue;
+            return Ok(NodeOutput::FullPath(graph.full_ports_of_path(&q)));
         }
         // Splice onto P_x at the first common node u.
         let (cut, path_idx) = q
@@ -104,23 +108,10 @@ pub fn solve_cppe_on_j(member: &JMember, k: usize) -> Result<SolverRun> {
         let mut full = s_x;
         full.extend(t_x);
         full.extend_from_slice(&suffix[x - 1]);
-        outputs.push(NodeOutput::FullPath(full));
-    }
-
-    Ok(SolverRun {
-        rounds: k,
-        outputs,
-        // The paper's algorithm gathers B^k(v) by full-information flooding, costing
-        // two messages per edge per round; the decision itself sends nothing more.
-        messages_delivered: 2 * graph.num_edges() * k,
-        advice_bits: None,
-        advice_tree_bits: None,
-        advice_dag_bits: None,
-        // Lemma 4.8 splices pre-computed paths from the map; no assignment search.
-        search: anet_views::SearchStats::default(),
-        // Analytic solver: nothing is simulated, so nothing crosses a wire.
-        wire: None,
-    })
+        Ok(NodeOutput::FullPath(full))
+    };
+    let refinement = Refinement::compute(graph, Some(k));
+    run_rule_by_class(graph, &refinement, k, output_of, ctx)
 }
 
 /// Shortest path from `from` to `to` visiting only nodes allowed by `keep`
@@ -172,7 +163,7 @@ mod tests {
     fn solves_cppe_on_a_capped_chain() {
         let class = JClass::new(2, 4).unwrap();
         let member = class.template(Some(5)).unwrap();
-        let run = solve_cppe_on_j(&member, class.k).unwrap();
+        let run = solve_cppe_on_j(&member, class.k, &RunContext::default()).unwrap();
         assert_eq!(run.rounds, class.k);
         let outcome = verify(
             Task::CompletePortPathElection,
@@ -188,7 +179,7 @@ mod tests {
         let class = JClass::new(2, 4).unwrap();
         let member = class.template(Some(3)).unwrap();
         let g = &member.labeled.graph;
-        let run = solve_cppe_on_j(&member, class.k).unwrap();
+        let run = solve_cppe_on_j(&member, class.k, &RunContext::default()).unwrap();
         for task in [Task::PortPathElection, Task::PortElection, Task::Selection] {
             let weak = weaken_outputs(&run.outputs, task).unwrap();
             verify(task, g, &weak).unwrap_or_else(|e| panic!("{task}: {e}"));
@@ -200,7 +191,7 @@ mod tests {
         let class = JClass::new(2, 4).unwrap();
         let member = class.template(Some(4)).unwrap();
         let g = &member.labeled.graph;
-        let run = solve_cppe_on_j(&member, class.k).unwrap();
+        let run = solve_cppe_on_j(&member, class.k, &RunContext::default()).unwrap();
         // ρ_3's output path must pass through ρ_2 and ρ_1 before reaching ρ_0.
         if let NodeOutput::FullPath(pairs) = &run.outputs[member.rho(3) as usize] {
             let nodes = g.follow_full_ports(member.rho(3), pairs).unwrap();

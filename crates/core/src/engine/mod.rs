@@ -27,8 +27,9 @@
 //! * each algorithm family has **one public function** that takes the same context and
 //!   returns a [`SolverRun`]: [`crate::map_algorithms::solve_with_map`],
 //!   [`crate::advice::run_with_advice`],
-//!   [`crate::port_election::solve_port_election_on_u`] and (analytic, so context-free)
-//!   [`crate::cppe::solve_cppe_on_j`].
+//!   [`crate::port_election::solve_port_election_on_u`] and
+//!   [`crate::cppe::solve_cppe_on_j`]. Every one of them runs its rounds under the
+//!   context.
 //!
 //! A builder run is configured along three axes and returns one report:
 //!
@@ -132,13 +133,12 @@ pub struct SolverRun {
     pub advice_dag_bits: Option<usize>,
     /// Search-cost counters of the map-side assignment search (quotient classes
     /// expanded, candidate paths explored). Zero for solvers that perform no such
-    /// search (advice pairs, the analytic Lemma 3.9 / 4.8 algorithms) and for
-    /// Port Election, whose assignment needs no quotient search.
+    /// search (advice pairs, the Lemma 3.9 / 4.8 algorithms) and for Port
+    /// Election, whose assignment needs no quotient search.
     pub search: anet_views::SearchStats,
     /// Per-round / per-edge bits the simulation actually put on the wire, when it
     /// ran through the metered transport ([`ElectionBuilder::metered`] or a
-    /// [`Backend::Capped`] backend). `None` on the zero-serialisation fast path
-    /// and for analytic solvers that never simulate.
+    /// [`Backend::Capped`] backend). `None` on the zero-serialisation fast path.
     pub wire: Option<WireStats>,
 }
 
@@ -150,25 +150,25 @@ pub struct SolverRun {
 #[derive(Clone, Copy, Default)]
 pub struct RunContext<'a> {
     /// The execution backend the simulated rounds run on (default:
-    /// [`Backend::Sequential`]). Analytic solvers simulate nothing and ignore it.
+    /// [`Backend::Sequential`]).
     pub backend: Backend,
     /// A process-wide concurrent view interner. Solvers that hash-cons views intern
     /// through this table instead of a run-private one, so concurrent runs on
     /// overlapping graph families dedup their view DAGs against each other. Only
     /// map Selection files a view here, its leader's; the map solver's stronger
-    /// shades and the Lemma 3.9 solver decide by refinement class and file
-    /// nothing. The Theorem 2.2 oracle interns privately: an `Oracle` takes no
+    /// shades and the Lemma 3.9 and 4.8 solvers decide by refinement class and
+    /// file nothing. The Theorem 2.2 oracle interns privately: an `Oracle` takes no
     /// context. Set by the multi-tenant election service; `None` for standalone
     /// runs.
     pub shared_interner: Option<&'a SharedViewInterner>,
-    /// A trace sink for round-level probes: simulation-backed solvers thread it to
+    /// A trace sink for round-level probes: every solver threads it to
     /// [`anet_sim::Backend::run_traced`], so the engine (and through it the
     /// service) observes per-phase timings and per-round message counts. `None`
     /// means untraced — identical to passing a [`NoopSink`].
     pub trace: Option<&'a dyn TraceSink>,
-    /// The wire codec for metered runs: simulation-backed solvers serialise every
-    /// message through it (via `anet_sim::run_full_information_metered`) and
-    /// report [`WireStats`] in their [`SolverRun`]. `None` means the
+    /// The wire codec for metered runs: every solver serialises each message
+    /// through it (via `anet_sim::run_full_information_metered`) and reports
+    /// [`WireStats`] in its [`SolverRun`]. `None` means the
     /// zero-serialisation fast path. A [`Backend::Capped`] backend applies its cap
     /// only on the metered route, so the solvers' shared simulation step meters a
     /// capped run under [`ViewCodec::default`] when this is `None`.
@@ -312,15 +312,18 @@ impl ElectionBuilder {
         self
     }
 
-    /// Meter the wire: simulation-backed solvers serialise every message through
-    /// `codec` (instead of handing over shared [`anet_views::View`] handles for
+    /// Meter the wire: the solver serialises every message through `codec`
+    /// (instead of handing over shared [`anet_views::View`] handles for
     /// free) and the report gains per-round / per-edge bit counts in
     /// [`wire`](ElectionReport::wire). Outputs, logical message accounting and —
     /// on ordinary backends — round counts are unchanged; under
     /// [`Backend::Capped`] rounds inflate to the physical count of the
     /// bandwidth-limited stream. A cap binds only bits on the wire, so a capped
     /// backend is metered under [`ViewCodec::default`] even without this call.
-    /// Analytic solvers simulate nothing and ignore it.
+    /// A metered run of more than
+    /// [`MAX_DECODED_HEIGHT`](anet_views::encoding::MAX_DECODED_HEIGHT)` + 1`
+    /// rounds would ship views no decoder accepts, so it fails with
+    /// [`EngineError::Solver`] before any round runs.
     pub fn metered(mut self, codec: ViewCodec) -> Self {
         self.wire = Some(codec);
         self
@@ -328,8 +331,7 @@ impl ElectionBuilder {
 
     /// Record the run's round-level profile without an external sink: the report's
     /// [`round_profile`](ElectionReport::round_profile) is populated with per-round
-    /// message counts and per-phase timings. Analytic solvers (e.g.
-    /// [`CppeSolver`]) simulate nothing and yield an empty profile.
+    /// message counts and per-phase timings.
     pub fn profiled(mut self) -> Self {
         self.profile = true;
         self
@@ -438,9 +440,8 @@ pub struct ElectionReport {
     pub task: Task,
     /// Display name of the solver that ran.
     pub solver: String,
-    /// The execution backend the engine was configured with. Simulation-backed
-    /// solvers run their rounds on it; solvers that compute outputs analytically
-    /// from the map (e.g. [`CppeSolver`]) perform no simulation and ignore it.
+    /// The execution backend the engine was configured with, which the solver ran
+    /// its rounds on.
     pub backend: Backend,
     /// Oracle advice size in bits, if the solver is advice-based.
     pub advice_bits: Option<usize>,
@@ -466,8 +467,7 @@ pub struct ElectionReport {
     /// Bits actually put on the wire, per round and per directed edge, when the
     /// run was metered ([`ElectionBuilder::metered`] or a [`Backend::Capped`]
     /// backend): the codec that shipped, the cap if any, and the two breakdowns
-    /// (which always sum to the same total). `None` on unmetered runs and for
-    /// analytic solvers.
+    /// (which always sum to the same total). `None` on unmetered runs.
     pub wire: Option<WireStats>,
     /// Per-node outputs (already weakened to `task` if the solver produced a stronger
     /// shade).
@@ -485,8 +485,7 @@ pub struct ElectionReport {
     /// [`profiled`](ElectionBuilder::profiled) or
     /// [`trace_sink`](ElectionBuilder::trace_sink); `None` on untraced runs.
     /// Per-round message counts sum exactly to
-    /// [`messages_delivered`](ElectionReport::messages_delivered) for
-    /// simulation-backed solvers; analytic solvers yield an empty profile.
+    /// [`messages_delivered`](ElectionReport::messages_delivered).
     pub round_profile: Option<RoundProfile>,
 }
 
@@ -948,23 +947,68 @@ mod tests {
     }
 
     #[test]
-    fn analytic_solvers_profile_empty() {
+    fn cppe_solver_profiles_and_meters_its_rounds() {
         use anet_constructions::JClass;
         let class = JClass::new(2, 4).unwrap();
         let member = class.template(Some(3)).unwrap();
         let graph = member.labeled.graph.clone();
         let report = Election::task(Task::CompletePortPathElection)
             .solver(CppeSolver::new(member, class.k))
+            .metered(ViewCodec::Delta)
             .profiled()
             .run(&graph)
             .unwrap();
+        assert!(report.solved(), "{}", report.summary());
         let profile = report.round_profile.as_ref().expect("profiled run");
-        assert!(
-            profile.is_empty(),
-            "the CPPE solver simulates nothing, so there are no round events"
-        );
-        assert!(report.messages_delivered > 0, "accounting is closed-form");
-        assert!(report.wire.is_none(), "nothing simulated, nothing metered");
+        let wire = report.wire.as_ref().expect("metered run");
+        assert_eq!(profile.len(), class.k, "one profile row per round");
+        assert_eq!(profile.total_messages(), report.messages_delivered as u64);
+        assert_eq!(profile.total_wire_bits(), wire.total_bits());
+        assert!(wire.total_bits() > 0);
+    }
+
+    #[test]
+    fn metered_runs_past_the_decodable_height_fail_before_any_round() {
+        use crate::advice::run_with_advice;
+        use anet_views::encoding::{DecodeError, MAX_DECODED_HEIGHT};
+        // Round r ships B^{r−1}, so this pair's last round would ship a view one
+        // level taller than any decoder accepts.
+        let rounds = MAX_DECODED_HEIGHT + 2;
+        let refused = DecodeError::HeightTooLarge {
+            height: rounds as u64 - 1,
+        };
+        let g = generators::path(2).unwrap();
+        let oracle = || FnOracle(|_: &PortGraph| BitString::new());
+        let algorithm = || FnAlgorithm {
+            rounds: move |_: &BitString| rounds,
+            decide: |_: &BitString, _: &View| NodeOutput::NonLeader,
+        };
+        let configs = ViewCodec::ALL
+            .map(|codec| (Backend::Sequential, Some(codec)))
+            .into_iter()
+            .chain([(Backend::capped(64), None)]);
+        for (backend, wire) in configs {
+            let label = format!("{backend}, {wire:?}");
+            let recorder = Recorder::new();
+            let ctx = RunContext {
+                backend,
+                trace: Some(&recorder),
+                wire,
+                ..RunContext::default()
+            };
+            let err = run_with_advice(&g, &oracle(), &algorithm(), &ctx).unwrap_err();
+            assert_eq!(err, refused, "{label}");
+            assert!(recorder.drain().is_empty(), "{label}: no round ran");
+            let mut builder = Election::task(Task::Selection)
+                .solver(AdviceSolver::new("k2", oracle(), algorithm()))
+                .backend(backend)
+                .profiled();
+            if let Some(codec) = wire {
+                builder = builder.metered(codec);
+            }
+            let err = builder.run(&g).unwrap_err();
+            assert_eq!(err, EngineError::solver("k2", &refused), "{label}");
+        }
     }
 
     #[test]

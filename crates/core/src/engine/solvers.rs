@@ -132,7 +132,8 @@ where
                 "unsolvable: the oracle has no advice for this graph",
             )
         })?;
-        Ok(run_with_advice(graph, &advice, &self.algorithm, ctx))
+        run_with_advice(graph, &advice, &self.algorithm, ctx)
+            .map_err(|e| EngineError::solver(self.name(), e))
     }
 }
 
@@ -173,10 +174,9 @@ impl Solver for PortElectionSolver {
 /// The solver owns its `JMember`; running the engine on any other graph is an error
 /// (the map would not describe the network).
 ///
-/// The paper's algorithm is a function of `B^k(v)`; this implementation evaluates that
-/// function analytically from the map instead of simulating the flood, so the
-/// [`RunContext`] has no effect on it (message accounting is the flood's closed form,
-/// `2mk`). `ElectionReport.backend` therefore records the *configured* backend only.
+/// The paper's algorithm is a function of `B^k(v)`: the solver evaluates it once per
+/// refinement class on the map and runs the `k` rounds under the [`RunContext`], like
+/// every other solver.
 pub struct CppeSolver {
     member: JMember,
     k: usize,
@@ -203,7 +203,7 @@ impl Solver for CppeSolver {
         &self,
         graph: &PortGraph,
         _task: Task,
-        _ctx: &RunContext<'_>,
+        ctx: &RunContext<'_>,
     ) -> Result<SolverRun, EngineError> {
         if *graph != self.member.labeled.graph {
             return Err(EngineError::solver(
@@ -211,7 +211,7 @@ impl Solver for CppeSolver {
                 "the graph is not the J member this solver's map describes",
             ));
         }
-        solve_cppe_on_j(&self.member, self.k).map_err(|e| EngineError::solver(self.name(), e))
+        solve_cppe_on_j(&self.member, self.k, ctx).map_err(|e| EngineError::solver(self.name(), e))
     }
 }
 

@@ -16,10 +16,11 @@
 use crate::engine::{Backend, RunContext, SolverRun};
 use crate::selection::elect_by_view;
 use crate::tasks::{NodeOutput, Task};
-use anet_graph::{NodeId, PortGraph};
+use anet_graph::{GraphError, NodeId, PortGraph};
 use anet_views::election_index::{
     cppe_election, pe_election, ppe_election, psi_s_with, IndexError,
 };
+use anet_views::encoding::{DecodeError, MAX_DECODED_HEIGHT};
 use anet_views::{QuotientSearch, Refinement, View, ViewClassifier, ViewCodec, ViewInterner};
 use std::cell::RefCell;
 
@@ -31,6 +32,9 @@ pub enum MapSolveError {
     /// The PPE search ran out of its path budget (`max_paths`) at the least depth
     /// it could not settle. The CPPE search never exhausts it.
     Budget(IndexError),
+    /// The run is metered and its last round would ship a view taller than any
+    /// decoder accepts ([`MAX_DECODED_HEIGHT`]); no round ran.
+    Wire(DecodeError),
 }
 
 impl std::fmt::Display for MapSolveError {
@@ -43,6 +47,7 @@ impl std::fmt::Display for MapSolveError {
                 )
             }
             MapSolveError::Budget(e) => write!(f, "{e}"),
+            MapSolveError::Wire(e) => write!(f, "the metered run cannot decode its views: {e}"),
         }
     }
 }
@@ -63,8 +68,10 @@ impl From<IndexError> for MapSolveError {
 /// whenever `ψ_Z` resolves. [`MapSolveError::Budget`] is returned when some leader at
 /// the least unsettled depth exhausted the budget and no leader there succeeded; the
 /// remaining leaders of that depth are still tried, find-only, before the error is
-/// returned. The returned [`SolverRun`] carries the rounds (the inflated physical
-/// count under [`Backend::Capped`]) with the search counters and no advice.
+/// returned. [`MapSolveError::Wire`] is returned, before any round runs, when the
+/// run is metered and `ψ_Z` exceeds the rounds a message can be decoded after. The
+/// returned [`SolverRun`] carries the rounds (the inflated physical count under
+/// [`Backend::Capped`]) with the search counters and no advice.
 ///
 /// Selection needs no assignment: refinement stops at `ψ_S`, the leader is the first
 /// node with a unique view there, only the leader's view is built from the map, and
@@ -99,7 +106,7 @@ pub fn solve_with_map(
             .map_or_else(ViewInterner::new, ViewInterner::shared)
             .build(graph, leader, rounds);
         let decide = |view: &View| elect_by_view(view, &target);
-        return Ok(run_full_information_wired(graph, rounds, ctx, decide));
+        return run_full_information_wired(graph, rounds, ctx, decide).map_err(MapSolveError::Wire);
     }
     let refinement = Refinement::compute(graph, None);
     let mut search = QuotientSearch::new(graph, &refinement);
@@ -129,11 +136,36 @@ pub fn solve_with_map(
         .into_iter()
         .map(|output| output.expect("every class has a node"))
         .collect();
-    let run = run_by_class(graph, &refinement, rounds, by_class, ctx);
+    let run =
+        run_by_class(graph, &refinement, rounds, by_class, ctx).map_err(MapSolveError::Wire)?;
     Ok(SolverRun {
         search: search.stats(),
         ..run
     })
+}
+
+/// Run a rule that is a function of the map and `B^rounds(v)`: evaluate `rule` on
+/// the first node of each refinement class at depth `rounds` (equal views are
+/// exactly equal classes), before any round runs, and hand the class table to
+/// [`run_by_class`]. A failing rule and a run too deep to meter are both a
+/// [`GraphError`]. The paper solvers (Lemmas 3.9 and 4.8) call it.
+pub(crate) fn run_rule_by_class(
+    graph: &PortGraph,
+    refinement: &Refinement,
+    rounds: usize,
+    rule: impl Fn(NodeId) -> Result<NodeOutput, GraphError>,
+    ctx: &RunContext<'_>,
+) -> Result<SolverRun, GraphError> {
+    let mut first: Vec<Option<NodeId>> = vec![None; refinement.num_classes_at(rounds)];
+    for v in graph.nodes() {
+        first[refinement.class_at(v, rounds) as usize].get_or_insert(v);
+    }
+    let by_class = first
+        .into_iter()
+        .map(|v| rule(v.expect("every class has a node")))
+        .collect::<Result<_, _>>()?;
+    run_by_class(graph, refinement, rounds, by_class, ctx)
+        .map_err(|e| GraphError::invalid(format!("the metered run cannot decode its views: {e}")))
 }
 
 /// Run a decision map given per refinement class: collect `B^rounds(v)` on
@@ -149,7 +181,7 @@ pub(crate) fn run_by_class(
     rounds: usize,
     by_class: Vec<NodeOutput>,
     ctx: &RunContext<'_>,
-) -> SolverRun {
+) -> Result<SolverRun, DecodeError> {
     debug_assert_eq!(by_class.len(), refinement.num_classes_at(rounds));
     // The decision map is applied sequentially after the communication phase, so a
     // RefCell suffices for the classifier's memo.
@@ -175,8 +207,12 @@ fn outputs<T>(assignment: Vec<Option<T>>, wrap: fn(T) -> NodeOutput) -> Vec<Node
 /// Collect `B^rounds(v)` on `ctx.backend`, apply `decide`, and report the run with
 /// no advice and no search. Every message goes through the metered transport when
 /// `ctx.wire` names a codec; a bandwidth-capped backend is only meaningful with bits
-/// on the wire, so it forces metering under the default codec. The shared tail of
-/// every simulating solver in this crate.
+/// on the wire, so it forces metering under the default codec. Where every
+/// solver's rounds start.
+///
+/// Round `r` ships views of height `r − 1`, and no decoder accepts a height above
+/// [`MAX_DECODED_HEIGHT`], so a metered run of more than `MAX_DECODED_HEIGHT + 1`
+/// rounds is refused with [`DecodeError::HeightTooLarge`] before any round runs.
 ///
 /// `rounds` of the result is the logical depth on every ordinary backend; under
 /// [`Backend::Capped`] the simulator streams large views across several physical
@@ -187,7 +223,7 @@ pub(crate) fn run_full_information_wired<D>(
     rounds: usize,
     ctx: &RunContext<'_>,
     decide: D,
-) -> SolverRun
+) -> Result<SolverRun, DecodeError>
 where
     D: Fn(&View) -> NodeOutput,
 {
@@ -196,6 +232,11 @@ where
     let codec = ctx
         .wire
         .or_else(|| matches!(backend, Backend::Capped { .. }).then(ViewCodec::default));
+    if codec.is_some() && rounds > MAX_DECODED_HEIGHT + 1 {
+        return Err(DecodeError::HeightTooLarge {
+            height: rounds as u64 - 1,
+        });
+    }
     let (outputs, report, wire) = match codec {
         Some(codec) => {
             let (outputs, report, stats) =
@@ -208,7 +249,7 @@ where
             (outputs, report, None)
         }
     };
-    SolverRun {
+    Ok(SolverRun {
         rounds: report.rounds,
         outputs,
         messages_delivered: report.messages_delivered,
@@ -217,7 +258,7 @@ where
         advice_dag_bits: None,
         search: anet_views::SearchStats::default(),
         wire,
-    }
+    })
 }
 
 /// The minimum election time of every task on a graph, computed by actually running
@@ -232,7 +273,7 @@ pub fn measured_indices(
         out[slot] = match solve_with_map(graph, *task, max_paths, &RunContext::default()) {
             Ok(run) => Some(run.rounds),
             Err(MapSolveError::Unsolvable(_)) => None,
-            Err(e @ MapSolveError::Budget(_)) => return Err(e),
+            Err(e) => return Err(e),
         };
     }
     Ok(out)

@@ -23,7 +23,7 @@
 //! from the map, and no view is searched or filed in a table.
 
 use crate::engine::{RunContext, SolverRun};
-use crate::map_algorithms::run_by_class;
+use crate::map_algorithms::run_rule_by_class;
 use crate::tasks::NodeOutput;
 use anet_graph::{GraphError, NodeId, PortGraph};
 use anet_views::Refinement;
@@ -93,15 +93,7 @@ pub fn solve_port_election_on_u(
         };
         Ok(NodeOutput::FirstPort(port))
     };
-    let mut first: Vec<Option<NodeId>> = vec![None; refinement.num_classes_at(k)];
-    for v in graph.nodes() {
-        first[refinement.class_at(v, k) as usize].get_or_insert(v);
-    }
-    let by_class = first
-        .into_iter()
-        .map(|v| output_of(v.expect("every class has a node")))
-        .collect::<Result<_, _>>()?;
-    Ok(run_by_class(graph, &refinement, k, by_class, ctx))
+    run_rule_by_class(graph, &refinement, k, output_of, ctx)
 }
 
 /// First port of a shortest path (ties broken by port order) from `v` to the nearest

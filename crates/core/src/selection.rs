@@ -22,7 +22,7 @@ use crate::advice::{AdviceAlgorithm, Oracle, OracleAdvice};
 use crate::tasks::NodeOutput;
 use anet_graph::PortGraph;
 use anet_views::election_index::psi_s_with;
-use anet_views::encoding::tree_encoded_size_bits;
+use anet_views::encoding::{tree_encoded_size_bits, MAX_DECODED_HEIGHT};
 use anet_views::{BitString, Refinement, View, ViewCodec, ViewInterner};
 
 /// The Theorem 2.2 oracle. The chosen view can be shipped under any [`ViewCodec`]:
@@ -60,15 +60,19 @@ impl Oracle for SelectionOracle {
     }
 
     fn advise_with_sizes(&self, graph: &PortGraph) -> OracleAdvice {
-        self.try_advise(graph)
-            .expect("Selection oracle requires a graph with finite Selection index")
+        self.try_advise(graph).expect(
+            "Selection oracle requires a graph with finite Selection index, \
+             at most MAX_DECODED_HEIGHT",
+        )
     }
 
     /// The advice for `graph`, or `None` when no view is unique at any depth
-    /// (infinite Selection index), where [`Oracle::advise_with_sizes`] panics.
+    /// (infinite Selection index) or the first such depth is above
+    /// [`MAX_DECODED_HEIGHT`], where no decoder would accept the advice; there
+    /// [`Oracle::advise_with_sizes`] panics.
     fn try_advise(&self, graph: &PortGraph) -> Option<OracleAdvice> {
         let refinement = Refinement::compute_until_unique(graph);
-        let psi = psi_s_with(&refinement)?;
+        let psi = psi_s_with(&refinement).filter(|&psi| psi <= MAX_DECODED_HEIGHT)?;
         // The lexicographically smallest unique view at depth ψ, read off the class
         // rows (one O(ψ·Δ) descent per candidate); only its ball is built.
         let leader = refinement
@@ -182,7 +186,7 @@ mod tests {
     /// The Theorem 2.2 pair under one codec, on the default context.
     fn run_pair(graph: &PortGraph, codec: ViewCodec) -> SolverRun {
         let (oracle, algorithm) = (SelectionOracle { codec }, SelectionAlgorithm { codec });
-        run_with_advice(graph, &oracle, &algorithm, &RunContext::default())
+        run_with_advice(graph, &oracle, &algorithm, &RunContext::default()).unwrap()
     }
 
     fn check_on(graph: &PortGraph) {

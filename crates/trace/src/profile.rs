@@ -140,7 +140,7 @@ impl RoundProfile {
         self.rounds.len()
     }
 
-    /// Whether no rounds were profiled (analytic solvers simulate nothing).
+    /// Whether no rounds were profiled (a zero-round run).
     pub fn is_empty(&self) -> bool {
         self.rounds.is_empty()
     }

@@ -209,7 +209,8 @@ fn entry_functions_agree_with_the_engine() {
             &SelectionOracle::tree(),
             &SelectionAlgorithm::tree(),
             &ctx,
-        ),
+        )
+        .unwrap(),
         Election::task(Task::Selection).solver(AdviceSolver::theorem_2_2()),
     ));
     table.push((
@@ -221,7 +222,7 @@ fn entry_functions_agree_with_the_engine() {
     table.push((
         "solve_cppe_on_j".into(),
         &j.labeled.graph,
-        cppe::solve_cppe_on_j(&j, j_class.k).unwrap(),
+        cppe::solve_cppe_on_j(&j, j_class.k, &ctx).unwrap(),
         Election::task(Task::CompletePortPathElection).solver(CppeSolver::new(
             j_class.template(Some(3)).unwrap(),
             j_class.k,

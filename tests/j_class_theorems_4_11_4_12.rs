@@ -8,6 +8,7 @@
 use four_shades::constructions::component::Side;
 use four_shades::constructions::JClass;
 use four_shades::election::cppe::solve_cppe_on_j;
+use four_shades::election::engine::RunContext;
 use four_shades::election::tasks::{verify, NodeOutput, Task};
 use four_shades::views::paths::cppe_sequence_is_valid;
 use four_shades::views::{JointRefinement, Refinement};
@@ -78,7 +79,7 @@ fn cppe_algorithm_is_correct_on_capped_chains_and_sampled_on_long_ones() {
     // Full verification on a 32-gadget chain.
     let member = class.template(Some(32)).unwrap();
     let g = &member.labeled.graph;
-    let run = solve_cppe_on_j(&member, class.k).unwrap();
+    let run = solve_cppe_on_j(&member, class.k, &RunContext::default()).unwrap();
     assert_eq!(run.rounds, class.k);
     let outcome = verify(Task::CompletePortPathElection, g, &run.outputs).unwrap();
     assert_eq!(outcome.leader, member.rho(0));
@@ -87,7 +88,7 @@ fn cppe_algorithm_is_correct_on_capped_chains_and_sampled_on_long_ones() {
     // path entries — the task's outputs are inherently that large).
     let member = class.template(Some(128)).unwrap();
     let g = &member.labeled.graph;
-    let run = solve_cppe_on_j(&member, class.k).unwrap();
+    let run = solve_cppe_on_j(&member, class.k, &RunContext::default()).unwrap();
     let leader = member.rho(0);
     assert_eq!(run.outputs[leader as usize], NodeOutput::Leader);
     // Check every gadget centre and an arithmetic sample of ordinary nodes.
