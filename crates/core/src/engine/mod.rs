@@ -697,8 +697,8 @@ mod tests {
                 assert!(table.is_empty(), "{task}: {:?}", table.stats());
             }
         }
-        // Map Selection files its leader view in the table; the Lemma 3.9 solver
-        // decides by refinement class and files nothing.
+        // Map Selection files its leader view in the table; the Lemma 3.9 and 4.8
+        // solvers decide by refinement class and file nothing.
         let ring = generators::oriented_ring(&[true, true, false, true, false]).unwrap();
         check(Task::Selection, &ring, MapSolver::default, true);
         let class = UClass::new(4, 1).unwrap();
@@ -707,6 +707,14 @@ mod tests {
             Task::PortElection,
             &member.labeled.graph,
             || PortElectionSolver::new(class.k),
+            false,
+        );
+        let j_class = anet_constructions::JClass::new(2, 4).unwrap();
+        let chain = || j_class.template(Some(3)).unwrap();
+        check(
+            Task::CompletePortPathElection,
+            &chain().labeled.graph,
+            || CppeSolver::new(chain(), j_class.k),
             false,
         );
     }

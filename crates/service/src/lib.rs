@@ -23,7 +23,7 @@
 //!   overlapping graph families dedup view DAGs against each other and parallel
 //!   backends don't oversubscribe the machine. Only map Selection files a view
 //!   there, its leader's; the map solver's stronger shades and the Lemma 3.9
-//!   solver decide by refinement class and file nothing. The [`ServiceReport`]
+//!   and 4.8 solvers decide by refinement class and file nothing. The [`ServiceReport`]
 //!   measures both: interner hit-rate, elections/sec, queue/turnaround latency
 //!   percentiles (globally and per tenant via [`TenantBreakdown`]), steal counts.
 //!

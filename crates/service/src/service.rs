@@ -33,8 +33,8 @@
 //! tenants running on overlapping graph families dedup their view DAGs against
 //! each other (the report's interner hit-rate measures exactly this). Only map
 //! Selection files views there, its leader's; the map solver's stronger shades
-//! and the Lemma 3.9 solver decide by refinement class and file nothing. Each
-//! election runs under a per-run thread budget (default:
+//! and the Lemma 3.9 and 4.8 solvers decide by refinement class and file
+//! nothing. Each election runs under a per-run thread budget (default:
 //! `available_parallelism / workers`, at least 1), so parallel backends inside the
 //! service don't oversubscribe the machine at `workers × available_parallelism`
 //! threads.
