@@ -1955,6 +1955,66 @@ mod tests {
         );
     }
 
+    /// Stage 4 on fixed instances: its three outcomes and the exact number of
+    /// joint steps it counts for each.
+    #[test]
+    fn joint_search_outcomes_and_explored_counts() {
+        use anet_graph::GraphBuilder;
+        let run = |g: &PortGraph, members: &[NodeId], leader: NodeId, max_paths: usize| {
+            let mut explored = 0usize;
+            let out = joint_search(g, members, leader, max_paths, &mut explored);
+            (out, explored)
+        };
+        // Two members, each two edges below the leader 0 behind a dead-end
+        // leaf on port 0: the search tries the leaves, backtracks, and meets
+        // at the leader over port 1 twice.
+        let mut b = GraphBuilder::with_nodes(7);
+        for (a, pa, c, pc) in [
+            (3, 0, 5, 0),
+            (3, 1, 1, 0),
+            (4, 0, 6, 0),
+            (4, 1, 2, 0),
+            (1, 1, 0, 0),
+            (2, 1, 0, 1),
+        ] {
+            b.add_edge(a, pa, c, pc).unwrap();
+        }
+        let forked = b.build().unwrap();
+        let (out, explored) = run(&forked, &[3, 4], 0, 100);
+        let pairs = out.unwrap().expect("a common sequence exists");
+        assert_eq!(pairs, vec![(1, 0), (1, 0)]);
+        assert_eq!(explored, 5);
+        let ports: Vec<Port> = pairs.iter().map(|&(p, _)| p).collect();
+        for v in [3, 4] {
+            assert!(ppe_sequence_is_valid(&forked, v, &ports, 0), "member {v}");
+        }
+        // Three leaves of a star reach its centre in one step.
+        let star = generators::star(3).unwrap();
+        let (out, explored) = run(&star, &[1, 2, 3], 0, 100);
+        assert_eq!(out, Ok(Some(vec![(0, 0)])));
+        assert_eq!(explored, 1);
+
+        // On the symmetric ring the two walks stay one apart, so one of them
+        // always meets the leader first: the search is exhausted.
+        let ring = generators::symmetric_ring(5).unwrap();
+        assert_eq!(run(&ring, &[1, 2], 0, 100), (Ok(None), 6));
+        // The 4-cycle with a pendant on node 0: every port sends one of the
+        // three cycle members into the leader early.
+        let mut b = GraphBuilder::with_nodes(5);
+        for i in 0..4u32 {
+            b.add_edge(i, 0, (i + 1) % 4, 1).unwrap();
+        }
+        b.add_edge(0, 2, 4, 0).unwrap();
+        let pendant = b.build().unwrap();
+        assert_eq!(run(&pendant, &[1, 2, 3], 0, 100), (Ok(None), 2));
+
+        // A budget one step short of either outcome fires on the step past it.
+        let budget = |max_paths| Err(IndexError::PathBudgetExceeded { max_paths });
+        assert_eq!(run(&forked, &[3, 4], 0, 4), (budget(4), 5));
+        assert_eq!(run(&ring, &[1, 2], 0, 5), (budget(5), 6));
+        assert_eq!(run(&pendant, &[1, 2, 3], 0, 1), (budget(1), 2));
+    }
+
     #[test]
     fn feasibility_depth_is_minimal() {
         let g = generators::oriented_ring(&[true, true, false, true, false]).unwrap();
