@@ -25,7 +25,7 @@ use anet_constructions::component::Side;
 use anet_constructions::j_class::JMember;
 use anet_graph::{GraphError, NodeId, Port, Result};
 use anet_views::Refinement;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Solve CPPE on a member of `J_{μ,k}` in `k = member`'s class parameter rounds,
 /// given the map; the leader is `ρ_0`. The rule is read off the map once per
@@ -92,7 +92,9 @@ pub fn solve_cppe_on_j(member: &JMember, k: usize, ctx: &RunContext<'_>) -> Resu
         }
         // Path Q_x from v to ρ_x, restricted to gadget x (a shortest path never needs
         // to leave the gadget, and restricting keeps the final concatenation simple).
-        let q = shortest_path_within(graph, v, member.rho(x), |n| gadget_of[n as usize] == x)
+        let in_gadget = |n: NodeId| gadget_of[n as usize] == x;
+        let q = graph
+            .bfs_path(v, usize::MAX, in_gadget, |n| n == member.rho(x))
             .ok_or_else(|| GraphError::invalid("node cannot reach its gadget centre"))?;
         if x == 0 {
             return Ok(NodeOutput::FullPath(graph.full_ports_of_path(&q)));
@@ -112,45 +114,6 @@ pub fn solve_cppe_on_j(member: &JMember, k: usize, ctx: &RunContext<'_>) -> Resu
     };
     let refinement = Refinement::compute(graph, Some(k));
     run_rule_by_class(graph, &refinement, k, output_of, ctx)
-}
-
-/// Shortest path from `from` to `to` visiting only nodes allowed by `keep`
-/// (both endpoints must be allowed). BFS in port order, so deterministic.
-fn shortest_path_within(
-    graph: &anet_graph::PortGraph,
-    from: NodeId,
-    to: NodeId,
-    keep: impl Fn(NodeId) -> bool,
-) -> Option<Vec<NodeId>> {
-    if !keep(from) || !keep(to) {
-        return None;
-    }
-    let mut prev: Vec<Option<NodeId>> = vec![None; graph.num_nodes()];
-    let mut seen = vec![false; graph.num_nodes()];
-    seen[from as usize] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    while let Some(x) = queue.pop_front() {
-        if x == to {
-            let mut path = vec![to];
-            let mut cur = to;
-            while cur != from {
-                cur = prev[cur as usize]?;
-                path.push(cur);
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for (_, u, _) in graph.ports(x) {
-            if !keep(u) || seen[u as usize] {
-                continue;
-            }
-            seen[u as usize] = true;
-            prev[u as usize] = Some(x);
-            queue.push_back(u);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@ use crate::map_algorithms::run_rule_by_class;
 use crate::tasks::NodeOutput;
 use anet_graph::{GraphError, NodeId, PortGraph};
 use anet_views::Refinement;
-use std::collections::HashSet;
 
 /// Solve Port Election on a member of `U_{Δ,k}` in `k` rounds, given the map.
 ///
@@ -103,33 +102,12 @@ pub fn first_port_towards_degree(graph: &PortGraph, v: NodeId, degree: usize) ->
     first_port_within(graph, v, degree, usize::MAX)
 }
 
-/// [`first_port_towards_degree`] among the nodes within distance `radius` of `v`.
-/// Breadth-first one level at a time, in port order, so a node is first reached
-/// through the smallest first port of its shortest paths; the visited set grows
-/// with the ball explored, so a call costs that ball, not `n`.
+/// [`first_port_towards_degree`] among the nodes within distance `radius` of `v`:
+/// the first port of [`PortGraph::bfs_path`]'s path to the first such node, which
+/// leaves `v` through the smallest first port of its shortest paths.
 fn first_port_within(graph: &PortGraph, v: NodeId, degree: usize, radius: usize) -> Option<u32> {
-    let mut visited = HashSet::from([v]);
-    // (node, first port of the path that reached it); the root has none.
-    let mut level = vec![(v, None)];
-    for _ in 0..radius {
-        let mut next = Vec::new();
-        for &(x, first) in &level {
-            for (p, u, _) in graph.ports(x) {
-                if visited.insert(u) {
-                    let first = first.or(Some(p));
-                    if graph.degree(u) == degree {
-                        return first;
-                    }
-                    next.push((u, first));
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        level = next;
-    }
-    None
+    let path = graph.bfs_path(v, radius, |_| true, |u| u != v && graph.degree(u) == degree)?;
+    graph.port_towards(v, path[1])
 }
 
 #[cfg(test)]

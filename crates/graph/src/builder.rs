@@ -115,30 +115,6 @@ impl GraphBuilder {
         Ok((pu, pv))
     }
 
-    /// Append a disjoint copy of another builder's partial graph; returns the offset to
-    /// add to the other builder's node ids to obtain ids in `self`. This is the basic
-    /// tool used by the paper's constructions ("take the disjoint union of …").
-    pub fn append_disjoint(&mut self, other: &GraphBuilder) -> NodeId {
-        let offset = self.ports.len() as NodeId;
-        for m in &other.ports {
-            let shifted: BTreeMap<Port, (NodeId, Port)> =
-                m.iter().map(|(&p, &(u, q))| (p, (u + offset, q))).collect();
-            self.ports.push(shifted);
-        }
-        offset
-    }
-
-    /// Append a disjoint copy of a finished [`PortGraph`]; returns the node-id offset.
-    pub fn append_graph(&mut self, g: &PortGraph) -> NodeId {
-        let offset = self.ports.len() as NodeId;
-        for v in g.nodes() {
-            let m: BTreeMap<Port, (NodeId, Port)> =
-                g.ports(v).map(|(p, u, q)| (p, (u + offset, q))).collect();
-            self.ports.push(m);
-        }
-        offset
-    }
-
     /// Validate and freeze the graph.
     ///
     /// Validation errors:
@@ -258,40 +234,6 @@ mod tests {
             b.build().unwrap_err(),
             GraphError::Disconnected { .. }
         ));
-    }
-
-    #[test]
-    fn append_disjoint_offsets_ids() {
-        let mut half = GraphBuilder::with_nodes(2);
-        half.add_edge(0, 0, 1, 0).unwrap();
-
-        let mut b = GraphBuilder::new();
-        let off0 = b.append_disjoint(&half);
-        let off1 = b.append_disjoint(&half);
-        assert_eq!(off0, 0);
-        assert_eq!(off1, 2);
-        // Connect the two halves so the result is connected.
-        b.add_edge(0, 1, 2, 1).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.num_nodes(), 4);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.neighbor(2, 0), Some((3, 0)));
-    }
-
-    #[test]
-    fn append_graph_offsets_ids() {
-        let mut b0 = GraphBuilder::with_nodes(2);
-        b0.add_edge(0, 0, 1, 0).unwrap();
-        let g0 = b0.build().unwrap();
-
-        let mut b = GraphBuilder::new();
-        b.append_graph(&g0);
-        let off = b.append_graph(&g0);
-        assert_eq!(off, 2);
-        b.add_edge(1, 1, 2, 1).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.num_nodes(), 4);
-        assert_eq!(g.num_edges(), 3);
     }
 
     #[test]

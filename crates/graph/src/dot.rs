@@ -66,11 +66,6 @@ pub fn to_dot(g: &PortGraph, labels: Option<&Labeling>, opts: &DotOptions) -> St
     out
 }
 
-/// Render with default options and no labels.
-pub fn to_dot_simple(g: &PortGraph) -> String {
-    to_dot(g, None, &DotOptions::default())
-}
-
 fn sanitize(name: &str) -> String {
     let cleaned: String = name
         .chars()
@@ -102,7 +97,7 @@ mod tests {
     #[test]
     fn dot_contains_all_edges_and_ports() {
         let g = generators::paper_three_node_line();
-        let dot = to_dot_simple(&g);
+        let dot = to_dot(&g, None, &DotOptions::default());
         assert!(dot.starts_with("graph G {"));
         assert!(dot.trim_end().ends_with('}'));
         // Two edges, each rendered once.

@@ -1,7 +1,9 @@
 //! The core [`PortGraph`] type: a validated, immutable, anonymous port-numbered graph.
 
 use crate::error::GraphError;
+use crate::word_hash::WordMap;
 use crate::Result;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Index of a node. Nodes are anonymous in the model; these ids exist only so the
@@ -24,18 +26,6 @@ pub struct EdgeRef {
     pub v: NodeId,
     /// Port number of the edge at `v`.
     pub port_v: Port,
-}
-
-impl EdgeRef {
-    /// The same edge seen from the other endpoint.
-    pub fn reversed(self) -> EdgeRef {
-        EdgeRef {
-            u: self.v,
-            port_u: self.port_v,
-            v: self.u,
-            port_v: self.port_u,
-        }
-    }
 }
 
 /// An anonymous, simple, undirected, connected port-numbered graph.
@@ -128,11 +118,6 @@ impl PortGraph {
     /// Maximum degree `Δ`.
     pub fn max_degree(&self) -> usize {
         self.adj.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Minimum degree.
-    pub fn min_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).min().unwrap_or(0)
     }
 
     /// The neighbour reached from `v` through port `p`, together with the port of the
@@ -242,32 +227,62 @@ impl PortGraph {
 
     /// One shortest path from `u` to `v` as a list of nodes (including both endpoints).
     pub fn shortest_path(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        let n = self.num_nodes();
-        let mut prev: Vec<Option<NodeId>> = vec![None; n];
-        let mut seen = vec![false; n];
-        seen[u as usize] = true;
-        let mut queue = VecDeque::new();
-        queue.push_back(u);
-        while let Some(x) = queue.pop_front() {
-            if x == v {
-                break;
-            }
-            for (_, y, _) in self.ports(x) {
-                if !seen[y as usize] {
-                    seen[y as usize] = true;
-                    prev[y as usize] = Some(x);
-                    queue.push_back(y);
+        self.bfs_path(u, usize::MAX, |_| true, |x| x == v)
+            .expect("connected graph: path exists")
+    }
+
+    /// A shortest path from `from` to the first node `is_target` accepts, as a list
+    /// of nodes (both endpoints included), or `None` if no accepted node is reached.
+    /// The search enters only nodes that `enter` admits (`from` is exempt) and goes
+    /// at most `radius` edges out. It tests `from` first, then runs breadth-first one
+    /// level at a time with ports in increasing order, so the nodes of a level are
+    /// reached in the order of their least port sequences, and the path returned is
+    /// the least of the shortest ones to the first accepted node. The parent map
+    /// grows with the ball explored, so a call costs that ball, not `n`.
+    pub fn bfs_path(
+        &self,
+        from: NodeId,
+        radius: usize,
+        enter: impl Fn(NodeId) -> bool,
+        is_target: impl Fn(NodeId) -> bool,
+    ) -> Option<Vec<NodeId>> {
+        // Room for a few hundred nodes up front: the balls the election rules search
+        // are mostly that small, and growing from empty would rehash at every doubling.
+        let room = self.num_nodes().min(256);
+        let mut parent = WordMap::with_capacity_and_hasher(room, Default::default());
+        parent.insert(from, from);
+        let mut found = is_target(from).then_some(from);
+        let (mut level, mut next) = (vec![from], Vec::new());
+        let mut depth = 0;
+        while found.is_none() && depth < radius && !level.is_empty() {
+            'level: for &x in &level {
+                for (_, u, _) in self.ports(x) {
+                    let Entry::Vacant(slot) = parent.entry(u) else {
+                        continue;
+                    };
+                    if !enter(u) {
+                        continue;
+                    }
+                    slot.insert(x);
+                    if is_target(u) {
+                        found = Some(u);
+                        break 'level;
+                    }
+                    next.push(u);
                 }
             }
+            std::mem::swap(&mut level, &mut next);
+            next.clear();
+            depth += 1;
         }
-        let mut path = vec![v];
-        let mut cur = v;
-        while cur != u {
-            cur = prev[cur as usize].expect("connected graph: path exists");
+        let mut path = vec![found?];
+        let mut cur = path[0];
+        while cur != from {
+            cur = parent[&cur];
             path.push(cur);
         }
         path.reverse();
-        path
+        Some(path)
     }
 
     /// Outgoing-port labels along a node path: for consecutive nodes `(a, b)` the port
@@ -424,7 +439,6 @@ mod tests {
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.degree(2), 1);
         assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.min_degree(), 1);
         assert_eq!(g.degree_sequence(), vec![2, 1, 1]);
         assert_eq!(g.degree_histogram(), vec![0, 2, 1]);
     }
@@ -471,6 +485,63 @@ mod tests {
     }
 
     #[test]
+    fn bfs_path_tests_from_first() {
+        let g = three_node_line();
+        assert_eq!(g.bfs_path(1, 0, |_| false, |_| true), Some(vec![1]));
+    }
+
+    #[test]
+    fn bfs_path_prefers_the_smaller_port_between_shortest_paths() {
+        // A 4-cycle: from node 0, port 0 leads to 3 and port 1 to 1, and node 2
+        // lies two edges away on either side.
+        let mut b = GraphBuilder::with_nodes(4);
+        b.add_edge(0, 1, 1, 0).unwrap();
+        b.add_edge(1, 1, 2, 0).unwrap();
+        b.add_edge(2, 1, 3, 0).unwrap();
+        b.add_edge(3, 1, 0, 0).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(
+            g.bfs_path(0, usize::MAX, |_| true, |x| x == 2),
+            Some(vec![0, 3, 2])
+        );
+        // The first target reached is the one behind the smaller port.
+        assert_eq!(
+            g.bfs_path(0, usize::MAX, |_| true, |x| x != 0),
+            Some(vec![0, 3])
+        );
+    }
+
+    #[test]
+    fn bfs_path_enters_only_admitted_nodes_within_the_radius() {
+        let g = crate::generators::path(5).unwrap();
+        let to_end = |x| x == 4;
+        assert_eq!(g.bfs_path(0, usize::MAX, |x| x != 2, to_end), None);
+        assert_eq!(
+            g.bfs_path(0, 4, |_| true, to_end),
+            Some(vec![0, 1, 2, 3, 4])
+        );
+        assert_eq!(g.bfs_path(0, 3, |_| true, to_end), None);
+    }
+
+    #[test]
+    fn bfs_paths_are_simple_and_shortest() {
+        for seed in 0..4 {
+            let g = crate::generators::random_connected(30, 5, 12, seed).unwrap();
+            for from in [0, 7, 29] {
+                let dist = g.bfs_distances(from);
+                for v in g.nodes() {
+                    let path = g.bfs_path(from, usize::MAX, |_| true, |x| x == v).unwrap();
+                    assert_eq!(path[0], from);
+                    assert_eq!(*path.last().unwrap(), v);
+                    assert_eq!(Some(path.len() as u32 - 1), dist[v as usize]);
+                    assert!(PortGraph::is_simple_node_sequence(&path));
+                    assert_eq!(g.outgoing_ports_of_path(&path).len(), path.len() - 1);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn follow_ports_round_trips() {
         let g = three_node_line();
         assert_eq!(g.follow_outgoing_ports(0, &[0, 1]), Some(vec![0, 1, 2]));
@@ -489,9 +560,6 @@ mod tests {
         let edges: Vec<EdgeRef> = g.edges().collect();
         assert_eq!(edges.len(), 2);
         assert!(edges.iter().all(|e| e.u < e.v));
-        let rev = edges[0].reversed();
-        assert_eq!(rev.u, edges[0].v);
-        assert_eq!(rev.port_u, edges[0].port_v);
     }
 
     #[test]

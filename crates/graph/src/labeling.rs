@@ -65,24 +65,9 @@ impl Labeling {
         self.groups.get(group).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Is the node a member of the given group?
-    pub fn in_group(&self, node: NodeId, group: &str) -> bool {
-        self.group(group).contains(&node)
-    }
-
-    /// Names of all groups.
-    pub fn group_names(&self) -> impl Iterator<Item = &str> {
-        self.groups.keys().map(String::as_str)
-    }
-
     /// All `(name, node)` pairs in name order.
     pub fn names(&self) -> impl Iterator<Item = (&str, NodeId)> {
         self.name_to_node.iter().map(|(s, &v)| (s.as_str(), v))
-    }
-
-    /// Number of distinct unique names.
-    pub fn num_names(&self) -> usize {
-        self.name_to_node.len()
     }
 
     /// Shift every node id by `offset`. Used when a labelled subgraph is appended into
@@ -105,20 +90,6 @@ impl Labeling {
                 .map(|(k, vs)| (k.clone(), vs.iter().map(|&v| v + offset).collect()))
                 .collect(),
         }
-    }
-
-    /// Merge another labeling into this one, prefixing every unique name and group of
-    /// `other` with `prefix` (e.g. `"HL/"`). Node ids are taken verbatim.
-    pub fn merge_prefixed(&mut self, other: &Labeling, prefix: &str) -> Result<()> {
-        for (name, node) in other.names() {
-            self.name(node, format!("{prefix}{name}"))?;
-        }
-        for g in other.group_names() {
-            for &v in other.group(g) {
-                self.tag(v, format!("{prefix}{g}"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -168,7 +139,6 @@ mod tests {
         assert_eq!(l.node("root"), Some(0));
         assert_eq!(l.node("leaf"), Some(1));
         assert_eq!(l.name_of(0), Some("root"));
-        assert_eq!(l.num_names(), 2);
         assert_eq!(l.node("nope"), None);
     }
 
@@ -201,12 +171,7 @@ mod tests {
         l.tag(1, "root");
         assert_eq!(l.group("cycle"), &[0, 1]);
         assert_eq!(l.group("root"), &[1]);
-        assert!(l.in_group(0, "cycle"));
-        assert!(!l.in_group(0, "root"));
         assert_eq!(l.group("missing"), &[] as &[NodeId]);
-        let mut names: Vec<&str> = l.group_names().collect();
-        names.sort_unstable();
-        assert_eq!(names, vec!["cycle", "root"]);
     }
 
     #[test]
@@ -218,20 +183,6 @@ mod tests {
         assert_eq!(s.node("a"), Some(10));
         assert_eq!(s.group("g"), &[11]);
         assert_eq!(s.name_of(10), Some("a"));
-    }
-
-    #[test]
-    fn merge_prefixed_namespaces() {
-        let mut inner = Labeling::new();
-        inner.name(0, "root").unwrap();
-        inner.tag(0, "cycle");
-
-        let mut outer = Labeling::new();
-        outer.name(5, "root").unwrap();
-        outer.merge_prefixed(&inner.shifted(3), "HL/").unwrap();
-        assert_eq!(outer.node("root"), Some(5));
-        assert_eq!(outer.node("HL/root"), Some(3));
-        assert_eq!(outer.group("HL/cycle"), &[3]);
     }
 
     #[test]

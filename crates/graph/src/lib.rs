@@ -13,6 +13,8 @@
 //! live in the `anet-views` and `anet-election` crates. What lives here is
 //!
 //! * [`PortGraph`] — the validated immutable graph, with BFS/shortest-path helpers,
+//! * [`WordMap`] — a hash map keyed by machine words, for the graph searches and
+//!   the view classifier,
 //! * [`GraphBuilder`] — incremental construction with automatic or explicit ports,
 //! * [`generators`] — the standard families used by tests, examples and benchmarks
 //!   (paths, rings, cliques, hypercubes, full trees, random connected graphs),
@@ -35,11 +37,13 @@ pub mod graph;
 pub mod labeling;
 pub mod permute;
 pub mod rng;
+mod word_hash;
 
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{EdgeRef, NodeId, Port, PortGraph};
 pub use labeling::{LabeledGraph, Labeling};
+pub use word_hash::{WordHasher, WordMap};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

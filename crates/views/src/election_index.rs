@@ -261,19 +261,20 @@ fn candidate_valid_for_all(
     }
 }
 
-/// Stage 4: DFS over synchronized walks of all members. Every member follows the
-/// same outgoing port at every step; a branch is pruned when a member's walk
-/// revisits one of its own nodes, a port is missing, or a member reaches the
-/// leader before the others (its walk would have to revisit the leader later). A
-/// sequence is found exactly when all walks reach the leader simultaneously — by
-/// construction it is then valid for every member, and returned as the first
-/// member's full port pairs. Exhausting the search (`Ok(None)`) soundly proves no
-/// common sequence exists: any valid sequence induces synchronized walks
-/// surviving every prune. Only PPE classes get here: a CPPE class past stage 2 is
-/// a singleton, and stage 2 always assigns singletons.
+/// Stage 4: DFS over synchronized walks of all members, stepped by the guided
+/// finder's [`Walks`]. Every member follows the same outgoing port at every step;
+/// a branch is pruned when a member's walk revisits one of its own nodes, a port
+/// is missing, or a member reaches the leader before the others (its walk would
+/// have to revisit the leader later). A sequence is found exactly when all walks
+/// reach the leader simultaneously — by construction it is then valid for every
+/// member, and returned as the first member's full port pairs. Exhausting the
+/// search (`Ok(None)`) soundly proves no common sequence exists: any valid
+/// sequence induces synchronized walks surviving every prune. Only PPE classes
+/// get here: a CPPE class past stage 2 is a singleton, and stage 2 always assigns
+/// singletons.
 ///
-/// `explored` counts generated joint steps; exceeding `max_paths` of them
-/// returns the budget error.
+/// `explored` counts generated joint steps, one per port of walk 0's node;
+/// exceeding `max_paths` of them returns the budget error.
 fn joint_search(
     g: &PortGraph,
     members: &[NodeId],
@@ -281,106 +282,45 @@ fn joint_search(
     max_paths: usize,
     explored: &mut usize,
 ) -> Result<Option<Vec<(Port, Port)>>, IndexError> {
-    let n = g.num_nodes();
-    let k = members.len();
-    let mut cur: Vec<NodeId> = members.to_vec();
-    let mut on_walk = vec![false; k * n];
-    for (i, &m) in members.iter().enumerate() {
-        on_walk[i * n + m as usize] = true;
-    }
-    let mut seq: Vec<(Port, Port)> = Vec::new();
-    match joint_step(
-        g,
-        leader,
-        max_paths,
-        explored,
-        &mut cur,
-        &mut on_walk,
-        &mut seq,
-    ) {
-        JointStep::Found => Ok(Some(seq)),
-        JointStep::Exhausted => Ok(None),
-        JointStep::Budget => Err(IndexError::PathBudgetExceeded { max_paths }),
-    }
+    let mut walks = Walks::new(members, g.num_nodes());
+    let mut seq = Vec::new();
+    let found = joint_step(g, &mut walks, leader, max_paths, explored, &mut seq)?;
+    Ok(found.then_some(seq))
 }
 
-enum JointStep {
-    Found,
-    Exhausted,
-    Budget,
-}
-
+/// One level of [`joint_search`]: `Ok(true)` with `seq` holding the sequence once
+/// every walk stands on the leader, `Ok(false)` with the walks and `seq` restored
+/// when every port from here is pruned.
 fn joint_step(
     g: &PortGraph,
+    walks: &mut Walks,
     leader: NodeId,
-    max_states: usize,
+    max_paths: usize,
     explored: &mut usize,
-    cur: &mut [NodeId],
-    on_walk: &mut [bool],
     seq: &mut Vec<(Port, Port)>,
-) -> JointStep {
-    let n = g.num_nodes();
-    let k = cur.len();
-    let degree = g.degree(cur[0]) as Port;
-    for p in 0..degree {
-        let Some((u0, q0)) = g.neighbor(cur[0], p) else {
-            continue;
-        };
+) -> Result<bool, IndexError> {
+    let prev = walks.positions.clone();
+    for (p, _, q) in g.ports(prev[0]) {
         *explored += 1;
-        if *explored > max_states {
-            return JointStep::Budget;
+        if *explored > max_paths {
+            return Err(IndexError::PathBudgetExceeded { max_paths });
         }
-        // Materialise the joint step; prune on missing ports.
-        let mut nexts: Vec<NodeId> = Vec::with_capacity(k);
-        nexts.push(u0);
-        let mut ok = true;
-        for &c in cur.iter().skip(1) {
-            match g.neighbor(c, p) {
-                Some((u, _)) => nexts.push(u),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
+        if !walks.try_step(g, p) {
             continue;
         }
-        let all_leader = nexts.iter().all(|&u| u == leader);
-        if !all_leader {
-            // Simplicity per walk, and no member may hit the leader early.
-            for (i, &u) in nexts.iter().enumerate() {
-                if u == leader || on_walk[i * n + u as usize] {
-                    ok = false;
-                    break;
-                }
-            }
+        seq.push((p, q));
+        if walks.positions.iter().all(|&u| u == leader) {
+            return Ok(true);
         }
-        if !ok {
-            continue;
+        if !walks.positions.contains(&leader)
+            && joint_step(g, walks, leader, max_paths, explored, seq)?
+        {
+            return Ok(true);
         }
-        seq.push((p, q0));
-        if all_leader {
-            return JointStep::Found;
-        }
-        for (i, next) in nexts.iter_mut().enumerate() {
-            on_walk[i * n + *next as usize] = true;
-            std::mem::swap(&mut cur[i], next);
-        }
-        let step = joint_step(g, leader, max_states, explored, cur, on_walk, seq);
-        for (i, &u) in nexts.iter().enumerate() {
-            // `nexts` now holds the previous positions; undo the swap and flags.
-            on_walk[i * n + cur[i] as usize] = false;
-            cur[i] = u;
-        }
-        match step {
-            JointStep::Exhausted => {
-                seq.pop();
-            }
-            done => return done,
-        }
+        seq.pop();
+        walks.undo_step(&prev);
     }
-    JointStep::Exhausted
+    Ok(false)
 }
 
 /// A leader-independent merged prefix produced by the guided finder: a common
@@ -468,12 +408,13 @@ impl Landmarks {
         let n = g.num_nodes();
         let mut dists: Vec<Vec<u32>> = Vec::with_capacity(Self::COUNT);
         let mut next: NodeId = 0;
+        let connected = |d: Option<u32>| d.expect("validated graphs are connected");
         for _ in 0..Self::COUNT {
-            dists.push(bfs_dists(g, next));
+            dists.push(g.bfs_distances(next).into_iter().map(connected).collect());
             let mut best = (0u32, next);
             for v in 0..n {
                 let m = dists.iter().map(|d| d[v]).min().unwrap_or(0);
-                if m != u32::MAX && m > best.0 {
+                if m > best.0 {
                     best = (m, v as NodeId);
                 }
             }
@@ -486,37 +427,14 @@ impl Landmarks {
     fn gap(&self, x: NodeId, y: NodeId) -> u32 {
         self.dists
             .iter()
-            .map(|d| {
-                let (a, b) = (d[x as usize], d[y as usize]);
-                if a == u32::MAX || b == u32::MAX {
-                    0
-                } else {
-                    a.abs_diff(b)
-                }
-            })
+            .map(|d| d[x as usize].abs_diff(d[y as usize]))
             .max()
             .unwrap_or(0)
     }
 }
 
-/// Single-source BFS distances (`u32::MAX` for unreachable nodes).
-fn bfs_dists(g: &PortGraph, root: NodeId) -> Vec<u32> {
-    let mut d = vec![u32::MAX; g.num_nodes()];
-    d[root as usize] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(root);
-    while let Some(x) = queue.pop_front() {
-        for (_, u, _) in g.ports(x) {
-            if d[u as usize] == u32::MAX {
-                d[u as usize] = d[x as usize] + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    d
-}
-
-/// Walk state of the guided finder: one position and visited set per member.
+/// Walk state of the guided finder and the joint search: one position and
+/// visited set per member.
 struct Walks {
     positions: Vec<NodeId>,
     /// `visited[i * n + v]`: has member `i`'s walk visited `v`?
@@ -1231,40 +1149,6 @@ fn exhaustive_stage(
     }
 }
 
-/// Shortest path from `from` to `to` by BFS, never entering a banned node
-/// (`from` itself exempt). Returns the node sequence including both endpoints.
-fn path_avoiding(g: &PortGraph, from: NodeId, to: NodeId, banned: &[bool]) -> Option<Vec<NodeId>> {
-    if from == to {
-        return Some(vec![from]);
-    }
-    let n = g.num_nodes();
-    let mut prev: Vec<u32> = vec![u32::MAX; n];
-    prev[from as usize] = from;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(from);
-    while let Some(x) = queue.pop_front() {
-        for (_, u, _) in g.ports(x) {
-            if prev[u as usize] != u32::MAX || banned[u as usize] {
-                continue;
-            }
-            prev[u as usize] = x;
-            if u == to {
-                let mut path = vec![u];
-                let mut cur = x;
-                while cur != from {
-                    path.push(cur);
-                    cur = prev[cur as usize];
-                }
-                path.push(from);
-                path.reverse();
-                return Some(path);
-            }
-            queue.push_back(u);
-        }
-    }
-    None
-}
-
 /// The `*_enumerated` oracles' candidate-sequence search: bounded simple-path
 /// enumeration from the class representative, as before the quotient search
 /// existed — except that the enumeration now also carries a DFS *step* budget (see
@@ -1438,9 +1322,10 @@ fn strong_assignment_inner(
                     }
                 }
                 MergeOutcome::Merged(prefix) if !prefix.visited_union[leader as usize] => {
-                    let mut banned = prefix.visited_union.clone();
-                    banned[prefix.endpoint as usize] = false;
-                    if let Some(path) = path_avoiding(g, prefix.endpoint, leader, &banned) {
+                    let unvisited = |u: NodeId| !prefix.visited_union[u as usize];
+                    let suffix =
+                        g.bfs_path(prefix.endpoint, usize::MAX, unvisited, |u| u == leader);
+                    if let Some(path) = suffix {
                         let mut pairs = prefix.script.clone();
                         pairs.extend(g.full_ports_of_path(&path));
                         search.stats.paths_explored += 1;

@@ -24,10 +24,9 @@
 //! node's view — how a map-based algorithm reads its own `B^h(v)` against the map.
 
 use crate::View;
-use anet_graph::{NodeId, PortGraph};
+use anet_graph::{NodeId, PortGraph, WordHasher, WordMap};
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 /// Identifier of a node inside a [`JointRefinement`]: which graph, and which node.
 pub type JointNode = (usize, NodeId);
@@ -457,41 +456,6 @@ impl Refinement {
         Ordering::Equal
     }
 }
-
-/// The FxHash step with a rotating finish, for the classifier's word keys (node
-/// addresses and signature hashes). Those keys come from this process's own
-/// graphs and views, so the tables need speed, not SipHash's resistance to
-/// chosen keys. The finish rotates the well-mixed high bits of the product down,
-/// because the tables index buckets by the low bits and an address is a multiple
-/// of its alignment.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7C_C1_B7_27_22_0A_95);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// End of a [`Level`] collision chain.
 const NO_ENTRY: u32 = u32::MAX;
