@@ -9,7 +9,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// chosen keys. The finish rotates the well-mixed high bits of the product down,
 /// because the tables index buckets by the low bits and an address is a multiple
 /// of its alignment.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct WordHasher(u64);
 
 impl Hasher for WordHasher {
