@@ -1900,6 +1900,61 @@ mod tests {
         assert_eq!(run(&pendant, &[1, 2, 3], 0, 1), (budget(1), 2));
     }
 
+    /// Stage 3 on fixed depth-0 view classes: which pass decides each one, the
+    /// merged script where there is one, and the exact ops charged.
+    #[test]
+    fn guided_merge_outcomes_and_ops() {
+        let run = |g: &PortGraph, members: &[NodeId], max_ops: usize| {
+            let classes = Refinement::compute(g, None).classes_at(0);
+            assert!(classes.contains(&members.to_vec()), "{members:?}");
+            let lm = Landmarks::compute(g);
+            let mut scratch = PairScratch::for_graph(g);
+            let mut ops = 0usize;
+            let out = guided_merge(g, members, &lm, &mut scratch, max_ops, &mut ops);
+            (out, ops)
+        };
+        let merged = |out: MergeOutcome| match out {
+            MergeOutcome::Merged(prefix) => (prefix.script, prefix.endpoint),
+            other => panic!("expected a merge, got {other:?}"),
+        };
+        // Refuter first (four or more members): the four nodes of K4 are
+        // permuted by every port, so no script merges them.
+        let k4 = generators::complete(4).unwrap();
+        let (out, ops) = run(&k4, &[0, 1, 2, 3], 1000);
+        assert!(matches!(out, MergeOutcome::NoSequence));
+        assert_eq!(ops, 4);
+        // Refuter first, merging four members in four steps.
+        let g = generators::random_connected(5, 4, 3, 6).unwrap();
+        let (out, ops) = run(&g, &[0, 2, 3, 4], 1000);
+        assert_eq!(
+            (merged(out), ops),
+            ((vec![(0, 0), (1, 2), (0, 0), (2, 0)], 1), 4)
+        );
+        // The Nearest attempt's corridor DFS merges three members.
+        let g = generators::random_connected(7, 4, 3, 0).unwrap();
+        let (out, ops) = run(&g, &[2, 4, 5], 1000);
+        assert_eq!(
+            (merged(out), ops),
+            ((vec![(0, 2), (1, 1), (3, 0), (1, 0)], 1), 4)
+        );
+        // The Nearest attempt ends without a merge; the First attempt merges
+        // all three members with one port.
+        let g = generators::random_connected(7, 4, 3, 1).unwrap();
+        let (out, ops) = run(&g, &[0, 1, 3], 1000);
+        assert_eq!((merged(out), ops), ((vec![(1, 1)], 4), 23));
+        // In this tree the pair probe from the members' own positions finds no
+        // merging move at all: the class is refuted.
+        let g = generators::random_connected(8, 3, 0, 1).unwrap();
+        let (out, ops) = run(&g, &[0, 1], 1000);
+        assert!(matches!(out, MergeOutcome::NoSequence));
+        assert_eq!(ops, 10);
+        // Three inconclusive attempts and a refuter cut short: no conclusion.
+        let g = generators::random_connected(5, 3, 1, 6).unwrap();
+        let (out, ops) = run(&g, &[0, 4], 50);
+        assert!(matches!(out, MergeOutcome::Unknown));
+        assert_eq!(ops, 51);
+    }
+
     #[test]
     fn feasibility_depth_is_minimal() {
         let g = generators::oriented_ring(&[true, true, false, true, false]).unwrap();

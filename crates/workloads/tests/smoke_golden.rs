@@ -1,7 +1,7 @@
-//! Golden output of the smoke sweep. The `--jobs` determinism test compares two
-//! runs of the same build, so it passes whenever the scenarios, the sweep driver
-//! and the election builder change together; this test pins what the sweep
-//! *writes*.
+//! Golden output of the smoke and standard sweeps. The `--jobs` determinism test
+//! compares two runs of the same build, so it passes whenever the scenarios, the
+//! sweep driver and the election builder change together; these tests pin what
+//! the sweep *writes*.
 //!
 //! `ScenarioRegistry::smoke()` runs through `run_sweep` with label `"smoke"` and a
 //! trace directory, once at `jobs = 1` and once at `jobs = 2`. Two FNV-1a-64
@@ -12,6 +12,10 @@
 //! * the trace artifact: per run, the line `"{id} {name}\n"`, then per event its
 //!   `event_to_json` rendering with every `"ns"` value set to `0`, followed by a
 //!   newline; together with the run count and the event count.
+//!
+//! `ScenarioRegistry::standard()` runs once at `jobs = 1` without a trace; its
+//! BENCH document is pinned the same way, together with the grid totals of the
+//! `classes_expanded` and `paths_explored` search counters.
 
 use anet_workloads::json::Json;
 use anet_workloads::sweep::read_bench_json;
@@ -92,4 +96,45 @@ fn smoke_sweep_writes_the_pinned_bench_and_trace_artifacts() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The standard grid at `jobs = 1`: cell and solved counts, the exact search
+/// work of the election-index ladder summed over all cells, and the FNV-1a-64
+/// of the normalised BENCH document. A change that moves the ladder's search
+/// work fails here, not only in the CI job that runs the release sweep.
+#[test]
+fn standard_sweep_writes_the_pinned_bench_document_and_search_totals() {
+    let dir = std::env::temp_dir().join("anet-standard-golden");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = SweepConfig {
+        out_dir: dir.clone(),
+        label: "standard".to_string(),
+        jobs: 1,
+        ..SweepConfig::default()
+    };
+    let outcome = run_sweep(&ScenarioRegistry::standard(), &config).unwrap();
+    let bench = normalized_for_diff(&read_bench_json(&outcome.json_path).unwrap());
+    let total = |key: &str| -> i64 {
+        let cells = bench.get("cells").and_then(Json::as_array).unwrap();
+        cells.iter().filter_map(|c| c.get(key)?.as_int()).sum()
+    };
+    let text = bench.render_pretty();
+    let mut fold = Fold::new();
+    fold.add(&text);
+    assert_eq!(
+        (outcome.cells, outcome.solved),
+        (188, 187),
+        "cells and solved cells"
+    );
+    assert_eq!(
+        (total("classes_expanded"), total("paths_explored")),
+        (43_751, 139_015),
+        "search work over all cells"
+    );
+    assert_eq!(
+        (text.len(), fold.0),
+        (138_510, 0x3541_4005_3308_1e44),
+        "BENCH document"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
