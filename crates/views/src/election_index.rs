@@ -39,10 +39,14 @@
 //!    whole assignment completes with no enumeration at all.
 //! 3. **Guided merge finder** (PPE only) — synchronized walks from all members
 //!    are forward-deterministic given the port script, so a common sequence must
-//!    *merge* all walks into one by the time they reach the leader. The finder
-//!    steers the walks pairwise into the nearest *merger* (a node with two
-//!    incident edges sharing a far port) via a BFS in the synchronized pair
-//!    graph, then rides a shortest path to the leader that avoids every walk's
+//!    *merge* all walks into one by the time they reach the leader. Merges come
+//!    from two searches: a corridor DFS that drives one pair of walks at a time
+//!    down a landmark distance potential while keeping every walk simple, and
+//!    an exhaustive DFS over the joint simple-script tree (run first for four
+//!    or more members), which either merges the class or proves nothing does.
+//!    A BFS in the synchronized pair graph only refutes: a pair whose
+//!    component holds no merging move never merges. From the merged node the
+//!    finder rides a shortest path to the leader that avoids every walk's
 //!    earlier nodes. The result is only ever used after exact re-validation, so
 //!    the heuristic cannot affect soundness — only which instances resolve.
 //!    The merged prefix is leader-independent, so it is cached on the
@@ -283,24 +287,21 @@ fn joint_search(
     explored: &mut usize,
 ) -> Result<Option<Vec<(Port, Port)>>, IndexError> {
     let mut walks = Walks::new(members, g.num_nodes());
-    let mut seq = Vec::new();
-    let found = joint_step(g, &mut walks, leader, max_paths, explored, &mut seq)?;
-    Ok(found.then_some(seq))
+    let found = joint_step(g, &mut walks, leader, max_paths, explored)?;
+    Ok(found.then_some(walks.script))
 }
 
-/// One level of [`joint_search`]: `Ok(true)` with `seq` holding the sequence once
-/// every walk stands on the leader, `Ok(false)` with the walks and `seq` restored
-/// when every port from here is pruned.
+/// One level of [`joint_search`]: `Ok(true)` once every walk stands on the
+/// leader, `Ok(false)` with the walks restored when every port from here is
+/// pruned.
 fn joint_step(
     g: &PortGraph,
     walks: &mut Walks,
     leader: NodeId,
     max_paths: usize,
     explored: &mut usize,
-    seq: &mut Vec<(Port, Port)>,
 ) -> Result<bool, IndexError> {
-    let prev = walks.positions.clone();
-    for (p, _, q) in g.ports(prev[0]) {
+    for p in 0..g.degree(walks.positions[0]) as Port {
         *explored += 1;
         if *explored > max_paths {
             return Err(IndexError::PathBudgetExceeded { max_paths });
@@ -308,17 +309,14 @@ fn joint_step(
         if !walks.try_step(g, p) {
             continue;
         }
-        seq.push((p, q));
         if walks.positions.iter().all(|&u| u == leader) {
             return Ok(true);
         }
-        if !walks.positions.contains(&leader)
-            && joint_step(g, walks, leader, max_paths, explored, seq)?
+        if !walks.positions.contains(&leader) && joint_step(g, walks, leader, max_paths, explored)?
         {
             return Ok(true);
         }
-        seq.pop();
-        walks.undo_step(&prev);
+        walks.undo_step();
     }
     Ok(false)
 }
@@ -336,18 +334,17 @@ struct MergedPrefix {
 }
 
 impl MergedPrefix {
-    /// Package fully merged `walks` + `script` into a prefix.
-    fn of(walks: &Walks, script: Vec<(Port, Port)>, k: usize, n: usize) -> MergedPrefix {
-        let endpoint = walks.positions[0];
-        let mut visited_union = vec![false; n];
-        for row in walks.visited.chunks(n).take(k) {
+    /// Package fully merged `walks` into a prefix, moving their script out.
+    fn of(walks: Walks) -> MergedPrefix {
+        let mut visited_union = vec![false; walks.n];
+        for row in walks.visited.chunks(walks.n) {
             for (flag, &seen) in visited_union.iter_mut().zip(row) {
                 *flag |= seen;
             }
         }
         MergedPrefix {
-            script,
-            endpoint,
+            script: walks.script,
+            endpoint: walks.positions[0],
             visited_union,
         }
     }
@@ -434,13 +431,17 @@ impl Landmarks {
 }
 
 /// Walk state of the guided finder and the joint search: one position and
-/// visited set per member.
+/// visited set per member, and the script of shared steps that led there.
 struct Walks {
     positions: Vec<NodeId>,
     /// `visited[i * n + v]`: has member `i`'s walk visited `v`?
     visited: Vec<bool>,
-    /// Scratch buffer for the check phase of [`Walks::try_step`].
-    scratch: Vec<NodeId>,
+    /// Walk 0's `(outgoing, incoming)` pair for every committed step, whichever
+    /// pair of walks the step was meant to merge.
+    script: Vec<(Port, Port)>,
+    /// The positions each committed step left, one per walk, for
+    /// [`Walks::undo_step`]; [`Walks::try_step`] stages its targets past them.
+    trail: Vec<NodeId>,
     n: usize,
 }
 
@@ -453,41 +454,59 @@ impl Walks {
         Walks {
             positions: members.to_vec(),
             visited,
-            scratch: Vec::with_capacity(members.len()),
+            script: Vec::new(),
+            trail: Vec::new(),
             n,
         }
     }
 
     /// Apply one shared port to every walk. Transactional: returns `false` with
     /// the state untouched if any walk lacks the port or would revisit one of
-    /// its own nodes; commits all walks otherwise.
+    /// its own nodes; otherwise commits all walks and the step's script pair.
     fn try_step(&mut self, g: &PortGraph, p: Port) -> bool {
-        self.scratch.clear();
-        for i in 0..self.positions.len() {
-            match g.neighbor(self.positions[i], p) {
-                Some((u, _)) if !self.visited[i * self.n + u as usize] => self.scratch.push(u),
-                _ => return false,
+        let base = self.trail.len();
+        let mut incoming = 0;
+        for (i, &v) in self.positions.iter().enumerate() {
+            match g.neighbor(v, p) {
+                Some((u, q)) if !self.visited[i * self.n + u as usize] => {
+                    if i == 0 {
+                        incoming = q;
+                    }
+                    self.trail.push(u);
+                }
+                _ => {
+                    self.trail.truncate(base);
+                    return false;
+                }
             }
         }
-        for i in 0..self.positions.len() {
-            let u = self.scratch[i];
-            self.positions[i] = u;
-            self.visited[i * self.n + u as usize] = true;
+        for (i, (pos, staged)) in self
+            .positions
+            .iter_mut()
+            .zip(&mut self.trail[base..])
+            .enumerate()
+        {
+            std::mem::swap(pos, staged);
+            self.visited[i * self.n + *pos as usize] = true;
         }
+        self.script.push((p, incoming));
         true
     }
 
-    /// Revert the most recent [`Walks::try_step`], restoring `prev` positions.
-    fn undo_step(&mut self, prev: &[NodeId]) {
+    /// Revert the most recent committed [`Walks::try_step`].
+    fn undo_step(&mut self) {
+        let base = self.trail.len() - self.positions.len();
         for ((pos, row), &old) in self
             .positions
             .iter_mut()
             .zip(self.visited.chunks_mut(self.n))
-            .zip(prev)
+            .zip(&self.trail[base..])
         {
             row[*pos as usize] = false;
             *pos = old;
         }
+        self.trail.truncate(base);
+        self.script.pop();
     }
 
     /// Index of the first walk not co-located with walk 0, if any.
@@ -502,9 +521,9 @@ impl Walks {
 /// keeping every member's walk simple. Ports are tried in order of the
 /// post-step landmark gap (immediate merges first), so on graphs with
 /// informative landmarks the search walks nearly straight toward the partner;
-/// simplicity dead ends are handled by backtracking. On success
-/// `walks`/`script` hold the reached state; on failure both are restored.
-/// `ops` counts DFS expansions, capped at `max_ops`.
+/// simplicity dead ends are handled by backtracking. On success `walks` holds
+/// the reached state and its script; on failure it is restored. `ops` counts
+/// DFS expansions, capped at `max_ops`.
 #[allow(clippy::too_many_arguments)]
 fn merge_dfs(
     g: &PortGraph,
@@ -517,7 +536,6 @@ fn merge_dfs(
     salt: Port,
     max_ops: usize,
     ops: &mut usize,
-    script: &mut Vec<(Port, Port)>,
     seen: &mut std::collections::HashMap<u64, u32>,
 ) -> bool {
     let (a, b) = (walks.positions[i], walks.positions[j]);
@@ -571,18 +589,10 @@ fn merge_dfs(
         order.push((key, (p + salt) % degree, p));
     }
     order.sort_unstable();
-    let prev = walks.positions.clone();
     for &(_, _, p) in &order {
         if !walks.try_step(g, p) {
             continue;
         }
-        // The script records walk 0's `(outgoing, incoming)` pairs regardless
-        // of which pair of walks is being merged.
-        let q = g
-            .neighbor(prev[0], p)
-            .expect("try_step moved every walk, including walk 0")
-            .1;
-        script.push((p, q));
         if merge_dfs(
             g,
             walks,
@@ -594,23 +604,19 @@ fn merge_dfs(
             salt,
             max_ops,
             ops,
-            script,
             seen,
         ) {
             return true;
         }
-        script.pop();
-        walks.undo_step(&prev);
+        walks.undo_step();
     }
     false
 }
 
-/// Reusable `n²`-state tables for the exact near-field pair search: 2 bits per
-/// ordered pair state — 0 unvisited, otherwise BFS level mod 3 plus one (the
-/// classic mod-3 tag is enough to walk shortest paths backward, since adjacent
-/// BFS levels differ by exactly one). Reset is sparse: only words touched by
-/// the previous search are zeroed, so a probe costs proportional to the
-/// component it explored, not to `n²`.
+/// Reusable `n²`-bit visited table for the near-field pair search, one bit per
+/// ordered pair state. Reset is sparse: only words touched by the previous
+/// search are zeroed, so a probe costs proportional to the component it
+/// explored, not to `n²`.
 #[derive(Debug)]
 struct PairScratch {
     words: Vec<u64>,
@@ -619,15 +625,15 @@ struct PairScratch {
 }
 
 impl PairScratch {
-    /// Largest graph for which the tables are allocated (`n²/4` bytes — 64 MiB
+    /// Largest graph for which the table is allocated (`n²/8` bytes — 32 MiB
     /// at the bound). Beyond it the finder falls back to pure corridor DFS.
     const MAX_N: usize = 16_384;
 
-    /// Allocate tables for `g`, or `None` if the graph is too large.
+    /// Allocate the table for `g`, or `None` if the graph is too large.
     fn for_graph(g: &PortGraph) -> Option<PairScratch> {
         let n = g.num_nodes();
         (1..=Self::MAX_N).contains(&n).then(|| PairScratch {
-            words: vec![0u64; (n * n).div_ceil(32)],
+            words: vec![0u64; (n * n).div_ceil(64)],
             touched: Vec::new(),
             n: n as u64,
         })
@@ -640,66 +646,42 @@ impl PairScratch {
         self.touched.clear();
     }
 
-    fn pack(&self, a: NodeId, b: NodeId) -> u64 {
-        a as u64 * self.n + b as u64
-    }
-
-    fn get(&self, s: u64) -> u64 {
-        (self.words[(s / 32) as usize] >> ((s % 32) * 2)) & 3
-    }
-
-    /// Tag an unvisited state (BFS discovers each state once).
-    fn set(&mut self, s: u64, tag: u64) {
-        let w = (s / 32) as usize;
+    /// Mark the pair state `(a, b)` visited; `false` if it already was.
+    fn visit(&mut self, a: NodeId, b: NodeId) -> bool {
+        let s = a as u64 * self.n + b as u64;
+        let (w, bit) = ((s / 64) as usize, 1u64 << (s % 64));
+        if self.words[w] & bit != 0 {
+            return false;
+        }
         if self.words[w] == 0 {
             self.touched.push(w as u32);
         }
-        self.words[w] |= tag << ((s % 32) * 2);
+        self.words[w] |= bit;
+        true
     }
 }
 
-/// Outcome of one [`near_field_probe`].
-enum NearField {
-    /// A reconstructed script applied cleanly; the walks are merged.
-    Merged,
-    /// The pair component was exhausted without any merging move: the two
-    /// walkers can never coincide from these positions, under any script.
-    NeverMerges,
-    /// Mergers were found but none applied, or the state cap was hit.
-    Inconclusive,
-}
-
-/// Exact near-field probe for one pair of walks: exhaustive BFS over the
-/// synchronized pair graph from their current positions (simplicity relaxed),
-/// collecting up to `alternatives` distinct merging moves, then replaying each
-/// reconstructed shortest script on the real walks — shortest first, all-or-
-/// nothing per script — until one survives every member's simplicity check.
-#[allow(clippy::too_many_arguments)]
-fn near_field_probe(
+/// Exact near-field refutation for one pair of walks standing at `(a, b)`: a
+/// BFS over the synchronized pair graph (simplicity relaxed) that stops after
+/// `alternatives` merging moves or `max_states` expanded states. `true` only
+/// when it exhausts the pair component without a single merging move: the two
+/// walkers can then never coincide from these positions, under any script.
+fn near_field_never_merges(
     g: &PortGraph,
-    walks: &mut Walks,
-    i: usize,
-    j: usize,
+    (a, b): (NodeId, NodeId),
     scratch: &mut PairScratch,
     max_states: usize,
     alternatives: usize,
     ops: &mut usize,
-    script: &mut Vec<(Port, Port)>,
-) -> NearField {
+) -> bool {
     scratch.reset();
-    let (a0, b0) = (walks.positions[i], walks.positions[j]);
-    let mut queue: std::collections::VecDeque<(NodeId, NodeId, u32)> =
-        std::collections::VecDeque::new();
-    scratch.set(scratch.pack(a0, b0), 1);
-    queue.push_back((a0, b0, 0));
-    // (state, merging port, BFS level of state), in BFS (shortest-first) order.
-    let mut targets: Vec<(NodeId, NodeId, Port, u32)> = Vec::new();
+    scratch.visit(a, b);
+    let mut queue = std::collections::VecDeque::from([(a, b)]);
+    let mut merging_moves = 0usize;
     let mut explored = 0usize;
-    let mut capped = false;
-    'bfs: while let Some((a, b, lv)) = queue.pop_front() {
+    'bfs: while let Some((a, b)) = queue.pop_front() {
         explored += 1;
         if explored > max_states {
-            capped = true;
             break;
         }
         let degree = g.degree(a).min(g.degree(b)) as Port;
@@ -708,81 +690,19 @@ fn near_field_probe(
                 continue;
             };
             if ua == ub {
-                targets.push((a, b, p, lv));
-                if targets.len() >= alternatives {
+                merging_moves += 1;
+                if merging_moves >= alternatives {
                     break 'bfs;
                 }
-                continue;
-            }
-            let s = scratch.pack(ua, ub);
-            if scratch.get(s) == 0 {
-                scratch.set(s, (lv as u64 + 1) % 3 + 1);
-                queue.push_back((ua, ub, lv + 1));
+            } else if scratch.visit(ua, ub) {
+                queue.push_back((ua, ub));
             }
         }
     }
     // Pair-BFS states are an order of magnitude cheaper than DFS expansions;
     // scale them before charging the shared ops budget.
     *ops += explored / 8 + 1;
-    if targets.is_empty() {
-        return if capped {
-            NearField::Inconclusive
-        } else {
-            NearField::NeverMerges
-        };
-    }
-    let script_base = script.len();
-    'targets: for &(ta, tb, mp, lv) in &targets {
-        // Walk the shortest path back to the start via the mod-3 level tags.
-        let mut ports_rev: Vec<Port> = vec![mp];
-        let (mut ca, mut cb, mut clv) = (ta, tb, lv);
-        'reconstruct: while clv > 0 {
-            let want = (clv as u64 - 1) % 3 + 1;
-            for (_, xa, pa) in g.ports(ca) {
-                for (_, xb, pb) in g.ports(cb) {
-                    if pa == pb && xa != xb && scratch.get(scratch.pack(xa, xb)) == want {
-                        ports_rev.push(pa);
-                        (ca, cb) = (xa, xb);
-                        clv -= 1;
-                        continue 'reconstruct;
-                    }
-                }
-            }
-            // No tagged predecessor (can happen only if the tag word tracking
-            // were broken) — skip this target rather than panic.
-            debug_assert!(false, "BFS level tags admit no predecessor");
-            continue 'targets;
-        }
-        // Replay start→merger, undoing everything if any step breaks a walk.
-        let mut undo: Vec<Vec<NodeId>> = Vec::with_capacity(ports_rev.len());
-        for &p in ports_rev.iter().rev() {
-            let prev = walks.positions.clone();
-            if !walks.try_step(g, p) {
-                for prev in undo.drain(..).rev() {
-                    walks.undo_step(&prev);
-                }
-                script.truncate(script_base);
-                continue 'targets;
-            }
-            let q = g
-                .neighbor(prev[0], p)
-                .expect("try_step moved every walk, including walk 0")
-                .1;
-            script.push((p, q));
-            undo.push(prev);
-        }
-        // The pair graph is directed, so the mod-3 tags can (rarely) alias a
-        // deeper state during reconstruction; accept the replay only if it
-        // really merged the pair.
-        if walks.positions[i] == walks.positions[j] {
-            return NearField::Merged;
-        }
-        for prev in undo.drain(..).rev() {
-            walks.undo_step(&prev);
-        }
-        script.truncate(script_base);
-    }
-    NearField::Inconclusive
+    merging_moves == 0 && explored <= max_states
 }
 
 /// How one [`guided_merge`] attempt picks the next pair of walks to merge.
@@ -801,7 +721,7 @@ enum TargetRule {
 
 /// Outcome of one [`merge_phase`] (merging one pair of walks).
 enum PhaseResult {
-    /// The target pair is merged; the steps are committed to `walks`/`script`.
+    /// The target pair is merged; the steps are committed to `walks`.
     Merged,
     /// Exact proof that the target pair can never coincide from its current
     /// positions (only class-refuting when nothing was committed before it).
@@ -810,11 +730,12 @@ enum PhaseResult {
     Failed,
 }
 
-/// Merge one pair of walks: corridor DFS down the landmark potential until the
-/// pair is near, then the exact [`near_field_probe`]; if the probe is
-/// inconclusive, commit a few rotated shift steps to move the window and try
-/// again. Without `n²` tables (`scratch` is `None`) the corridor DFS runs all
-/// the way to the merge, as on small graphs every field is the near field.
+/// Merge one pair of walks: corridor DFS down the landmark potential all the
+/// way to the merge; failing that, approach until the pair is near and run the
+/// exact refutation [`near_field_never_merges`]; if it does not refute, commit
+/// a few rotated shift steps to move the window and try again. Without the
+/// `n²` table (`scratch` is `None`) only the corridor DFS runs, as on small
+/// graphs every field is the near field.
 #[allow(clippy::too_many_arguments)]
 fn merge_phase(
     g: &PortGraph,
@@ -826,14 +747,13 @@ fn merge_phase(
     salt: Port,
     max_ops: usize,
     ops: &mut usize,
-    script: &mut Vec<(Port, Port)>,
     seen: &mut std::collections::HashMap<u64, u32>,
 ) -> PhaseResult {
     /// Landmark gap below which the pair counts as near.
     const NEAR_GAP: u32 = 12;
     /// Pair-state cap of one near-field probe.
     const NEAR_STATES: usize = 150_000;
-    /// Distinct merging moves collected per probe.
+    /// Merging moves after which a probe stops, which bounds its charge.
     const NEAR_ALTERNATIVES: usize = 64;
     /// Probe rounds before the phase gives up.
     const ROUNDS: usize = 4;
@@ -856,9 +776,7 @@ fn merge_phase(
         for &mult in mults {
             seen.clear();
             let limit = mult * (h0 + 8);
-            if merge_dfs(
-                g, walks, i, j, lm, 0, limit, salt, dfs_cap, ops, script, seen,
-            ) {
+            if merge_dfs(g, walks, i, j, lm, 0, limit, salt, dfs_cap, ops, seen) {
                 return PhaseResult::Merged;
             }
             if *ops > dfs_cap {
@@ -876,7 +794,7 @@ fn merge_phase(
                 seen.clear();
                 let limit = mult * (gap + 8);
                 if merge_dfs(
-                    g, walks, i, j, lm, NEAR_GAP, limit, salt, dfs_cap, ops, script, seen,
+                    g, walks, i, j, lm, NEAR_GAP, limit, salt, dfs_cap, ops, seen,
                 ) {
                     near = true;
                     break;
@@ -897,37 +815,16 @@ fn merge_phase(
         if *ops > max_ops {
             return PhaseResult::Failed;
         }
-        match near_field_probe(
-            g,
-            walks,
-            i,
-            j,
-            scratch,
-            NEAR_STATES,
-            NEAR_ALTERNATIVES,
-            ops,
-            script,
-        ) {
-            NearField::Merged => return PhaseResult::Merged,
-            NearField::NeverMerges => return PhaseResult::NeverMerges,
-            NearField::Inconclusive => {}
+        let pair = (walks.positions[i], walks.positions[j]);
+        if near_field_never_merges(g, pair, scratch, NEAR_STATES, NEAR_ALTERNATIVES, ops) {
+            return PhaseResult::NeverMerges;
         }
         // (d) Shift the window so the next probe sees fresh merger candidates;
         // the preferred port rotates with the round and attempt.
         for s in 0..SHIFT_STEPS {
             let degree = g.degree(walks.positions[i]) as Port;
-            let mut stepped = false;
-            for off in 0..degree {
-                let p = (off + salt + round as Port + s as Port) % degree;
-                let prev0 = walks.positions[0];
-                if walks.try_step(g, p) {
-                    let q = g.neighbor(prev0, p).expect("walk 0 just stepped").1;
-                    script.push((p, q));
-                    stepped = true;
-                    break;
-                }
-            }
-            if !stepped {
+            let rotated = |off: Port| (off + salt + round as Port + s as Port) % degree;
+            if !(0..degree).any(|off| walks.try_step(g, rotated(off))) {
                 return PhaseResult::Failed;
             }
         }
@@ -937,7 +834,7 @@ fn merge_phase(
 
 /// Outcome of one [`merge_attempt`].
 enum AttemptResult {
-    /// All walks are co-located; `walks`/`script` hold the merged state.
+    /// All walks are co-located; `walks` holds the merged state and its script.
     Done,
     /// Some pair of members provably never coincides: no common sequence
     /// exists for this class at this depth, for any leader.
@@ -958,7 +855,6 @@ fn merge_attempt(
     salt: Port,
     max_ops: usize,
     ops: &mut usize,
-    script: &mut Vec<(Port, Port)>,
     seen: &mut std::collections::HashMap<u64, u32>,
 ) -> AttemptResult {
     while let Some(first_j) = walks.first_distinct_index() {
@@ -979,14 +875,14 @@ fn merge_attempt(
                 .max_by_key(gap_of),
         }
         .expect("a distinct pair exists");
-        match merge_phase(
-            g, walks, i, j, lm, scratch, salt, max_ops, ops, script, seen,
-        ) {
+        match merge_phase(g, walks, i, j, lm, scratch, salt, max_ops, ops, seen) {
             PhaseResult::Merged => continue,
             // The refutation is only class-refuting when the probe ran from
             // the original member positions — i.e. nothing was committed
-            // before it (the probe itself commits nothing on NeverMerges).
-            PhaseResult::NeverMerges if script.is_empty() => return AttemptResult::NoSequence,
+            // before it (the probe itself commits nothing).
+            PhaseResult::NeverMerges if walks.script.is_empty() => {
+                return AttemptResult::NoSequence
+            }
             PhaseResult::NeverMerges | PhaseResult::Failed => return AttemptResult::Failed,
         }
     }
@@ -1001,15 +897,14 @@ fn merge_attempt(
 /// ends all members on the leader, i.e. merges them). The tree is finite
 /// (simple walks) and, with several members, usually tiny: each extra member
 /// must avoid backtracking at every step, thinning the branching factor
-/// geometrically. Returns `None` when the ops budget ran out (no conclusion),
-/// `Some(true)` with `walks`/`script` holding the merged state, `Some(false)`
-/// for the exhausted-tree refutation.
+/// geometrically. Returns `None` when the ops budget ran out (no conclusion;
+/// the walks are left mid-search), `Some(true)` with `walks` holding the
+/// merged state, `Some(false)` for the exhausted-tree refutation.
 fn exhaustive_merge_dfs(
     g: &PortGraph,
     walks: &mut Walks,
     max_ops: usize,
     ops: &mut usize,
-    script: &mut Vec<(Port, Port)>,
 ) -> Option<bool> {
     if walks.first_distinct_index().is_none() {
         return Some(true);
@@ -1024,27 +919,14 @@ fn exhaustive_merge_dfs(
         .map(|&v| g.degree(v))
         .min()
         .unwrap_or(0) as Port;
-    let prev = walks.positions.clone();
     for p in 0..degree {
         if !walks.try_step(g, p) {
             continue;
         }
-        let q = g
-            .neighbor(prev[0], p)
-            .expect("try_step moved every walk, including walk 0")
-            .1;
-        script.push((p, q));
-        match exhaustive_merge_dfs(g, walks, max_ops, ops, script) {
-            Some(true) => return Some(true),
-            Some(false) => {}
-            None => {
-                script.pop();
-                walks.undo_step(&prev);
-                return None;
-            }
+        if exhaustive_merge_dfs(g, walks, max_ops, ops)? {
+            return Some(true);
         }
-        script.pop();
-        walks.undo_step(&prev);
+        walks.undo_step();
     }
     Some(false)
 }
@@ -1066,10 +948,10 @@ enum MergeOutcome {
 /// one node by merging one pair at a time with [`merge_phase`], restarting with
 /// a different pair order when an attempt dead-ends. Heuristic and bounded —
 /// [`MergeOutcome::Unknown`] means "no conclusion"; only the exact near-field
-/// refutation yields [`MergeOutcome::NoSequence`]. The caller re-validates any
-/// produced prefix plus suffix with the exact predicates. Merged walks stay
-/// merged: co-located walks follow the same ports to the same nodes, and
-/// [`Walks::try_step`] commits all or none.
+/// refutation and the exhausted refuter yield [`MergeOutcome::NoSequence`].
+/// The caller re-validates any produced prefix plus suffix with the exact
+/// predicates. Merged walks stay merged: co-located walks follow the same
+/// ports to the same nodes, and [`Walks::try_step`] commits all or none.
 fn guided_merge(
     g: &PortGraph,
     members: &[NodeId],
@@ -1096,7 +978,6 @@ fn guided_merge(
     let mut seen = std::collections::HashMap::new();
     for (attempt, rule) in RULES.into_iter().enumerate() {
         let mut walks = Walks::new(members, n);
-        let mut script: Vec<(Port, Port)> = Vec::new();
         let mut attempt_ops = 0usize;
         let done = merge_attempt(
             g,
@@ -1107,16 +988,14 @@ fn guided_merge(
             attempt as Port,
             per_attempt,
             &mut attempt_ops,
-            &mut script,
             &mut seen,
         );
         *ops += attempt_ops;
         match done {
             AttemptResult::Failed => continue,
             AttemptResult::NoSequence => return MergeOutcome::NoSequence,
-            AttemptResult::Done => {}
+            AttemptResult::Done => return MergeOutcome::Merged(MergedPrefix::of(walks)),
         }
-        return MergeOutcome::Merged(MergedPrefix::of(&walks, script, members.len(), n));
     }
     if !refuter_first {
         if let Some(out) = exhaustive_stage(g, members, n, max_ops, ops) {
@@ -1136,17 +1015,11 @@ fn exhaustive_stage(
     ops: &mut usize,
 ) -> Option<MergeOutcome> {
     let mut walks = Walks::new(members, n);
-    let mut script: Vec<(Port, Port)> = Vec::new();
-    match exhaustive_merge_dfs(g, &mut walks, cap, ops, &mut script) {
-        Some(false) => Some(MergeOutcome::NoSequence),
-        Some(true) => Some(MergeOutcome::Merged(MergedPrefix::of(
-            &walks,
-            script,
-            members.len(),
-            n,
-        ))),
-        None => None,
-    }
+    Some(if exhaustive_merge_dfs(g, &mut walks, cap, ops)? {
+        MergeOutcome::Merged(MergedPrefix::of(walks))
+    } else {
+        MergeOutcome::NoSequence
+    })
 }
 
 /// The `*_enumerated` oracles' candidate-sequence search: bounded simple-path
