@@ -377,7 +377,7 @@ mod tests {
         for copy in 1..=2u8 {
             for q in 1..=h.z() {
                 let w = h.w(q, copy);
-                assert_eq!(dist[w as usize], Some(4), "w_{q},{copy}");
+                assert_eq!(dist[w as usize], 4, "w_{q},{copy}");
             }
         }
     }
@@ -388,9 +388,8 @@ mod tests {
         let k = 4u32;
         for v in g.nodes() {
             let dist = g.bfs_distances(v);
-            let exists = (1..=h.z()).any(|q| {
-                dist[h.w(q, 1) as usize].unwrap() >= k && dist[h.w(q, 2) as usize].unwrap() >= k
-            });
+            let exists =
+                (1..=h.z()).any(|q| dist[h.w(q, 1) as usize] >= k && dist[h.w(q, 2) as usize] >= k);
             assert!(exists, "node {v} sees all border pairs within k−1");
         }
     }
@@ -431,7 +430,7 @@ mod tests {
         for side in Side::ALL {
             for q in 1..=gad.component(side).z() {
                 for copy in 1..=2u8 {
-                    assert!(dist[gad.w(side, q, copy) as usize].unwrap() >= 4);
+                    assert!(dist[gad.w(side, q, copy) as usize] >= 4);
                 }
             }
         }

@@ -90,7 +90,7 @@ impl PortGraph {
             adj,
             num_edges: num_edges / 2,
         };
-        let reachable = g.bfs_distances(0).iter().filter(|d| d.is_some()).count() as u32;
+        let reachable = g.bfs_distances(0).iter().filter(|&&d| d < u32::MAX).count() as u32;
         if reachable != n {
             return Err(GraphError::Disconnected {
                 reachable,
@@ -163,38 +163,18 @@ impl PortGraph {
         self.ports(v).find(|&(_, w, _)| w == u).map(|(p, _, _)| p)
     }
 
-    /// BFS distances from `source`; `None` for unreachable nodes (cannot happen in a
-    /// validated graph but the helper is also used during validation and on subgraphs).
-    pub fn bfs_distances(&self, source: NodeId) -> Vec<Option<u32>> {
-        self.bfs_distances_avoiding(source, None)
-    }
-
-    /// BFS distances from `source` in the graph with the node `avoid` (if any) removed.
-    /// A simple path from `v`'s neighbour to the leader avoiding `v` exists iff the
-    /// leader is reachable in `G − v`, so this is the BFS reference for Port Election
-    /// validity (`anet_views::paths::pe_port_is_valid`); the verifier itself uses the
-    /// linear-time `anet_views::paths::PeValidity` table.
-    pub fn bfs_distances_avoiding(
-        &self,
-        source: NodeId,
-        avoid: Option<NodeId>,
-    ) -> Vec<Option<u32>> {
-        let n = self.num_nodes();
-        let mut dist = vec![None; n];
-        if Some(source) == avoid {
-            return dist;
-        }
-        dist[source as usize] = Some(0);
-        let mut queue = VecDeque::new();
-        queue.push_back(source);
+    /// BFS distances from `source`. Every validated graph is connected, so every
+    /// entry is finite; only the connectivity check of [`PortGraph::from_adjacency`],
+    /// which runs before that is known, can see `u32::MAX` for an unreached node.
+    pub fn bfs_distances(&self, source: NodeId) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.num_nodes()];
+        dist[source as usize] = 0;
+        let mut queue = VecDeque::from([source]);
         while let Some(v) = queue.pop_front() {
-            let dv = dist[v as usize].expect("queued node has a distance");
+            let dv = dist[v as usize];
             for (_, u, _) in self.ports(v) {
-                if Some(u) == avoid {
-                    continue;
-                }
-                if dist[u as usize].is_none() {
-                    dist[u as usize] = Some(dv + 1);
+                if dist[u as usize] == u32::MAX {
+                    dist[u as usize] = dv + 1;
                     queue.push_back(u);
                 }
             }
@@ -204,16 +184,12 @@ impl PortGraph {
 
     /// Distance between two nodes.
     pub fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        self.bfs_distances(u)[v as usize].expect("validated graphs are connected")
+        self.bfs_distances(u)[v as usize]
     }
 
     /// Eccentricity of a node: maximum distance to any other node.
     pub fn eccentricity(&self, v: NodeId) -> u32 {
-        self.bfs_distances(v)
-            .iter()
-            .map(|d| d.expect("connected"))
-            .max()
-            .unwrap_or(0)
+        self.bfs_distances(v).into_iter().max().unwrap_or(0)
     }
 
     /// Diameter of the graph (maximum eccentricity). `O(n·m)`; fine for the graph sizes
@@ -466,16 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_avoiding_disconnects() {
-        let g = three_node_line();
-        // Removing the middle node separates the endpoints.
-        let d = g.bfs_distances_avoiding(0, Some(1));
-        assert_eq!(d[0], Some(0));
-        assert_eq!(d[1], None);
-        assert_eq!(d[2], None);
-    }
-
-    #[test]
     fn shortest_path_and_port_extraction() {
         let g = three_node_line();
         let path = g.shortest_path(0, 2);
@@ -533,7 +499,7 @@ mod tests {
                     let path = g.bfs_path(from, usize::MAX, |_| true, |x| x == v).unwrap();
                     assert_eq!(path[0], from);
                     assert_eq!(*path.last().unwrap(), v);
-                    assert_eq!(Some(path.len() as u32 - 1), dist[v as usize]);
+                    assert_eq!(path.len() as u32 - 1, dist[v as usize]);
                     assert!(PortGraph::is_simple_node_sequence(&path));
                     assert_eq!(g.outgoing_ports_of_path(&path).len(), path.len() - 1);
                 }

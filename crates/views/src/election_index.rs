@@ -405,9 +405,8 @@ impl Landmarks {
         let n = g.num_nodes();
         let mut dists: Vec<Vec<u32>> = Vec::with_capacity(Self::COUNT);
         let mut next: NodeId = 0;
-        let connected = |d: Option<u32>| d.expect("validated graphs are connected");
         for _ in 0..Self::COUNT {
-            dists.push(g.bfs_distances(next).into_iter().map(connected).collect());
+            dists.push(g.bfs_distances(next));
             let mut best = (0u32, next);
             for v in 0..n {
                 let m = dists.iter().map(|d| d[v]).min().unwrap_or(0);

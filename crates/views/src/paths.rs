@@ -26,7 +26,8 @@ pub fn reaches_avoiding(g: &PortGraph, from: NodeId, target: NodeId, avoid: Node
     if from == avoid || target == avoid {
         return false;
     }
-    g.bfs_distances_avoiding(from, Some(avoid))[target as usize].is_some()
+    g.bfs_path(from, usize::MAX, |u| u != avoid, |u| u == target)
+        .is_some()
 }
 
 /// Is port `p` at node `v` the first port of some simple path from `v` to `leader`?

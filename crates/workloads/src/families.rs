@@ -406,7 +406,7 @@ mod tests {
     }
 
     fn assert_connected(g: &PortGraph) {
-        let reached = g.bfs_distances(0).iter().filter(|d| d.is_some()).count();
+        let reached = g.bfs_distances(0).iter().filter(|&&d| d < u32::MAX).count();
         assert_eq!(reached, g.num_nodes(), "graph must be connected");
     }
 
