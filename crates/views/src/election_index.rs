@@ -78,7 +78,7 @@
 use crate::paths::{
     cppe_sequence_is_valid, pe_port_is_valid, ppe_sequence_is_valid, simple_paths, PeValidity,
 };
-use crate::quotient::{QuotientSearch, SearchStats};
+use crate::quotient::QuotientSearch;
 use crate::refinement::Refinement;
 use anet_graph::{NodeId, Port, PortGraph};
 
@@ -1238,19 +1238,7 @@ fn strong_assignment_inner(
 /// For a fixed depth and candidate leader, the Port Path Election output assignment:
 /// one outgoing-port sequence per non-leader node, constant on view classes, tracing a
 /// simple path to the leader from every member. `Ok(None)` if no assignment exists.
-pub fn ppe_assignment(
-    g: &PortGraph,
-    r: &Refinement,
-    depth: usize,
-    leader: NodeId,
-    max_paths: usize,
-) -> Result<Option<Vec<Option<Vec<Port>>>>, IndexError> {
-    let mut search = QuotientSearch::new(g, r);
-    ppe_assignment_with(&mut search, depth, leader, max_paths)
-}
-
-/// [`ppe_assignment`] on a reusable [`QuotientSearch`], sharing its guided-merge
-/// cache with every other call on the same search.
+/// The search's guided-merge cache is shared with every other call on it.
 pub fn ppe_assignment_with(
     search: &mut QuotientSearch<'_>,
     depth: usize,
@@ -1277,18 +1265,6 @@ pub type CppeAssignment = Vec<Option<FullPath>>;
 
 /// For a fixed depth and candidate leader, the Complete Port Path Election output
 /// assignment (pairs of ports per edge). `Ok(None)` if no assignment exists.
-pub fn cppe_assignment(
-    g: &PortGraph,
-    r: &Refinement,
-    depth: usize,
-    leader: NodeId,
-    max_paths: usize,
-) -> Result<Option<CppeAssignment>, IndexError> {
-    let mut search = QuotientSearch::new(g, r);
-    cppe_assignment_with(&mut search, depth, leader, max_paths)
-}
-
-/// [`cppe_assignment`] on a reusable [`QuotientSearch`].
 pub fn cppe_assignment_with(
     search: &mut QuotientSearch<'_>,
     depth: usize,
@@ -1386,22 +1362,13 @@ pub fn psi_cppe(g: &PortGraph, max_paths: usize) -> Result<Option<usize>, IndexE
 
 /// Compute all four election indices (exact).
 pub fn compute_all(g: &PortGraph, max_paths: usize) -> Result<ElectionIndices, IndexError> {
-    compute_all_with_stats(g, max_paths).map(|(indices, _)| indices)
-}
-
-/// [`compute_all`] plus the accumulated [`SearchStats`] of the shared quotient
-/// search (on an error the stats spent so far are lost with it).
-pub fn compute_all_with_stats(
-    g: &PortGraph,
-    max_paths: usize,
-) -> Result<(ElectionIndices, SearchStats), IndexError> {
     let s = psi_s(g);
     let r = Refinement::compute(g, None);
     let mut search = QuotientSearch::new(g, &r);
     let pe = pe_election(&mut search).map(|(h, ..)| h);
     let ppe = ppe_election(&mut search, max_paths)?.map(|(h, ..)| h);
     let cppe = cppe_election(&mut search, max_paths)?.map(|(h, ..)| h);
-    Ok((ElectionIndices { s, pe, ppe, cppe }, search.stats()))
+    Ok(ElectionIndices { s, pe, ppe, cppe })
 }
 
 // ---------------------------------------------------------------------------
@@ -1442,7 +1409,7 @@ pub fn pe_assignment_enumerated(
     Some(out)
 }
 
-/// [`ppe_assignment`] by pure bounded enumeration (the pre-quotient
+/// [`ppe_assignment_with`] by pure bounded enumeration (the pre-quotient
 /// implementation). Kept as the equivalence-test oracle and bench baseline.
 pub fn ppe_assignment_enumerated(
     g: &PortGraph,
@@ -1482,7 +1449,7 @@ pub fn ppe_assignment_enumerated(
     Ok(Some(out))
 }
 
-/// [`cppe_assignment`] by pure bounded enumeration (the pre-quotient
+/// [`cppe_assignment_with`] by pure bounded enumeration (the pre-quotient
 /// implementation). Kept as the equivalence-test oracle and bench baseline.
 pub fn cppe_assignment_enumerated(
     g: &PortGraph,
@@ -1662,10 +1629,18 @@ mod tests {
         let leader = r
             .unique_nodes_at(h)
             .into_iter()
-            .find(|&u| cppe_assignment(&g, &r, h, u, 1000).unwrap().is_some())
+            .find(|&u| {
+                cppe_assignment_with(&mut QuotientSearch::new(&g, &r), h, u, 1000)
+                    .unwrap()
+                    .is_some()
+            })
             .unwrap();
-        let ppe = ppe_assignment(&g, &r, h, leader, 1000).unwrap().unwrap();
-        let cppe = cppe_assignment(&g, &r, h, leader, 1000).unwrap().unwrap();
+        let ppe = ppe_assignment_with(&mut QuotientSearch::new(&g, &r), h, leader, 1000)
+            .unwrap()
+            .unwrap();
+        let cppe = cppe_assignment_with(&mut QuotientSearch::new(&g, &r), h, leader, 1000)
+            .unwrap()
+            .unwrap();
         for v in g.nodes() {
             if v == leader {
                 continue;
@@ -1700,10 +1675,10 @@ mod tests {
         b.add_edge(0, 2, 4, 0).unwrap();
         let g = b.build().unwrap();
         let r = Refinement::compute(&g, None);
-        let res = ppe_assignment(&g, &r, 0, 0, 1);
+        let res = ppe_assignment_with(&mut QuotientSearch::new(&g, &r), 0, 0, 1);
         assert_eq!(res, Err(IndexError::PathBudgetExceeded { max_paths: 1 }));
         // With a generous budget the computation terminates with a definite answer.
-        assert!(ppe_assignment(&g, &r, 0, 0, 10_000).is_ok());
+        assert!(ppe_assignment_with(&mut QuotientSearch::new(&g, &r), 0, 0, 10_000).is_ok());
         assert!(psi_ppe(&g, 10_000).is_ok());
         // The enumerated oracle agrees about the tight budget.
         assert_eq!(
@@ -1854,14 +1829,5 @@ mod tests {
             assert_eq!(new_ppe, psi_ppe_enumerated(&g, 20_000).unwrap(), "{seed}");
             assert_eq!(new_cppe, psi_cppe_enumerated(&g, 20_000).unwrap(), "{seed}");
         }
-    }
-
-    #[test]
-    fn compute_all_records_search_stats() {
-        let g = generators::oriented_ring(&[true, true, false, true, false]).unwrap();
-        let (idx, stats) = compute_all_with_stats(&g, 1000).unwrap();
-        assert!(idx.cppe.is_some());
-        assert!(stats.classes_expanded > 0, "{stats:?}");
-        assert!(stats.paths_explored > 0, "{stats:?}");
     }
 }

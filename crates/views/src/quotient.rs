@@ -284,16 +284,6 @@ impl<'a> QuotientSearch<'a> {
         self.stats
     }
 
-    /// Concrete BFS distance from `v` to the prepared leader (`None` if
-    /// unreachable — impossible on the validated connected graphs, but kept
-    /// total).
-    pub fn leader_dist(&self, v: NodeId) -> Option<u32> {
-        match self.dist[v as usize] {
-            u32::MAX => None,
-            d => Some(d),
-        }
-    }
-
     /// The `(outgoing, incoming)` port pairs of one concrete shortest path from
     /// `v` to the prepared leader (from the BFS tree), or `None` if unreachable.
     pub fn concrete_path_full(&self, v: NodeId) -> Option<Vec<(Port, Port)>> {
@@ -476,7 +466,6 @@ mod tests {
         s.prepare(0, 0);
         let dist = g.bfs_distances(0);
         for v in g.nodes() {
-            assert_eq!(s.leader_dist(v), Some(dist[v as usize]));
             let full = s.concrete_path_full(v).unwrap();
             assert_eq!(full.len() as u32, dist[v as usize]);
             if v != 0 {

@@ -1,5 +1,6 @@
 //! Old-vs-new election-index equivalence: the class-quotient search
-//! (`pe_assignment` / `ppe_assignment` / `cppe_assignment` and the ψ drivers)
+//! (`pe_assignment` / `ppe_assignment_with` / `cppe_assignment_with` and the ψ
+//! drivers)
 //! against the retained pre-quotient `*_enumerated` oracles.
 //!
 //! The contract under test: wherever the bounded enumeration *resolves* (returns
@@ -18,9 +19,9 @@ use four_shades::graph::rng::Rng;
 use four_shades::graph::{generators, PortGraph};
 use four_shades::prelude::*;
 use four_shades::views::election_index::{
-    cppe_assignment, cppe_assignment_enumerated, pe_assignment, pe_assignment_enumerated,
-    ppe_assignment, ppe_assignment_enumerated, ppe_assignment_with, ppe_election, psi_cppe,
-    psi_cppe_enumerated, psi_ppe, psi_ppe_enumerated, IndexError,
+    cppe_assignment_enumerated, cppe_assignment_with, pe_assignment, pe_assignment_enumerated,
+    ppe_assignment_enumerated, ppe_assignment_with, ppe_election, psi_cppe, psi_cppe_enumerated,
+    psi_ppe, psi_ppe_enumerated, IndexError,
 };
 use four_shades::views::paths::{cppe_sequence_is_valid, ppe_sequence_is_valid};
 use four_shades::views::{QuotientSearch, Refinement};
@@ -133,7 +134,7 @@ fn strong_assignment_existence_matches_the_oracle_depthwise() {
             // A few leaders per depth keep the oracle side affordable.
             for leader in r.unique_nodes_at(h).into_iter().take(3) {
                 let old = ppe_assignment_enumerated(&g, &r, h, leader, BUDGET);
-                let new = ppe_assignment(&g, &r, h, leader, BUDGET);
+                let new = ppe_assignment_with(&mut QuotientSearch::new(&g, &r), h, leader, BUDGET);
                 assert_superset(
                     &name,
                     &format!("PPE existence at depth {h}, leader {leader}"),
@@ -152,7 +153,7 @@ fn strong_assignment_existence_matches_the_oracle_depthwise() {
                     }
                 }
                 let old = cppe_assignment_enumerated(&g, &r, h, leader, BUDGET);
-                let new = cppe_assignment(&g, &r, h, leader, BUDGET);
+                let new = cppe_assignment_with(&mut QuotientSearch::new(&g, &r), h, leader, BUDGET);
                 assert_superset(
                     &name,
                     &format!("CPPE existence at depth {h}, leader {leader}"),
