@@ -818,7 +818,7 @@ fn merge_phase(
         if near_field_never_merges(g, pair, scratch, NEAR_STATES, NEAR_ALTERNATIVES, ops) {
             return PhaseResult::NeverMerges;
         }
-        // (d) Shift the window so the next probe sees fresh merger candidates;
+        // (d) Shift the window so the next round starts from fresh positions;
         // the preferred port rotates with the round and attempt.
         for s in 0..SHIFT_STEPS {
             let degree = g.degree(walks.positions[i]) as Port;
