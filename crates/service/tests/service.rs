@@ -8,7 +8,9 @@ use anet_service::{
     ElectionRequest, ElectionService, RejectReason, ServiceConfig, SolverRecipe, Submission,
 };
 use anet_sim::Backend;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn feasible_mix() -> Vec<ElectionRequest> {
     // Three tenants, three shapes, several shades — all feasible, all tiny.
@@ -229,6 +231,70 @@ fn overlapping_waits_finish_faster_on_more_workers() {
         pooled < single / 2,
         "four workers must overlap the waits: pooled {pooled:?} vs single {single:?}"
     );
+}
+
+/// A solver that counts its run through `ran`, then delegates. With
+/// `wait_for: n` it first waits until `n` other runs have counted themselves,
+/// and panics after 10 s rather than hang.
+struct CountingSolver {
+    ran: Arc<AtomicUsize>,
+    wait_for: usize,
+}
+
+impl Solver for CountingSolver {
+    fn name(&self) -> String {
+        "counting".to_string()
+    }
+    fn solve(
+        &self,
+        graph: &PortGraph,
+        task: Task,
+        ctx: &RunContext<'_>,
+    ) -> Result<SolverRun, EngineError> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.ran.load(Ordering::SeqCst) < self.wait_for {
+            assert!(Instant::now() < deadline, "the other requests never ran");
+            std::thread::yield_now();
+        }
+        self.ran.fetch_add(1, Ordering::SeqCst);
+        MapSolver::default().solve(graph, task, ctx)
+    }
+}
+
+#[test]
+fn a_blocked_worker_does_not_hold_up_the_queue() {
+    // Request 0 holds its worker until every other request has run, so the
+    // batch completes only if the free worker keeps taking queued requests.
+    let ran = Arc::new(AtomicUsize::new(0));
+    let n = 8;
+    let requests = (0..n)
+        .map(|i| {
+            let ran = Arc::clone(&ran);
+            let wait_for = if i == 0 { n - 1 } else { 0 };
+            ElectionRequest::new(
+                "tenant",
+                format!("counting-{i}"),
+                generators::star(3).unwrap(),
+                Task::Selection,
+                SolverRecipe::new(
+                    "counting",
+                    Box::new(move || {
+                        Box::new(CountingSolver {
+                            ran: Arc::clone(&ran),
+                            wait_for,
+                        })
+                    }),
+                ),
+                Backend::Sequential,
+            )
+        })
+        .collect();
+    let (completed, _) = ElectionService::run_batch(ServiceConfig::with_workers(2), requests);
+    let ids: Vec<u64> = completed.iter().map(|c| c.id).collect();
+    assert_eq!(ids, (0..n as u64).collect::<Vec<u64>>());
+    for c in &completed {
+        assert!(c.outcome.is_ok(), "{}: {:?}", c.name, c.outcome);
+    }
 }
 
 /// A solver with a bug: it panics on every graph.

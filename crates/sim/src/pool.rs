@@ -159,7 +159,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn results_are_in_job_order_for_any_worker_count() {
@@ -209,6 +210,26 @@ mod tests {
             "fast worker should have stolen from the slow one: {stats:?}"
         );
         assert_eq!(stats.total_executed(), 16);
+    }
+
+    #[test]
+    fn a_slow_job_does_not_hold_up_the_rest() {
+        // Job 0 holds its worker until the other 15 jobs have run, so the
+        // batch finishes only if the free worker keeps taking the next job.
+        let others_done = AtomicUsize::new(0);
+        let (results, _) = run_indexed(2, 16, |i| {
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while others_done.load(Ordering::SeqCst) < 15 {
+                    assert!(Instant::now() < deadline, "the other jobs never ran");
+                    std::thread::yield_now();
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::SeqCst);
+            }
+            i
+        });
+        assert_eq!(results, (0..16).collect::<Vec<_>>());
     }
 
     #[test]
