@@ -2,10 +2,11 @@
 //! request mix and emit `BENCH_service_*.json` (schema [`SCHEMA`] = `anet-service/v1`).
 //!
 //! The bench runs the same mix twice — once on a single worker, once on the full
-//! pool — so every emitted file carries its own work-stealing speedup measurement
+//! pool — so every emitted file carries its own pooled speedup measurement
 //! alongside throughput (elections/sec), latency order statistics (p50/p95/p99),
-//! scheduler health (steals, per-worker execution counts, peak queue depth) and
-//! the shared interner's cross-tenant hit rate.
+//! scheduler health (per-worker execution counts, peak queue depth) and the
+//! shared interner's cross-tenant hit rate. Each run's `steals` key reads 0: the
+//! service schedules from one shared queue.
 //!
 //! ```text
 //! cargo run --release -p anet-bench --bin service_bench -- --smoke
@@ -50,7 +51,7 @@ usage: service_bench [--smoke] [--requests N] [--workers N] [--out DIR]
   --smoke         run the CI-sized smoke mix (512 requests, best of 3 runs)
   --requests N    size of the full mix (default: 1000; ignored with --smoke)
   --workers N     pooled worker count (default: the service default, at least 4,
-                  so the stealing paths are exercised even on small machines;
+                  so several workers share the queue even on small machines;
                   a 1-worker baseline run always happens too)
   --out DIR       directory for the emitted BENCH_service_*.json (default: .)
   --baseline F    compare pooled elections/sec against F; exit non-zero if it
@@ -58,7 +59,7 @@ usage: service_bench [--smoke] [--requests N] [--workers N] [--out DIR]
   --trace-dir D   after the timed runs, run the pooled mix once more with a
                   trace recorder attached and write the per-request round-level
                   event stream to D as TRACE_service_<label>.jsonl (schema
-                  anet-trace/v1; render with trace_report). The extra run keeps
+                  anet-trace/v2; render with trace_report). The extra run keeps
                   the timed measurements and the --baseline gate untouched
 ";
 
@@ -327,8 +328,8 @@ fn main() -> ExitCode {
 
     // One extra pooled run with a trace recorder attached: per-request engine
     // events stamped with the request id, plus the scheduler's worker-execute
-    // and worker-steal events. Kept out of the timed runs so the recorder's
-    // overhead can never tilt the --baseline gate.
+    // events. Kept out of the timed runs so the recorder's overhead can never
+    // tilt the --baseline gate.
     if let Some(trace_dir) = trace_dir {
         let recorder = Arc::new(Recorder::new());
         let config = ServiceConfig {

@@ -1,4 +1,4 @@
-//! `trace_report` — render an `anet-trace/v1` artifact for humans and for
+//! `trace_report` — render an `anet-trace/v2` artifact for humans and for
 //! chrome://tracing.
 //!
 //! Reads a JSON-lines trace file (as written by `sweep --trace-dir` or
@@ -22,7 +22,7 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage: trace_report FILE [--chrome OUT.json] [--run ID]
 
-  FILE             an anet-trace/v1 JSON-lines artifact
+  FILE             an anet-trace/v2 JSON-lines artifact
                    (sweep --trace-dir, service_bench --trace-dir)
   --chrome OUT     also write the runs as a Chrome trace-event document
                    (open in chrome://tracing or Perfetto)
@@ -82,7 +82,6 @@ fn run_table(run: &TraceRun) -> Table {
 fn scheduler_summary(runs: &[TraceRun]) -> Option<String> {
     let mut executes = 0u64;
     let mut exec_ns = 0u64;
-    let mut steals = 0u64;
     for run in runs {
         for event in &run.events {
             match *event {
@@ -90,7 +89,6 @@ fn scheduler_summary(runs: &[TraceRun]) -> Option<String> {
                     executes += 1;
                     exec_ns += ns;
                 }
-                TraceEvent::WorkerSteal { .. } => steals += 1,
                 // Exhaustive on purpose: a new TraceEvent variant must be a
                 // compile error here, not silently absent from the summary.
                 // RoundWire is a round-level event; it shows up in the per-run
@@ -105,11 +103,8 @@ fn scheduler_summary(runs: &[TraceRun]) -> Option<String> {
             }
         }
     }
-    (executes > 0).then(|| {
-        format!(
-            "scheduler: {executes} executed jobs ({exec_ns}ns total service time), {steals} steals"
-        )
-    })
+    (executes > 0)
+        .then(|| format!("scheduler: {executes} executed jobs ({exec_ns}ns total service time)"))
 }
 
 fn main() -> ExitCode {

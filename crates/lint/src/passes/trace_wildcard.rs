@@ -1,6 +1,6 @@
 //! `trace-event-wildcard`: a `match` that destructures [`TraceEvent`] variants
-//! must not end in a `_ =>` arm. The trace schema grows (PR 6 added
-//! `WorkerExecute`/`WorkerSteal`); a wildcard means a new variant is silently
+//! must not end in a `_ =>` arm. The trace schema changes (the service's
+//! scheduler added `WorkerExecute`); a wildcard means a new variant is silently
 //! dropped from reports instead of being a compile error at every consumer.
 
 use crate::diag::Diagnostic;

@@ -109,7 +109,9 @@ pub struct ServiceReport {
     pub max_queue_depth: usize,
     /// Jobs each worker executed, indexed by worker id.
     pub executed_per_worker: Vec<u64>,
-    /// Number of jobs a worker took from another worker's deque.
+    /// Always 0: every worker takes its requests from the one shared queue, so
+    /// no worker takes a job from another. The field stays because perfbench's
+    /// `service.steals` metric reads it.
     pub steals: u64,
     /// Hit/miss counters of the shared view interner — the cross-tenant dedup
     /// measurement ([`InternerStats::hit_rate`] > 0 means tenants shared subtrees).
@@ -134,7 +136,7 @@ impl ServiceReport {
         format!(
             "{} elections ({} solved, {} failed, {} rejected) on {} workers in {:?}: \
              {:.1} elections/s, turnaround p50 {:?} / p95 {:?} / p99 {:?}, \
-             {} steals, peak queue {}, interner hit-rate {:.1}%",
+             peak queue {}, interner hit-rate {:.1}%",
             self.submitted,
             self.solved,
             self.failed,
@@ -145,7 +147,6 @@ impl ServiceReport {
             self.turnaround_latency.p50,
             self.turnaround_latency.p95,
             self.turnaround_latency.p99,
-            self.steals,
             self.max_queue_depth,
             self.interner.hit_rate() * 100.0,
         )

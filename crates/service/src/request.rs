@@ -21,7 +21,7 @@ use std::time::Duration;
 ///
 /// Requests carry a *factory* rather than a solver because [`Solver`] trait objects
 /// are neither `Send` nor reusable across runs in general, while requests must
-/// travel to whichever worker steals them. The factory is called exactly once per
+/// travel to whichever worker takes them. The factory is called exactly once per
 /// execution, on the worker thread.
 pub type SolverFactory = Box<dyn Fn() -> Box<dyn Solver> + Send + Sync>;
 

@@ -1,4 +1,4 @@
-//! The election service: admission, work-stealing scheduling, execution.
+//! The election service: admission, scheduling, execution.
 //!
 //! ## Lifecycle
 //!
@@ -11,13 +11,13 @@
 //!
 //! ## Scheduling
 //!
-//! Admitted requests are dealt round-robin into one striped-mutex deque per
-//! worker. A worker pops its own deque from the front and, when empty, steals from
-//! the back of the others — the same discipline as [`anet_sim::run_indexed`], but
-//! over a *live* queue: submissions arrive while workers run, and idle workers
-//! park on a condvar instead of exiting. Election runs vary by orders of magnitude
-//! across graph families, so stealing (rather than static assignment) is what
-//! keeps the pool busy when one tenant submits the big instances.
+//! Admitted requests wait in one FIFO queue behind one mutex and condvar. A free
+//! worker takes the request at the front, or parks on the condvar until a
+//! submission or [`close`](ElectionService::close) wakes it; it exits once the
+//! service is closed and the queue empty. Election runs vary by orders of
+//! magnitude across graph families; because a worker takes a request only when it
+//! is free, a long run holds up its own worker, never the requests queued behind
+//! it. The lock is held for a push or a pop, never for a run.
 //!
 //! ## Backpressure
 //!
@@ -34,8 +34,8 @@
 //! each other (the report's interner hit-rate measures exactly this). Only map
 //! Selection files views there, its leader's; the map solver's stronger shades
 //! and the Lemma 3.9 and 4.8 solvers decide by refinement class and file
-//! nothing. Each election runs under a per-run thread budget (default:
-//! `available_parallelism / workers`, at least 1), so parallel backends inside the
+//! nothing. Each election runs under a per-run thread budget of
+//! `max(1, available_parallelism / workers)`, so parallel backends inside the
 //! service don't oversubscribe the machine at `workers × available_parallelism`
 //! threads.
 
@@ -46,11 +46,11 @@ use crate::metrics::{LatencyStats, ServiceReport, TenantBreakdown};
 use crate::request::{CompletedElection, ElectionRequest, RejectReason, Submission};
 use anet_election::engine::Election;
 use anet_trace::{Tagged, TraceEvent, TraceSink};
-use anet_views::shared::{lock_or_poison, wait_timeout_or_poison};
+use anet_views::shared::{lock_or_poison, wait_or_poison};
 use anet_views::SharedViewInterner;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,16 +63,12 @@ pub struct ServiceConfig {
     /// Admission capacity: the maximum number of requests waiting to start. At
     /// capacity, [`ElectionService::submit`] answers [`Submission::Rejected`].
     pub queue_capacity: usize,
-    /// Per-election thread budget for the backends. `None` (the default) derives
-    /// `max(1, available_parallelism / workers)`, so the whole pool together uses
-    /// roughly the machine's parallelism.
-    pub thread_budget: Option<usize>,
     /// Trace probe for the whole service run. `None` (the default) traces
     /// nothing and costs nothing. When set, every request's engine run streams
     /// its round events into the sink stamped with the request id (via
-    /// [`Tagged`]), and the scheduler adds [`TraceEvent::WorkerExecute`] /
-    /// [`TraceEvent::WorkerSteal`] events, so one recorder captures the full
-    /// per-request, per-worker story of the run.
+    /// [`Tagged`]), and the scheduler adds one [`TraceEvent::WorkerExecute`] per
+    /// request, so one recorder captures the full per-request, per-worker story
+    /// of the run.
     pub trace_sink: Option<Arc<dyn TraceSink>>,
 }
 
@@ -81,7 +77,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: available_parallelism().min(8),
             queue_capacity: 1024,
-            thread_budget: None,
             trace_sink: None,
         }
     }
@@ -92,7 +87,6 @@ impl std::fmt::Debug for ServiceConfig {
         f.debug_struct("ServiceConfig")
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
-            .field("thread_budget", &self.thread_budget)
             .field("trace_sink", &self.trace_sink.is_some())
             .finish()
     }
@@ -121,56 +115,46 @@ struct Job {
     submitted_at: Instant,
 }
 
+/// The admission queue and the state each admission decides (the open flag,
+/// ids and the report's admission counters), all under one lock.
+struct Queue {
+    /// Admitted requests not yet started, in submission order.
+    jobs: VecDeque<Job>,
+    /// `true` while the service accepts new work.
+    open: bool,
+    next_id: u64,
+    /// Highest queue depth observed at any admission.
+    max_depth: usize,
+    rejected: u64,
+}
+
 /// State shared between the service handle and its workers.
 struct SharedState {
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Admitted-but-not-yet-started count; the admission bound applies to this.
-    queued: AtomicUsize,
-    capacity: usize,
-    /// `true` while the service accepts new work.
-    open: AtomicBool,
-    /// Parking lot for idle workers. Submissions notify under this lock, so a
-    /// worker that re-checks `queued` under the lock cannot miss a wakeup.
-    idle: Mutex<()>,
+    queue: Mutex<Queue>,
+    /// Signalled when a job is queued or the service closes.
     work_ready: Condvar,
+    capacity: usize,
     completed: Mutex<Vec<CompletedElection>>,
     executed: Vec<AtomicU64>,
-    steals: AtomicU64,
-    max_queue_depth: AtomicUsize,
-    next_id: AtomicU64,
-    next_worker: AtomicUsize,
-    rejected: AtomicU64,
     interner: Arc<SharedViewInterner>,
     thread_budget: usize,
     trace: Option<Arc<dyn TraceSink>>,
 }
 
 impl SharedState {
-    /// Pop the worker's own deque from the front, else steal from the back of the
-    /// others (fanning out from `w + 1` so workers don't mob one victim).
-    fn next_job(&self, w: usize) -> Option<Job> {
-        let workers = self.deques.len();
-        let own = lock_or_poison(&self.deques[w]).pop_front();
-        let job = own.or_else(|| {
-            (1..workers).find_map(|offset| {
-                let victim = (w + offset) % workers;
-                let stolen = lock_or_poison(&self.deques[victim]).pop_back();
-                if let Some(job) = &stolen {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    if let Some(trace) = &self.trace {
-                        trace.record(TraceEvent::WorkerSteal {
-                            trace_id: job.id,
-                            worker: w as u64,
-                        });
-                    }
-                }
-                stolen
-            })
-        });
-        if job.is_some() {
-            self.queued.fetch_sub(1, Ordering::AcqRel);
+    /// The front of the queue, waiting while the queue is empty and the service
+    /// open; `None` once the service is closed and the queue drained.
+    fn next_job(&self) -> Option<Job> {
+        let mut queue = lock_or_poison(&self.queue);
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
+                return Some(job);
+            }
+            if !queue.open {
+                return None;
+            }
+            queue = wait_or_poison(&self.work_ready, queue);
         }
-        job
     }
 
     /// Execute one job on worker `w` and record its completion.
@@ -224,28 +208,8 @@ impl SharedState {
     }
 
     fn worker_loop(&self, w: usize) {
-        loop {
-            if let Some(job) = self.next_job(w) {
-                self.execute(w, job);
-                continue;
-            }
-            if !self.open.load(Ordering::Acquire) {
-                if self.queued.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                // A job exists but another worker beat us to every deque we
-                // checked; spin politely and retry.
-                std::thread::yield_now();
-                continue;
-            }
-            let guard = lock_or_poison(&self.idle);
-            // Re-check under the lock: a submission that raced us will notify
-            // under this same lock, so sleeping here cannot lose it.
-            if self.queued.load(Ordering::Acquire) > 0 || !self.open.load(Ordering::Acquire) {
-                continue;
-            }
-            // The timeout is belt-and-braces only; correctness does not need it.
-            let _ = wait_timeout_or_poison(&self.work_ready, guard, Duration::from_millis(50));
+        while let Some(job) = self.next_job() {
+            self.execute(w, job);
         }
     }
 }
@@ -272,26 +236,21 @@ impl ElectionService {
     /// Start a service: spawns `config.workers` scheduler threads and returns.
     pub fn new(config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
-        let thread_budget = config
-            .thread_budget
-            .unwrap_or_else(|| (available_parallelism() / workers).max(1))
-            .max(1);
         let state = Arc::new(SharedState {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            capacity: config.queue_capacity.max(1),
-            open: AtomicBool::new(true),
-            idle: Mutex::new(()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                open: true,
+                next_id: 0,
+                max_depth: 0,
+                rejected: 0,
+            }),
             work_ready: Condvar::new(),
+            capacity: config.queue_capacity.max(1),
             completed: Mutex::new(Vec::new()),
             executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            steals: AtomicU64::new(0),
-            max_queue_depth: AtomicUsize::new(0),
-            next_id: AtomicU64::new(0),
-            next_worker: AtomicUsize::new(0),
-            rejected: AtomicU64::new(0),
             interner: Arc::new(SharedViewInterner::new()),
-            thread_budget,
+            // The whole pool together uses roughly the machine's parallelism.
+            thread_budget: (available_parallelism() / workers).max(1),
             trace: config.trace_sink,
         });
         let handles = (0..workers)
@@ -315,67 +274,50 @@ impl ElectionService {
     /// assigned id, or [`Submission::Rejected`] with the request handed back.
     pub fn submit(&self, request: ElectionRequest) -> Submission {
         let state = &*self.state;
-        if !state.open.load(Ordering::Acquire) {
-            state.rejected.fetch_add(1, Ordering::Relaxed);
-            return Submission::Rejected {
+        // One critical section decides and records admission, so the bound holds
+        // exactly under concurrent submitters.
+        let mut queue = lock_or_poison(&state.queue);
+        let depth = queue.jobs.len();
+        if queue.open && depth < state.capacity {
+            let id = queue.next_id;
+            queue.next_id += 1;
+            queue.jobs.push_back(Job {
+                id,
                 request,
-                reason: RejectReason::Closed,
-                queue_depth: state.queued.load(Ordering::Acquire),
-                capacity: state.capacity,
+                submitted_at: Instant::now(),
+            });
+            queue.max_depth = queue.max_depth.max(depth + 1);
+            drop(queue);
+            state.work_ready.notify_one();
+            return Submission::Enqueued {
+                id,
+                queue_depth: depth + 1,
             };
         }
-        // Reserve a queue slot, or reject: a compare-exchange loop so that the
-        // admission bound holds exactly under concurrent submitters.
-        let mut depth = state.queued.load(Ordering::Acquire);
-        loop {
-            if depth >= state.capacity {
-                state.rejected.fetch_add(1, Ordering::Relaxed);
-                return Submission::Rejected {
-                    request,
-                    reason: RejectReason::QueueFull,
-                    queue_depth: depth,
-                    capacity: state.capacity,
-                };
-            }
-            match state.queued.compare_exchange_weak(
-                depth,
-                depth + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(observed) => depth = observed,
-            }
-        }
-        let queue_depth = depth + 1;
-        state
-            .max_queue_depth
-            .fetch_max(queue_depth, Ordering::AcqRel);
-        let id = state.next_id.fetch_add(1, Ordering::Relaxed);
-        let w = state.next_worker.fetch_add(1, Ordering::Relaxed) % state.deques.len();
-        lock_or_poison(&state.deques[w]).push_back(Job {
-            id,
+        queue.rejected += 1;
+        Submission::Rejected {
             request,
-            submitted_at: Instant::now(),
-        });
-        // Notify under the idle lock so a parking worker cannot miss this job.
-        let _guard = lock_or_poison(&state.idle);
-        state.work_ready.notify_one();
-        Submission::Enqueued { id, queue_depth }
+            reason: if queue.open {
+                RejectReason::QueueFull
+            } else {
+                RejectReason::Closed
+            },
+            queue_depth: depth,
+            capacity: state.capacity,
+        }
     }
 
     /// Stop admitting new work. Already-admitted requests still run to
     /// completion; subsequent submissions are rejected with
     /// [`RejectReason::Closed`].
     pub fn close(&self) {
-        self.state.open.store(false, Ordering::Release);
-        let _guard = lock_or_poison(&self.state.idle);
+        lock_or_poison(&self.state.queue).open = false;
         self.state.work_ready.notify_all();
     }
 
     /// Requests currently waiting to start (admitted, not yet picked up).
     pub fn queue_depth(&self) -> usize {
-        self.state.queued.load(Ordering::Acquire)
+        lock_or_poison(&self.state.queue).jobs.len()
     }
 
     /// The shared view interner all workers intern through (e.g. to snapshot
@@ -387,7 +329,7 @@ impl ElectionService {
     /// Close, drain, join the workers, and report.
     ///
     /// The completed elections are sorted by request id — submission order — so
-    /// the result sequence is independent of worker count and steal interleaving.
+    /// the result sequence is independent of worker count and scheduling.
     pub fn shutdown(self) -> (Vec<CompletedElection>, ServiceReport) {
         self.close();
         for handle in self.workers {
@@ -397,6 +339,10 @@ impl ElectionService {
         }
         let wall = self.started.elapsed();
         let state = &*self.state;
+        let (rejected, max_queue_depth) = {
+            let queue = lock_or_poison(&state.queue);
+            (queue.rejected, queue.max_depth)
+        };
         let mut completed = std::mem::take(&mut *lock_or_poison(&state.completed));
         completed.sort_by_key(|c| c.id);
         let solved = completed.iter().filter(|c| c.solved()).count() as u64;
@@ -429,10 +375,10 @@ impl ElectionService {
             })
             .collect();
         let report = ServiceReport {
-            workers: state.deques.len(),
+            workers: state.executed.len(),
             thread_budget: state.thread_budget,
             submitted: completed.len() as u64,
-            rejected: state.rejected.load(Ordering::Relaxed),
+            rejected,
             solved,
             failed,
             wall,
@@ -443,13 +389,13 @@ impl ElectionService {
             },
             queue_latency,
             turnaround_latency,
-            max_queue_depth: state.max_queue_depth.load(Ordering::Acquire),
+            max_queue_depth,
             executed_per_worker: state
                 .executed
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            steals: state.steals.load(Ordering::Relaxed),
+            steals: 0,
             interner: state.interner.stats(),
             tenants,
         };
@@ -492,11 +438,12 @@ impl ElectionService {
 
 impl std::fmt::Debug for ElectionService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let queue = lock_or_poison(&self.state.queue);
         f.debug_struct("ElectionService")
-            .field("workers", &self.state.deques.len())
-            .field("queue_depth", &self.queue_depth())
+            .field("workers", &self.state.executed.len())
+            .field("queue_depth", &queue.jobs.len())
             .field("capacity", &self.state.capacity)
-            .field("open", &self.state.open.load(Ordering::Acquire))
+            .field("open", &queue.open)
             .finish()
     }
 }

@@ -17,9 +17,8 @@
 //! * [`budget`] — scoped per-thread caps on backend worker counts
 //!   ([`with_thread_budget`]), so many concurrent election runs (the multi-tenant
 //!   service) don't oversubscribe the machine at `n × available_parallelism`,
-//! * [`pool`] — a std-only work-stealing pool ([`run_indexed`]) for batches of
-//!   independent jobs with deterministic, job-order results; the scheduling core of
-//!   both the election service and the parallel sweep driver,
+//! * [`pool`] — a std-only pool ([`run_indexed`]) for batches of independent jobs
+//!   with deterministic, job-order results; the parallel sweep driver runs on it,
 //! * [`runner`] — the [`runner::RunOutcome`] / [`runner::RunReport`] result types,
 //! * [`full_info`] — the *full-information* algorithm in which every node forwards
 //!   everything it knows each round; after `r` rounds its knowledge is exactly the
@@ -50,6 +49,6 @@ pub use backend::Backend;
 pub use budget::{thread_budget, with_thread_budget};
 pub use full_info::{run_full_information_traced, ViewCollector, ViewCollectorFactory};
 pub use model::{AlgorithmFactory, NodeAlgorithm};
-pub use pool::{run_indexed, PoolStats};
+pub use pool::run_indexed;
 pub use runner::{RunOutcome, RunReport};
 pub use transport::{run_full_information_metered, WireStats};

@@ -1,7 +1,6 @@
-//! A std-only work-stealing pool for indexed job batches.
+//! A std-only pool for indexed job batches.
 //!
-//! Both the multi-tenant election service (`anet-service`) and the sweep driver
-//! (`anet-workloads` with `--jobs N`) need the same primitive: run `jobs`
+//! The parallel sweep driver (`anet-workloads` with `--jobs N`) runs `jobs`
 //! independent closures across `workers` OS threads such that
 //!
 //! 1. the *results are deterministic* — job `i`'s result lands in slot `i` of the
@@ -12,49 +11,14 @@
 //!    synchronous round, where phases are uniform) would leave most workers parked
 //!    behind whichever one drew the big instances.
 //!
-//! [`run_indexed`] implements the classic work-stealing discipline with striped
-//! mutexes instead of lock-free deques (no `unsafe` in this workspace, no external
-//! crates): jobs are dealt round-robin into one `Mutex<VecDeque>` per worker;
-//! each worker pops its own deque from the *front* (cache-warm, deal order) and,
-//! when empty, scans the other deques and steals from the *back* (the coldest
-//! work, minimising contention with the owner popping the front). Each lock is
-//! held only for a single pop — microseconds against election runs measured in
-//! milliseconds — so the striped-mutex path measures within noise of a lock-free
-//! deque at this job granularity while staying `#![forbid(unsafe_code)]`.
-//!
-//! The job set is static (all dealt before any worker starts), so termination is
-//! simple: a worker exits after one full sweep finds every deque empty. The pool
-//! reports [`PoolStats`] — per-worker execution counts and the total number of
-//! steals — which the service surfaces as scheduler-health metrics.
+//! [`run_indexed`] hands out job indices from one shared counter: a worker that
+//! finishes a job takes the next index nobody has taken, so no worker idles while
+//! a job is left.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Scheduling statistics from one [`run_indexed`] batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Number of worker threads the batch actually ran with (after clamping to
-    /// the job count; 1 means the batch ran inline on the caller's thread).
-    pub workers: usize,
-    /// Jobs executed by each worker, indexed by worker id. Sums to the job count.
-    pub executed: Vec<u64>,
-    /// Total number of jobs a worker took from *another* worker's deque. Zero
-    /// means the round-robin deal happened to be perfectly balanced; a high count
-    /// relative to the job total means the workload was badly skewed and stealing
-    /// is earning its keep.
-    pub steals: u64,
-}
-
-impl PoolStats {
-    /// Total jobs executed across all workers.
-    pub fn total_executed(&self) -> u64 {
-        self.executed.iter().sum()
-    }
-}
-
-/// Run `f(0), f(1), …, f(jobs - 1)` across `workers` threads with work stealing;
-/// returns the results *in job order* plus [`PoolStats`].
+/// Run `f(0), f(1), …, f(jobs - 1)` across `workers` threads; returns the results
+/// *in job order*.
 ///
 /// `workers` is clamped to `1..=jobs`; with one effective worker the batch runs
 /// inline on the calling thread (no thread is spawned), which also means
@@ -64,152 +28,72 @@ impl PoolStats {
 /// need a per-job budget set it inside `f`.
 ///
 /// Panics in `f` are propagated to the caller after the scope joins.
-pub fn run_indexed<R, F>(workers: usize, jobs: usize, f: F) -> (Vec<R>, PoolStats)
+pub fn run_indexed<R, F>(workers: usize, jobs: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let workers = workers.max(1).min(jobs.max(1));
     if workers <= 1 {
-        let results: Vec<R> = (0..jobs).map(&f).collect();
-        return (
-            results,
-            PoolStats {
-                workers: 1,
-                executed: vec![jobs as u64],
-                steals: 0,
-            },
-        );
+        return (0..jobs).map(&f).collect();
     }
 
-    // Deal jobs round-robin: worker w starts with jobs w, w + workers, …
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..jobs).step_by(workers).collect()))
-        .collect();
-    let steals = AtomicU64::new(0);
-
-    let mut harvested: Vec<(usize, Vec<(usize, R)>)> = Vec::with_capacity(workers);
+    // The counter only hands out indices; results travel back through `join`,
+    // which orders them after the worker's writes, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = Vec::with_capacity(jobs);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let deques = &deques;
-                let steals = &steals;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, R)> = Vec::new();
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
                     loop {
-                        // Own deque first, from the front (deal order).
-                        let own = deques[w].lock().expect("pool deque poisoned").pop_front();
-                        let job = own.or_else(|| {
-                            // One full sweep over the victims, stealing from the
-                            // back; start at w + 1 so workers fan out over
-                            // different victims instead of mobbing worker 0.
-                            (1..workers).find_map(|offset| {
-                                let victim = (w + offset) % workers;
-                                let stolen = deques[victim]
-                                    .lock()
-                                    .expect("pool deque poisoned")
-                                    .pop_back();
-                                if stolen.is_some() {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                }
-                                stolen
-                            })
-                        });
-                        match job {
-                            Some(j) => out.push((j, f(j))),
-                            // Every deque was empty during the sweep and no job is
-                            // ever re-added: the batch is drained.
-                            None => break,
+                        let job = next.fetch_add(1, Ordering::Relaxed);
+                        if job >= jobs {
+                            break out;
                         }
+                        out.push((job, f(job)));
                     }
-                    out
                 })
             })
             .collect();
-        for (w, handle) in handles.into_iter().enumerate() {
-            harvested.push((w, handle.join().expect("pool worker panicked")));
+        for handle in handles {
+            done.extend(handle.join().expect("pool worker panicked"));
         }
     });
-
     // Reassemble in job order — this is what makes the pool deterministic.
-    let mut executed = vec![0u64; workers];
-    let mut slots: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
-    for (w, results) in harvested {
-        executed[w] += results.len() as u64;
-        for (job, result) in results {
-            debug_assert!(slots[job].is_none(), "job {job} executed twice");
-            slots[job] = Some(result);
-        }
-    }
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.expect("every dealt job is executed exactly once"))
-        .collect();
-    (
-        results,
-        PoolStats {
-            workers,
-            executed,
-            steals: steals.load(Ordering::Relaxed),
-        },
-    )
+    done.sort_unstable_by_key(|&(job, _)| job);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::time::{Duration, Instant};
 
     #[test]
     fn results_are_in_job_order_for_any_worker_count() {
         for workers in [1, 2, 3, 4, 7, 16] {
-            let (results, stats) = run_indexed(workers, 37, |i| i * i);
+            let results = run_indexed(workers, 37, |i| i * i);
             assert_eq!(results, (0..37).map(|i| i * i).collect::<Vec<_>>());
-            assert_eq!(stats.total_executed(), 37);
-            assert_eq!(stats.executed.len(), stats.workers);
         }
     }
 
     #[test]
     fn worker_count_is_clamped_to_jobs() {
-        let (results, stats) = run_indexed(8, 3, |i| i);
+        let results = run_indexed(8, 3, |i| i);
         assert_eq!(results, vec![0, 1, 2]);
-        assert_eq!(stats.workers, 3);
 
-        let (results, stats) = run_indexed(8, 0, |i| i);
+        let results = run_indexed(8, 0, |i| i);
         assert!(results.is_empty());
-        assert_eq!(stats.workers, 1);
-        assert_eq!(stats.steals, 0);
     }
 
     #[test]
     fn single_worker_runs_inline_and_sees_callers_thread_locals() {
         crate::with_thread_budget(3, || {
-            let (budgets, stats) = run_indexed(1, 4, |_| crate::thread_budget());
-            assert_eq!(stats.workers, 1);
+            let budgets = run_indexed(1, 4, |_| crate::thread_budget());
             assert_eq!(budgets, vec![3; 4]);
         });
-    }
-
-    #[test]
-    fn skewed_jobs_are_stolen_from_the_slow_worker() {
-        // Worker 0 is dealt jobs 0, 2, 4, …; make those slow and the rest instant.
-        // Worker 1 drains its own deque almost immediately and must steal worker
-        // 0's backlog from the back for the batch to finish in bounded time.
-        let (results, stats) = run_indexed(2, 16, |i| {
-            if i % 2 == 0 {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            i
-        });
-        assert_eq!(results, (0..16).collect::<Vec<_>>());
-        assert!(
-            stats.steals > 0,
-            "fast worker should have stolen from the slow one: {stats:?}"
-        );
-        assert_eq!(stats.total_executed(), 16);
     }
 
     #[test]
@@ -217,7 +101,7 @@ mod tests {
         // Job 0 holds its worker until the other 15 jobs have run, so the
         // batch finishes only if the free worker keeps taking the next job.
         let others_done = AtomicUsize::new(0);
-        let (results, _) = run_indexed(2, 16, |i| {
+        let results = run_indexed(2, 16, |i| {
             if i == 0 {
                 let deadline = Instant::now() + Duration::from_secs(10);
                 while others_done.load(Ordering::SeqCst) < 15 {
@@ -235,7 +119,7 @@ mod tests {
     #[test]
     fn pool_results_match_sequential_execution() {
         let sequential: Vec<u64> = (0..50u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let (parallel, _) = run_indexed(4, 50, |i| (i as u64).wrapping_mul(0x9E37_79B9));
+        let parallel = run_indexed(4, 50, |i| (i as u64).wrapping_mul(0x9E37_79B9));
         assert_eq!(sequential, parallel);
     }
 }

@@ -134,13 +134,6 @@ pub enum TraceEvent {
         /// Service time in nanoseconds.
         ns: u64,
     },
-    /// A service worker stole the request `trace_id` from another worker's deque.
-    WorkerSteal {
-        /// Correlation id (the request id).
-        trace_id: u64,
-        /// Index of the stealing worker.
-        worker: u64,
-    },
 }
 
 impl TraceEvent {
@@ -154,8 +147,7 @@ impl TraceEvent {
             | TraceEvent::RoundWire { trace_id, .. }
             | TraceEvent::RunEnd { trace_id, .. }
             | TraceEvent::InternerDelta { trace_id, .. }
-            | TraceEvent::WorkerExecute { trace_id, .. }
-            | TraceEvent::WorkerSteal { trace_id, .. } => trace_id,
+            | TraceEvent::WorkerExecute { trace_id, .. } => trace_id,
         }
     }
 
@@ -169,8 +161,7 @@ impl TraceEvent {
             | TraceEvent::RoundWire { trace_id, .. }
             | TraceEvent::RunEnd { trace_id, .. }
             | TraceEvent::InternerDelta { trace_id, .. }
-            | TraceEvent::WorkerExecute { trace_id, .. }
-            | TraceEvent::WorkerSteal { trace_id, .. } => *trace_id = id,
+            | TraceEvent::WorkerExecute { trace_id, .. } => *trace_id = id,
         }
         self
     }
@@ -186,7 +177,6 @@ impl TraceEvent {
             TraceEvent::RunEnd { .. } => "run_end",
             TraceEvent::InternerDelta { .. } => "interner",
             TraceEvent::WorkerExecute { .. } => "exec",
-            TraceEvent::WorkerSteal { .. } => "steal",
         }
     }
 }
@@ -248,10 +238,6 @@ mod tests {
                 worker: 2,
                 ns: 99,
             },
-            TraceEvent::WorkerSteal {
-                trace_id: 0,
-                worker: 1,
-            },
         ];
         for event in events {
             assert_eq!(event.trace_id(), 0);
@@ -273,7 +259,6 @@ mod tests {
             "run_end",
             "interner",
             "exec",
-            "steal",
         ];
         let mut dedup = kinds.to_vec();
         dedup.sort();

@@ -14,11 +14,11 @@
 //!
 //! * [`TraceEvent`] — the event taxonomy: run/round start and end, per-phase timing
 //!   (send vs route vs receive), per-round messages delivered and shallow payload
-//!   bytes, interner hit/miss deltas, and service worker steal/execute events. Every
+//!   bytes, interner hit/miss deltas, and service worker-execute events. Every
 //!   event carries a `trace_id` correlating it with one run (0 for standalone runs).
 //! * [`TraceSink`] — where events go. [`NoopSink`] is the zero-cost disabled path
 //!   (`enabled()` is `false`, so instrumented code skips clock reads entirely);
-//!   [`Recorder`] buffers events in striped per-thread buffers for later draining;
+//!   [`Recorder`] buffers events in recording order for later draining;
 //!   [`Tagged`] stamps a fixed trace id onto every event passing through (how the
 //!   service gives each request its own id).
 //! * [`RoundProfile`] — the aggregate consumers want: per-round message counts and

@@ -111,8 +111,7 @@ impl RoundProfile {
                 TraceEvent::RunStart { .. }
                 | TraceEvent::RunEnd { .. }
                 | TraceEvent::InternerDelta { .. }
-                | TraceEvent::WorkerExecute { .. }
-                | TraceEvent::WorkerSteal { .. } => {}
+                | TraceEvent::WorkerExecute { .. } => {}
             }
         }
         RoundProfile {

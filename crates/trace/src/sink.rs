@@ -1,9 +1,8 @@
 //! Where events go: the sink trait, the zero-cost disabled sink, the buffering
-//! recorder, the id-stamping wrapper, and scoped timers.
+//! recorder, and the id-stamping wrapper.
 
 use crate::event::TraceEvent;
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A consumer of [`TraceEvent`]s.
 ///
@@ -63,58 +62,38 @@ impl TraceSink for NoopSink {
     }
 }
 
-/// Number of buffer stripes in a [`Recorder`]. Threads map to stripes by a hash of
-/// their thread id, so concurrent emitters rarely contend on the same mutex.
-const RECORDER_STRIPES: usize = 16;
-
-/// A buffering sink: events land in striped per-thread buffers (a thread hashes to
-/// one of 16 stripes, so concurrent emitters almost never share a
-/// lock), and [`drain`](Recorder::drain) merges them. Within one emitting thread
-/// event order is preserved; across threads the interleaving is unspecified — the
-/// consumers in this workspace ([`RoundProfile`](crate::RoundProfile), the trace
-/// artifacts) aggregate by `(trace_id, round)` and are order-insensitive across
-/// threads.
+/// A buffering sink: events land in one buffer in recording order, and
+/// [`drain`](Recorder::drain) moves them out. A run's round loop records from its
+/// calling thread only, so a run's own recorder has one writer; the service's
+/// shared sink has one per worker, each forwarding a finished run's events.
+#[derive(Default)]
 pub struct Recorder {
-    stripes: Vec<Mutex<Vec<TraceEvent>>>,
+    events: Mutex<Vec<TraceEvent>>,
 }
 
 impl Recorder {
     /// A new, empty recorder.
     pub fn new() -> Recorder {
-        Recorder {
-            stripes: (0..RECORDER_STRIPES)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-        }
+        Recorder::default()
     }
 
-    /// Move every buffered event out of the recorder, preserving per-thread order
-    /// (stripes are concatenated in index order).
+    /// Move every buffered event out of the recorder, in recording order.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut events = Vec::new();
-        for stripe in &self.stripes {
-            events.append(&mut stripe.lock().expect("recorder stripe poisoned"));
-        }
-        events
+        std::mem::take(&mut *self.events())
     }
 
     /// Number of currently buffered events.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("recorder stripe poisoned").len())
-            .sum()
+        self.events().len()
     }
 
     /// Whether no events are buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
+    fn events(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        self.events.lock().expect("recorder buffer poisoned")
     }
 }
 
@@ -126,24 +105,9 @@ impl std::fmt::Debug for Recorder {
     }
 }
 
-thread_local! {
-    /// Cached stripe-selection token: a hash of the current thread's id, computed
-    /// once per thread so the record hot path does no hashing.
-    static THREAD_TOKEN: u64 = {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        std::thread::current().id().hash(&mut hasher);
-        hasher.finish()
-    };
-}
-
 impl TraceSink for Recorder {
     fn record(&self, event: TraceEvent) {
-        let token = THREAD_TOKEN.with(|t| *t) as usize;
-        self.stripes[token % self.stripes.len()]
-            .lock()
-            .expect("recorder stripe poisoned")
-            .push(event);
+        self.events().push(event);
     }
 }
 

@@ -80,5 +80,5 @@ pub use encoding::ViewCodec;
 pub use interned::{View, ViewInterner};
 pub use quotient::{ClassQuotient, QuotientSearch, SearchStats};
 pub use refinement::{JointRefinement, Refinement, ViewClassifier};
-pub use shared::{lock_or_poison, wait_timeout_or_poison, InternerStats, SharedViewInterner};
+pub use shared::{lock_or_poison, wait_or_poison, InternerStats, SharedViewInterner};
 pub use view_tree::ViewTree;

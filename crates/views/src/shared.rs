@@ -53,14 +53,13 @@ use crate::View;
 use anet_graph::Port;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Acquire `mutex`, treating a poisoned lock as fatal.
 ///
 /// This is the workspace's **single** audited poisoned-lock decision point: a
 /// poisoned mutex means another thread panicked while holding the guard, so the
-/// protected data (an interner shard, a scheduler deque) may be mid-mutation and
+/// protected data (an interner shard, the service queue) may be mid-mutation and
 /// no recovery story exists — continuing would silently corrupt canonical DAG
 /// identities or drop queued jobs. Every other call site goes through this
 /// helper instead of repeating `lock().expect(…)`, so the panic-path lint can
@@ -73,17 +72,13 @@ pub fn lock_or_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .expect("mutex poisoned: a thread panicked while holding this lock")
 }
 
-/// [`Condvar::wait_timeout`] with the same poisoned-lock policy as
-/// [`lock_or_poison`]: a poisoned wait means a peer panicked while holding the
-/// mutex this condvar guards, and the condition state is unrecoverable.
-pub fn wait_timeout_or_poison<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
+/// [`Condvar::wait`] with the same poisoned-lock policy as [`lock_or_poison`]:
+/// a poisoned wait means a peer panicked while holding the mutex this condvar
+/// guards, and the condition state is unrecoverable.
+pub fn wait_or_poison<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     // anet-lint: allow(panic-path) — same audited poisoned-lock policy as lock_or_poison.
     condvar
-        .wait_timeout(guard, timeout)
+        .wait(guard)
         .expect("mutex poisoned during condvar wait")
 }
 

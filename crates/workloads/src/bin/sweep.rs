@@ -21,7 +21,7 @@ usage: sweep [--smoke | --standard] [--filter SUBSTRING] [--out DIR] [--jobs N]
   --out DIR      directory for the emitted BENCH_*.json (default: .)
   --jobs N       fan scenarios over N worker threads (default: 1; the emitted
                  JSON is byte-identical modulo timing fields at any N)
-  --trace-dir D  profile every cell and write an anet-trace/v1 artifact
+  --trace-dir D  profile every cell and write an anet-trace/v2 artifact
                  (TRACE_workloads_<label>.jsonl) into D; the BENCH JSON is
                  byte-identical with or without this flag
   --list         print the selected scenario names and exit

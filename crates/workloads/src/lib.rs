@@ -26,7 +26,7 @@
 //!   `anet-service` and the `service_bench` binary consume;
 //! * [`json`] — a tiny dependency-free JSON value type and writer (this workspace
 //!   has no external crates, so no serde);
-//! * [`trace_io`] — the versioned `anet-trace/v1` JSON-lines trace artifact:
+//! * [`trace_io`] — the versioned `anet-trace/v2` JSON-lines trace artifact:
 //!   writer, hardened parser (typed [`trace_io::TraceIoError`]s, truncation
 //!   detection via declared counts) and a Chrome trace-event export. The sweep
 //!   driver emits one next to its `BENCH_*.json` when

@@ -57,13 +57,13 @@ pub struct SweepConfig {
     pub label: String,
     /// Print one progress line per scenario to stdout.
     pub verbose: bool,
-    /// Worker threads the scenarios are fanned out over (via the work-stealing
-    /// pool in `anet-sim`); `1` (the default) runs the grid sequentially on the
+    /// Worker threads the scenarios are fanned out over (via the pool in
+    /// `anet-sim`); `1` (the default) runs the grid sequentially on the
     /// calling thread. Whatever the value, the emitted JSON is identical modulo
     /// timing fields — see [`normalized_for_diff`].
     pub jobs: usize,
     /// When set, run every cell with round-level profiling and write an
-    /// `anet-trace/v1` artifact (`TRACE_workloads_<label>.jsonl`) into this
+    /// `anet-trace/v2` artifact (`TRACE_workloads_<label>.jsonl`) into this
     /// directory: one run per profiled cell, whose trace id is the cell's index
     /// in the emitted `cells` array. The `BENCH_*.json` itself is byte-identical
     /// whether or not tracing is on — profiles travel only through the artifact.
@@ -88,7 +88,7 @@ impl Default for SweepConfig {
 pub struct SweepOutcome {
     /// Path of the emitted JSON file.
     pub json_path: PathBuf,
-    /// Path of the emitted `anet-trace/v1` artifact, when
+    /// Path of the emitted `anet-trace/v2` artifact, when
     /// [`SweepConfig::trace_dir`] was set.
     pub trace_path: Option<PathBuf>,
     /// Scenarios run (after filtering).
@@ -258,7 +258,7 @@ pub fn run_sweep(
             .or_insert_with(|| scenario.materialize());
     }
 
-    // Fan the scenarios out over the work-stealing pool. `run_indexed` returns
+    // Fan the scenarios out over the `anet-sim` pool. `run_indexed` returns
     // rows in job (= scenario) order whatever thread ran what, so the emitted
     // cells — and hence the JSON, modulo timing fields — are independent of
     // `jobs`. With more than one job, each run gets a thread budget of its job's
@@ -271,7 +271,7 @@ pub fn run_sweep(
         .unwrap_or(1)
         .div_ceil(jobs);
     let profiled = config.trace_dir.is_some();
-    let (rows_per_scenario, _pool_stats) = anet_sim::run_indexed(jobs, selected.len(), |i| {
+    let rows_per_scenario = anet_sim::run_indexed(jobs, selected.len(), |i| {
         let scenario = selected[i];
         let key = (scenario.family.instance_cache_key(), scenario.max_instances);
         let mut election = scenario.election();

@@ -1,11 +1,11 @@
-//! The versioned `anet-trace/v1` artifact: JSON-lines serialisation of trace
+//! The versioned `anet-trace/v2` artifact: JSON-lines serialisation of trace
 //! event streams, with a hardened parser and a Chrome trace-event export.
 //!
 //! A trace artifact is one file of newline-delimited JSON objects:
 //!
 //! 1. a **header** declaring the schema, a label and the exact number of run
 //!    and event lines that follow —
-//!    `{"schema": "anet-trace/v1", "label": "smoke", "runs": 2, "events": 34}`;
+//!    `{"schema": "anet-trace/v2", "label": "smoke", "runs": 2, "events": 34}`;
 //! 2. per run, one **meta** line naming the run —
 //!    `{"t": "meta", "id": 0, "name": "torus2d/S/map/seq · torus2d-3x4"}`;
 //! 3. the run's **event** lines, one per [`TraceEvent`], keyed by the event's
@@ -28,8 +28,9 @@ use crate::json::{Json, JsonError};
 use anet_trace::{Phase, TraceEvent};
 use std::path::Path;
 
-/// The schema tag written into every trace artifact header.
-pub const TRACE_SCHEMA: &str = "anet-trace/v1";
+/// The schema tag written into every trace artifact header. Version 2 dropped
+/// the `steal` event kind.
+pub const TRACE_SCHEMA: &str = "anet-trace/v2";
 
 /// One logical run inside a trace artifact: a correlation id (the `trace_id`
 /// stamped on the run's events), a display name, and the event stream.
@@ -78,7 +79,7 @@ impl TraceFile {
         self.runs.iter().map(|r| r.events.len()).sum()
     }
 
-    /// Serialise to the `anet-trace/v1` JSON-lines format.
+    /// Serialise to the `anet-trace/v2` JSON-lines format.
     pub fn render(&self) -> String {
         let header = Json::Object(vec![
             ("schema".to_string(), Json::str(TRACE_SCHEMA)),
@@ -119,7 +120,7 @@ pub fn read_trace(path: &Path) -> Result<TraceFile, TraceIoError> {
     parse_trace(&text)
 }
 
-/// Parse the `anet-trace/v1` JSON-lines format. Every malformation is a typed
+/// Parse the `anet-trace/v2` JSON-lines format. Every malformation is a typed
 /// [`TraceIoError`] naming the offending (1-based) line; truncated or padded
 /// files fail the header's declared-count check.
 pub fn parse_trace(text: &str) -> Result<TraceFile, TraceIoError> {
@@ -230,7 +231,6 @@ pub fn event_to_json(event: &TraceEvent) -> Json {
             num("worker", worker);
             num("ns", ns);
         }
-        TraceEvent::WorkerSteal { worker, .. } => num("worker", worker),
     }
     Json::Object(fields)
 }
@@ -290,10 +290,6 @@ fn event_from_json(
             trace_id,
             worker: num("worker")?,
             ns: num("ns")?,
-        },
-        "steal" => TraceEvent::WorkerSteal {
-            trace_id,
-            worker: num("worker")?,
         },
         other => {
             return Err(TraceIoError::UnknownKind {
@@ -513,8 +509,7 @@ pub fn chrome_trace_json(file: &TraceFile) -> Json {
                 | TraceEvent::RoundWire { .. }
                 | TraceEvent::RunEnd { .. }
                 | TraceEvent::InternerDelta { .. }
-                | TraceEvent::WorkerExecute { .. }
-                | TraceEvent::WorkerSteal { .. } => {}
+                | TraceEvent::WorkerExecute { .. } => {}
             }
         }
     }
@@ -576,9 +571,10 @@ mod tests {
             7,
             "service tenant-a req 7",
             vec![
-                TraceEvent::WorkerSteal {
+                TraceEvent::WorkerExecute {
                     trace_id: 7,
-                    worker: 1,
+                    worker: 0,
+                    ns: 17_000,
                 },
                 TraceEvent::WorkerExecute {
                     trace_id: 7,
@@ -644,7 +640,7 @@ mod tests {
     #[test]
     fn padded_artifacts_fail_the_count_check() {
         let mut text = sample_file().render();
-        text.push_str("{\"t\":\"steal\",\"id\":7,\"worker\":0}\n");
+        text.push_str("{\"t\":\"exec\",\"id\":7,\"worker\":0,\"ns\":1}\n");
         assert!(matches!(
             parse_trace(&text),
             Err(TraceIoError::CountMismatch {
@@ -696,8 +692,8 @@ mod tests {
         // Event for a run that was never declared.
         assert!(matches!(
             parse_trace(&forge(
-                "{\"t\":\"steal\",\"id\":7",
-                "{\"t\":\"steal\",\"id\":9"
+                "{\"t\":\"exec\",\"id\":7",
+                "{\"t\":\"exec\",\"id\":9"
             )),
             Err(TraceIoError::UnknownRun { id: 9, .. })
         ));
@@ -708,7 +704,7 @@ mod tests {
         ));
         // Wrong schema tag.
         assert!(matches!(
-            parse_trace(&forge("anet-trace/v1", "anet-trace/v9")),
+            parse_trace(&forge(TRACE_SCHEMA, "anet-trace/v9")),
             Err(TraceIoError::Schema { found }) if found == "anet-trace/v9"
         ));
         // Empty file.

@@ -8,7 +8,7 @@
 //! * [`views`] — augmented truncated views, refinement, election indices,
 //! * [`sim`] — the synchronous LOCAL-model simulator and its execution backends,
 //! * [`trace`] — the round-level tracing layer: typed [`trace::TraceEvent`]s, the
-//!   [`trace::TraceSink`] trait with its zero-cost [`trace::NoopSink`] and striped
+//!   [`trace::TraceSink`] trait with its zero-cost [`trace::NoopSink`] and buffering
 //!   [`trace::Recorder`], and the [`trace::RoundProfile`] per-round aggregate
 //!   (see `docs/OBSERVABILITY.md`),
 //! * [`election`] — the four election tasks, advice framework, algorithms, and the
@@ -17,8 +17,8 @@
 //! * [`workloads`] — scenario generation beyond the paper: extra graph families
 //!   (random-regular, torus, hypercube, circulant), the scenario registry, and the
 //!   JSON-emitting sweep driver behind the `sweep` binary,
-//! * [`service`] — the multi-tenant election service: a work-stealing scheduler
-//!   with bounded-queue backpressure running many election requests concurrently
+//! * [`service`] — the multi-tenant election service: a worker pool on one
+//!   bounded FIFO queue running many election requests concurrently
 //!   over one shared concurrent view interner, with latency/throughput metrics.
 //!
 //! The most common names are re-exported in the [`prelude`]:

@@ -1,5 +1,5 @@
 //! End-to-end acceptance of the multi-tenant election service: a 1000-request
-//! multi-tenant mix across four graph families, scheduled over the work-stealing
+//! multi-tenant mix across four graph families, scheduled over the worker
 //! pool against one shared interner, with verified verdicts and measurable
 //! cross-tenant sharing.
 
@@ -113,11 +113,10 @@ fn trace_sink_captures_per_request_rounds_and_scheduler_events() {
         trace_sink: Some(recorder.clone()),
         ..ServiceConfig::with_workers(4)
     };
-    let (completed, report) = ElectionService::run_batch(config, requests);
+    let (completed, _) = ElectionService::run_batch(config, requests);
     let events = recorder.drain();
 
-    // Scheduler events: exactly one WorkerExecute per request, and as many
-    // WorkerSteal events as the report counts steals.
+    // Scheduler events: exactly one WorkerExecute per request.
     let executes: Vec<&TraceEvent> = events
         .iter()
         .filter(|e| matches!(e, TraceEvent::WorkerExecute { .. }))
@@ -126,11 +125,6 @@ fn trace_sink_captures_per_request_rounds_and_scheduler_events() {
     let mut executed_ids: Vec<u64> = executes.iter().map(|e| e.trace_id()).collect();
     executed_ids.sort_unstable();
     assert_eq!(executed_ids, (0..total).collect::<Vec<u64>>());
-    let steals = events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::WorkerSteal { .. }))
-        .count() as u64;
-    assert_eq!(steals, report.steals);
 
     // Per-request engine events: every completed run's per-round message sums,
     // filtered by its request id alone, reproduce the report's totals — the
