@@ -6,7 +6,9 @@
 //! metrics: total bits on the wire for tree vs dag vs delta on a small random
 //! 3-regular workload and on the canonical 9×9 torus (the README's
 //! bits-on-the-wire table is generated from these), and the physical round
-//! count of a capped run next to its logical plan. Expected shape: the delta
+//! count of a capped run next to its logical plan. The codec layer is also timed on
+//! its own at 10⁴ nodes: every node's round-3 message encoded and decoded through
+//! each codec, with the bits of those bodies recorded as metrics. Expected shape: the delta
 //! codec lands strictly below the dag codec once views deepen (round r ships
 //! only the frontier the receiver cannot already know), and both collapse the
 //! tree codec's `Θ((Δ−1)^h)` blowup to the number of distinct subviews.
@@ -22,7 +24,7 @@ use anet_sim::{
     run_full_information_metered, run_full_information_traced, Backend, RunReport, WireStats,
 };
 use anet_trace::NoopSink;
-use anet_views::ViewCodec;
+use anet_views::{BitString, View, ViewCodec};
 use anet_workloads::families::{RandomRegularFamily, TorusFamily};
 
 /// Collect `rounds` rounds of views through `codec` on `backend` (capped or not),
@@ -84,6 +86,50 @@ fn main() {
             .1
             .total_bits()
     });
+
+    // The codec layer on its own: each node's round-3 message B^3(v), encoded as
+    // the transport encodes it (delta against the receiver's B^2(v)) and decoded
+    // against the same base. The views are collected once, untimed.
+    let collect = |depth| {
+        run_full_information_traced(
+            &rr_large,
+            depth,
+            Backend::Sequential,
+            &NoopSink,
+            View::clone,
+        )
+        .0
+    };
+    let (bases, views) = (collect(rounds - 1), collect(rounds));
+    let encode_all = |codec: ViewCodec| -> Vec<BitString> {
+        views
+            .iter()
+            .zip(&bases)
+            .map(|(view, base)| codec.encode(view, rounds, Some(base)))
+            .collect()
+    };
+    for codec in ViewCodec::ALL {
+        h.bench(&format!("encode_{codec}_rr3_n10000_r3"), 5, || {
+            encode_all(codec)
+        });
+        let bodies = encode_all(codec);
+        h.bench(&format!("decode_{codec}_rr3_n10000_r3"), 5, || {
+            bodies
+                .iter()
+                .zip(&bases)
+                .map(|(bits, base)| {
+                    let (view, _) = codec
+                        .decode(bits, Some(base))
+                        .expect("a self-encoded body decodes");
+                    view.size()
+                })
+                .sum::<usize>()
+        });
+        h.metric(
+            &format!("{codec}_body_bits_rr3_n10000_r3"),
+            bodies.iter().map(BitString::len).sum::<usize>() as i64,
+        );
+    }
 
     for codec in ViewCodec::ALL {
         let (_, stats) = metered(&rr, rounds, Backend::Sequential, codec);

@@ -1,95 +1,136 @@
 //! Exact-length bit strings.
 //!
 //! The paper measures *advice* as a single binary string given to every node; its
-//! length in bits is the "size of advice". [`BitString`] stores bits exactly (not
-//! rounded to bytes) so that measured advice sizes can be compared to the paper's
-//! bounds bit-for-bit.
+//! length in bits is the "size of advice". [`BitString`] keeps the exact length
+//! (not rounded to bytes) so that measured advice sizes can be compared to the
+//! paper's bounds bit-for-bit, and packs the bits into `u64` words, most
+//! significant bit first, so that fixed-width fields move up to 64 bits per step.
+
+/// Bits per storage word.
+const WORD: usize = 64;
 
 /// A growable sequence of bits with fixed-width integer read/write helpers.
+///
+/// Bit `i` is bit `63 − i % 64` of word `i / 64`. The words hold exactly the
+/// `len` bits rounded up to a whole word, and the bits past `len` are 0, so the
+/// derived equality and hash are those of the bit sequence.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitString {
-    bits: Vec<bool>,
+    words: Vec<u64>,
+    len: usize,
 }
 
 impl BitString {
     /// The empty bit string (advice of size 0).
     pub fn new() -> Self {
-        BitString { bits: Vec::new() }
+        BitString::default()
     }
 
     /// Number of bits — the *size of advice* in the paper's terminology.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.len
     }
 
     /// Is the string empty?
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.len == 0
     }
 
     /// Append a single bit.
     pub fn push_bit(&mut self, bit: bool) {
-        self.bits.push(bit);
+        self.push_bits(u64::from(bit), 1);
     }
 
-    /// Append every bit of `other`, in order: one slice copy, where pushing bit
-    /// by bit would check capacity per bit. The codecs splice their node tables
-    /// into the output with it.
+    /// Append every bit of `other`, in order, a word at a time. The codecs splice
+    /// their node tables into the output with it.
     pub fn append(&mut self, other: &BitString) {
-        self.bits.extend_from_slice(&other.bits);
+        if self.len.is_multiple_of(WORD) {
+            self.words.extend_from_slice(&other.words);
+            self.len += other.len;
+            return;
+        }
+        let mut rest = other.len;
+        for &word in &other.words {
+            let width = rest.min(WORD);
+            self.push_bits(word >> (WORD - width), width);
+            rest -= width;
+        }
     }
 
     /// Remove every bit, keeping the allocation. Scratch buffers on hot paths (the
     /// metered transport's per-message serialisation) clear and refill one string
     /// instead of allocating a fresh one per message.
     pub fn clear(&mut self) {
-        self.bits.clear();
+        self.words.clear();
+        self.len = 0;
     }
 
     /// Append the `width` low-order bits of `value`, most significant first.
     /// Panics if `value` does not fit in `width` bits.
     pub fn push_uint(&mut self, value: u64, width: usize) {
-        assert!(width <= 64, "width must be at most 64");
-        if width < 64 {
+        assert!(width <= WORD, "width must be at most 64");
+        if width < WORD {
             assert!(
                 value < (1u64 << width),
                 "value {value} does not fit in {width} bits"
             );
         }
-        for i in (0..width).rev() {
-            self.bits.push((value >> i) & 1 == 1);
-        }
+        self.push_bits(value, width);
     }
 
-    /// Bit at position `i`.
+    /// [`BitString::push_uint`] without the checks: `width ≤ 64` and `value` fits.
+    fn push_bits(&mut self, value: u64, width: usize) {
+        if width == 0 {
+            return;
+        }
+        let used = self.len % WORD;
+        if used == 0 {
+            self.words.push(0);
+        }
+        let free = WORD - used;
+        let last = self.words.len() - 1;
+        if width <= free {
+            self.words[last] |= value << (free - width);
+        } else {
+            // `free < width ≤ 64`, so both shifts stay below 64.
+            let spill = width - free;
+            self.words[last] |= value >> spill;
+            self.words.push(value << (WORD - spill));
+        }
+        self.len += width;
+    }
+
+    /// Bit at position `i`. Panics if `i ≥ len`.
     pub fn bit(&self, i: usize) -> bool {
-        self.bits[i]
+        assert!(
+            i < self.len,
+            "bit index {i} out of range for a {}-bit string",
+            self.len
+        );
+        (self.words[i / WORD] >> (WORD - 1 - i % WORD)) & 1 == 1
     }
 
     /// Iterate over the bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        self.bits.iter().copied()
+        (0..self.len).map(|i| self.bit(i))
     }
 
     /// Render as a 0/1 string (for debugging and experiment output).
     pub fn to_binary_string(&self) -> String {
-        self.bits
-            .iter()
-            .map(|&b| if b { '1' } else { '0' })
-            .collect()
+        self.iter().map(|b| if b { '1' } else { '0' }).collect()
     }
 
     /// Parse from a 0/1 string.
     pub fn from_binary_string(s: &str) -> Option<BitString> {
-        let mut bits = Vec::with_capacity(s.len());
+        let mut bits = BitString::new();
         for c in s.chars() {
             match c {
-                '0' => bits.push(false),
-                '1' => bits.push(true),
+                '0' => bits.push_bit(false),
+                '1' => bits.push_bit(true),
                 _ => return None,
             }
         }
-        Some(BitString { bits })
+        Some(bits)
     }
 
     /// Append `value` as a variable-length integer: groups of 4 payload bits (least
@@ -111,8 +152,8 @@ impl BitString {
         loop {
             let group = value & 0xF;
             value >>= 4;
-            self.push_bit(value != 0);
-            self.push_uint(group, 4);
+            // The continuation bit and the group as one 5-bit field.
+            self.push_bits((u64::from(value != 0) << 4) | group, 5);
             if value == 0 {
                 return;
             }
@@ -141,25 +182,28 @@ pub struct BitReader<'a> {
 impl<'a> BitReader<'a> {
     /// Read one bit; `None` when exhausted.
     pub fn read_bit(&mut self) -> Option<bool> {
-        if self.pos >= self.bits.len() {
-            return None;
-        }
-        let b = self.bits.bit(self.pos);
-        self.pos += 1;
-        Some(b)
+        self.read_uint(1).map(|b| b == 1)
     }
 
     /// Read a `width`-bit unsigned integer (most significant bit first).
     pub fn read_uint(&mut self, width: usize) -> Option<u64> {
-        if width > 64 || self.pos + width > self.bits.len() {
+        if width > WORD || width > self.remaining() {
             return None;
         }
-        let mut value = 0u64;
-        for _ in 0..width {
-            value = (value << 1) | u64::from(self.bits.bit(self.pos));
-            self.pos += 1;
+        if width == 0 {
+            return Some(0);
         }
-        Some(value)
+        let (index, used) = (self.pos / WORD, self.pos % WORD);
+        let words = &self.bits.words;
+        // The word's unread bits, moved to the top; the next word fills in below
+        // them when the field crosses the boundary (then `used > 0`, so the shift
+        // by `WORD - used` stays below 64).
+        let mut top = words[index] << used;
+        if width > WORD - used {
+            top |= words[index + 1] >> (WORD - used);
+        }
+        self.pos += width;
+        Some(top >> (WORD - width))
     }
 
     /// Read a variable-length integer written by [`BitString::push_varint`]. `None`
@@ -180,7 +224,7 @@ impl<'a> BitReader<'a> {
 
     /// Number of bits not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.bits.len() - self.pos
+        self.bits.len - self.pos
     }
 }
 
@@ -306,6 +350,143 @@ mod tests {
             b.push_uint(1, 4);
         }
         assert_eq!(b.reader().read_varint(), None);
+    }
+
+    /// A reference string of `len` bits drawn from `rng`, pushed bit by bit.
+    fn random_bits(rng: &mut anet_graph::rng::Rng, len: usize) -> BitString {
+        let mut b = BitString::new();
+        for _ in 0..len {
+            b.push_bit(rng.gen_bool());
+        }
+        b
+    }
+
+    #[test]
+    fn every_width_reads_back_at_every_offset() {
+        let mut rng = anet_graph::rng::Rng::seed(64);
+        for offset in 0..64 {
+            for width in 0..=64usize {
+                let mask = if width == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << width) - 1
+                };
+                // The all-ones value, one with only the top bit set and a random one.
+                let top = if width == 0 { 0 } else { 1u64 << (width - 1) };
+                for value in [mask, top, rng.next_u64() & mask] {
+                    let mut b = random_bits(&mut rng, offset);
+                    let prefix = b.reader().read_uint(offset);
+                    b.push_uint(value, width);
+                    b.push_bit(true);
+                    assert_eq!(b.len(), offset + width + 1);
+                    let mut r = b.reader();
+                    assert_eq!(r.read_uint(offset), prefix);
+                    assert_eq!(
+                        r.read_uint(width),
+                        Some(value),
+                        "offset {offset} width {width}"
+                    );
+                    assert_eq!(r.read_bit(), Some(true));
+                    assert_eq!(r.remaining(), 0);
+                    for (i, bit) in b.iter().enumerate().skip(offset).take(width) {
+                        assert_eq!(bit, (value >> (width - 1 - (i - offset))) & 1 == 1);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn append_matches_bitwise_pushes_at_every_offset() {
+        let mut rng = anet_graph::rng::Rng::seed(130);
+        for offset in 0..130 {
+            for len in 0..130 {
+                let mut head = random_bits(&mut rng, offset);
+                let tail = random_bits(&mut rng, len);
+                let mut expected = head.clone();
+                for bit in tail.iter() {
+                    expected.push_bit(bit);
+                }
+                head.append(&tail);
+                assert_eq!(head, expected, "offset {offset} len {len}");
+                assert_eq!(head.to_binary_string(), expected.to_binary_string());
+            }
+        }
+    }
+
+    #[test]
+    fn varints_read_back_across_a_word_boundary() {
+        for offset in 50..70 {
+            for value in [0u64, 15, 16, 1000, u64::MAX] {
+                let mut b = BitString::from_binary_string(&"1".repeat(offset)).unwrap();
+                b.push_varint(value);
+                let mut r = b.reader();
+                assert!((0..offset).all(|_| r.read_bit() == Some(true)));
+                assert_eq!(r.read_varint(), Some(value), "offset {offset}");
+                assert_eq!(r.remaining(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn one_sequence_built_three_ways_is_one_string() {
+        use std::hash::{BuildHasher, RandomState};
+        let mut rng = anet_graph::rng::Rng::seed(3);
+        let by_bit = random_bits(&mut rng, 300);
+        let text = by_bit.to_binary_string();
+        // Chunks of uneven widths, each pushed as one integer.
+        let mut by_uint = BitString::new();
+        let mut at = 0;
+        for width in [1usize, 7, 64, 3, 63, 0, 2, 64, 33, 20, 43]
+            .into_iter()
+            .cycle()
+        {
+            let width = width.min(300 - at);
+            // An empty chunk does not parse; its value is 0.
+            let value = u64::from_str_radix(&text[at..at + width], 2).unwrap_or(0);
+            by_uint.push_uint(value, width);
+            at += width;
+            if at == 300 {
+                break;
+            }
+        }
+        // Pieces of uneven lengths, appended.
+        let mut by_append = BitString::new();
+        for piece in [
+            &text[..5],
+            &text[5..69],
+            &text[69..70],
+            &text[70..200],
+            &text[200..],
+        ] {
+            by_append.append(&BitString::from_binary_string(piece).unwrap());
+        }
+        let state = RandomState::new();
+        for other in [&by_uint, &by_append] {
+            assert_eq!(other, &by_bit);
+            assert_eq!(state.hash_one(other), state.hash_one(&by_bit));
+        }
+    }
+
+    #[test]
+    fn a_cleared_and_refilled_string_equals_a_fresh_one() {
+        let mut rng = anet_graph::rng::Rng::seed(9);
+        let mut reused = random_bits(&mut rng, 200);
+        reused.clear();
+        assert_eq!(reused, BitString::new());
+        reused.push_uint(5, 3);
+        let mut fresh = BitString::new();
+        fresh.push_uint(5, 3);
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.to_binary_string(), "101");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bit_past_the_end_panics() {
+        let mut b = BitString::new();
+        b.push_uint(0, 64);
+        b.bit(64);
     }
 
     #[test]

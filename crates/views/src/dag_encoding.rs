@@ -3,7 +3,7 @@
 //! The tree format in [`crate::encoding`] writes the *unfolded* view: a subtree that
 //! occurs `t` times is written `t` times, so advice for a depth-`h` view costs
 //! `Θ((Δ−1)^h log Δ)` bits even when the whole view is one shared node per depth
-//! (as the hash-consing [`ViewInterner`] produces on symmetric topologies). This
+//! (as the hash-consing [`crate::ViewInterner`] produces on symmetric topologies). This
 //! module serialises the **shared DAG itself**: a topologically ordered node table —
 //! children strictly before parents — with one entry per *distinct* subtree, plus the
 //! root's table id. The size is `O(distinct subtrees · (Δ log Δ + log #nodes))` bits:
@@ -34,17 +34,21 @@
 //!
 //! ## Canonical form
 //!
-//! [`encode_view_dag`] hash-conses the view first, so structurally equal subtrees
-//! always collapse to one table entry regardless of how the handle was built
-//! (`ViewInterner::build_all`, `View::from_tree`, a collector run, …), and emits the
-//! table in first-visit post-order of the canonical DAG. Encoding is therefore a
-//! deterministic function of the view's *structure*: equal views produce identical
-//! bit strings and distinct views produce distinct ones, exactly like the tree
-//! format. [`decode_view_dag`] enforces every invariant that could corrupt the
-//! *decoded view* — backward-only ids (which makes cycles unrepresentable), no
-//! duplicate table entries, no entry deeper than the declared height, degree/port
-//! fields within the `u32` domain, no reading past the string — each rejected with a
-//! typed [`DecodeError`]. Like the tree decoder, it stays permissive where the
+//! [`encode_view_dag`] hash-conses by record while it writes, without building a
+//! canonical copy of the view: it walks the view in post-order, once per distinct
+//! node address, and a subtree takes the next table id the first time its record —
+//! its degree and, per child, both ports and the child's id — completes. So
+//! structurally equal subtrees always collapse to one table entry regardless of how
+//! the handle was built (`ViewInterner::build_all`, `View::from_tree`, a collector
+//! run, …), and the table comes out in first-visit post-order of the view's
+//! structure. Encoding is therefore a deterministic function of the view's
+//! *structure*: equal views produce identical bit strings and distinct views produce
+//! distinct ones, exactly like the tree format. [`decode_view_dag`] files each
+//! record it reads in the same kind of record table, and enforces every invariant
+//! that could corrupt the *decoded view* — backward-only ids (which makes cycles
+//! unrepresentable), no duplicate table entries, no entry deeper than the declared
+//! height, degree/port fields within the `u32` domain, no reading past the string —
+//! each rejected with a typed [`DecodeError`]. Like the tree decoder, it stays permissive where the
 //! decoded view is unaffected: unreferenced table entries, bits after the root id,
 //! and non-minimal varints are accepted (so some encoder-unreachable bit strings
 //! decode; canonicity claims are about encoder *output*, not about the decoder's
@@ -72,69 +76,105 @@
 
 use crate::bits::{BitReader, BitString};
 use crate::encoding::{read_header, read_u32_field, write_header, DecodeError};
-use crate::interned::{View, ViewInterner};
-use anet_graph::Port;
-use std::collections::HashMap;
+use crate::interned::View;
+use anet_graph::{Port, WordMap};
+use std::collections::hash_map::Entry;
 
 /// Encode `view` (built at truncation depth `height`) as a shared DAG.
 ///
-/// The view is canonicalized through a fresh [`ViewInterner`] first, so the cost is
-/// linear in the number of *distinct* subtrees (`O(h)` on symmetric views of any
-/// height), and equal-but-unshared inputs produce identical bit strings.
+/// The table hash-conses by record, so the cost is linear in the number of
+/// *distinct* subtrees (`O(h)` on symmetric views of any height), and
+/// equal-but-unshared inputs produce identical bit strings.
 pub fn encode_view_dag(view: &View, height: usize) -> BitString {
-    let canonical = ViewInterner::new().intern(view);
     let mut bits = BitString::new();
-    let w = write_header(&canonical, height, &mut bits);
-    write_table(&canonical, w, &mut HashMap::new(), &mut bits);
+    let w = write_header(view, height, &mut bits);
+    write_table(view, w, &mut IdTable::default(), &mut bits);
     bits
 }
 
-/// Write the node table of the canonical view `root`: the record count, a record
-/// for every node `ids` does not yet hold, in first-visit post-order, then `root`'s
-/// id. `ids` maps a canonical node's address to its table id — addresses are stable
-/// and unique while `root` keeps every reachable node alive. The DAG format starts
-/// from an empty map; the delta format pre-fills it with the base view's nodes.
-pub(crate) fn write_table(
-    root: &View,
-    w: usize,
-    ids: &mut HashMap<usize, u64>,
-    bits: &mut BitString,
-) {
+/// One node table record: the degree and, per child, the two ports and the
+/// child's table id. The outgoing port `p` is implied on the wire (children come
+/// in port order) but stays in the record, as in the interner's node key, so two
+/// hand-built nodes that differ only in `p` never share an id.
+type Record = (u32, Vec<(Port, Port, u64)>);
+
+/// The ids of a node table: one per distinct subtree, in the order the table
+/// holds them. The DAG format starts empty; the delta format starts from the base
+/// view's ids ([`IdTable::of_base`]).
+#[derive(Default)]
+pub(crate) struct IdTable {
+    /// Node address → id, so a subtree shared in a walked view is walked once.
+    /// The walked views are borrowed for the whole encode or decode call, which
+    /// keeps every address stable and unique.
+    by_node: WordMap<usize, u64>,
+    /// Record → id: structurally equal subtrees get one id however they were built.
+    by_record: WordMap<Record, u64>,
+    /// One handle per id, in id order: the first node found with each record.
+    nodes: Vec<View>,
+}
+
+impl IdTable {
+    /// The ids of `base`'s distinct subtrees, `0..K` in first-visit post-order:
+    /// the order the table writer would emit them in, given the same way on the
+    /// encode and the decode side without writing or reading any bits.
+    pub(crate) fn of_base(base: &View) -> IdTable {
+        let mut ids = IdTable::default();
+        ids.walk(base, &mut |_| ());
+        ids
+    }
+
+    /// Number of ids given out.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Give `node` and every subtree below it an id, in post-order, and return
+    /// `node`'s. A record the table does not hold yet takes the next id and is
+    /// handed to `new_record` first.
+    fn walk<F: FnMut(&Record)>(&mut self, node: &View, new_record: &mut F) -> u64 {
+        if let Some(&id) = self.by_node.get(&node.node_id()) {
+            return id;
+        }
+        let children = node
+            .children()
+            .iter()
+            .map(|(p, q, child)| (*p, *q, self.walk(child, new_record)))
+            .collect();
+        let record = (node.degree(), children);
+        let id = match self.by_record.entry(record) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(slot) => {
+                new_record(slot.key());
+                let id = self.nodes.len() as u64;
+                slot.insert(id);
+                self.nodes.push(node.clone());
+                id
+            }
+        };
+        self.by_node.insert(node.node_id(), id);
+        id
+    }
+}
+
+/// Write the node table of `root`: the record count, a record for every subtree
+/// `ids` does not yet hold, in first-visit post-order, then `root`'s id. The DAG
+/// format starts from an empty table; the delta format from the base view's ids.
+pub(crate) fn write_table(root: &View, w: usize, ids: &mut IdTable, bits: &mut BitString) {
     let known = ids.len();
     let mut records = BitString::new();
-    let root_id = write_record(root, w, ids, &mut records);
+    let root_id = ids.walk(root, &mut |(degree, children): &Record| {
+        records.push_uint(u64::from(*degree), w);
+        if *degree > 0 {
+            records.push_bit(!children.is_empty());
+            for (_, q, child_id) in children {
+                records.push_uint(u64::from(*q), w);
+                records.push_varint(*child_id);
+            }
+        }
+    });
     bits.push_varint((ids.len() - known) as u64);
     bits.append(&records);
     bits.push_varint(root_id);
-}
-
-/// Write `node`'s record (and, first, its children's) unless `ids` holds it, and
-/// return its table id.
-fn write_record(
-    node: &View,
-    w: usize,
-    ids: &mut HashMap<usize, u64>,
-    records: &mut BitString,
-) -> u64 {
-    if let Some(&id) = ids.get(&node.node_id()) {
-        return id;
-    }
-    let children: Vec<(Port, u64)> = node
-        .children()
-        .iter()
-        .map(|(_, q, child)| (*q, write_record(child, w, ids, records)))
-        .collect();
-    records.push_uint(u64::from(node.degree()), w);
-    if node.degree() > 0 {
-        records.push_bit(!children.is_empty());
-        for (q, child_id) in children {
-            records.push_uint(u64::from(q), w);
-            records.push_varint(child_id);
-        }
-    }
-    let id = ids.len() as u64;
-    ids.insert(node.node_id(), id);
-    id
 }
 
 /// Decode a view previously produced by [`encode_view_dag`]; returns the view (with
@@ -149,61 +189,63 @@ fn write_record(
 pub fn decode_view_dag(bits: &BitString) -> Result<(View, usize), DecodeError> {
     let mut r = bits.reader();
     let (w, height) = read_header(&mut r)?;
-    let view = read_table(&mut r, w, height, &mut Vec::new(), &mut ViewInterner::new())?;
+    let view = read_table(&mut r, w, height, &mut IdTable::default())?;
     Ok((view, height))
 }
 
-/// Read a node table [`write_table`] wrote and return its root. `nodes` holds the
-/// entries already known by id, filed in `interner`: empty for the DAG format, the
-/// base view's nodes for the delta format. Each record read is filed in `interner`
-/// and appended to `nodes`; the table as a whole must not be empty.
+/// Read a node table [`write_table`] wrote and return its root. `ids` holds the
+/// entries already known: none for the DAG format, the base view's for the delta
+/// format. Each record read takes the next id and is built with
+/// [`View::from_parts`] over the handles its child ids name; the table as a whole
+/// must not be empty.
 pub(crate) fn read_table(
     r: &mut BitReader<'_>,
     w: usize,
     height: usize,
-    nodes: &mut Vec<View>,
-    interner: &mut ViewInterner<'_>,
+    ids: &mut IdTable,
 ) -> Result<View, DecodeError> {
     let count = r.read_varint().ok_or(DecodeError::Truncated)?;
-    if count == 0 && nodes.is_empty() {
+    if count == 0 && ids.nodes.is_empty() {
         return Err(DecodeError::EmptyTable);
     }
     for index in 0..count as usize {
-        let (degree, children) = read_record(r, w, nodes)?;
+        let (record, children) = read_record(r, w, &ids.nodes)?;
         if children
             .iter()
             .any(|(_, _, child)| child.height() >= height)
         {
             return Err(DecodeError::TooDeep { index, height });
         }
-        // The children are canonical handles of this interner, so filing the record
-        // grows the interner by exactly one node — unless the record duplicates an
-        // earlier entry (a base node included), which the canonical form forbids.
-        let before = interner.len();
-        let node = interner.node(degree, children);
-        if interner.len() == before {
+        // A record the table already holds (a base record included) duplicates an
+        // earlier entry, which the canonical form forbids.
+        let Entry::Vacant(slot) = ids.by_record.entry(record) else {
             return Err(DecodeError::DuplicateNode { index });
-        }
-        nodes.push(node);
+        };
+        let degree = slot.key().0;
+        slot.insert(ids.nodes.len() as u64);
+        ids.nodes.push(View::from_parts(degree, children));
     }
     let root = r.read_varint().ok_or(DecodeError::Truncated)? as usize;
-    nodes.get(root).cloned().ok_or(DecodeError::BadNodeId {
+    ids.nodes.get(root).cloned().ok_or(DecodeError::BadNodeId {
         id: root,
-        limit: nodes.len(),
+        limit: ids.nodes.len(),
     })
 }
 
-type NodeRecord = (u32, Vec<(Port, Port, View)>);
+/// The children of a decoded node, as [`View::from_parts`] takes them.
+type Children = Vec<(Port, Port, View)>;
 
-/// Read one node record against the entries `earlier` in the table.
+/// Read one node record against the entries `earlier` in the table: the record
+/// itself, and the children it names as handles.
 fn read_record(
     r: &mut BitReader<'_>,
     w: usize,
     earlier: &[View],
-) -> Result<NodeRecord, DecodeError> {
+) -> Result<(Record, Children), DecodeError> {
     let degree = read_u32_field(r, w)?;
     // No `reserve(degree)`: the declared degree is attacker-controlled and may be
     // astronomically larger than the bits backing it.
+    let mut ids = Vec::new();
     let mut children = Vec::new();
     if degree > 0 && r.read_bit().ok_or(DecodeError::Truncated)? {
         for p in 0..degree {
@@ -213,10 +255,11 @@ fn read_record(
                 id,
                 limit: earlier.len(),
             })?;
+            ids.push((p, q, id as u64));
             children.push((p, q, child));
         }
     }
-    Ok((degree, children))
+    Ok(((degree, ids), children))
 }
 
 #[cfg(test)]

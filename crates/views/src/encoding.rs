@@ -233,12 +233,10 @@ impl std::fmt::Display for ViewCodec {
 }
 
 /// The field width of `view`'s encodings at `height`: wide enough for its largest
-/// degree, its largest port and the height.
+/// degree, its largest port and the height. `O(1)`: the view caches the largest
+/// degree or port of every subtree.
 fn field_width(view: &View, height: usize) -> usize {
-    let max_val = u64::from(view.max_degree())
-        .max(view.max_port().map(u64::from).unwrap_or(0))
-        .max(height as u64);
-    BitString::width_for(max_val)
+    BitString::width_for(u64::from(view.max_field()).max(height as u64))
 }
 
 /// Write the header every format opens with — the 6-bit field width `w`, then
@@ -267,8 +265,8 @@ pub(crate) fn read_header(r: &mut BitReader<'_>) -> Result<(usize, usize), Decod
 
 /// The exact length [`encode_view_interned`] would produce, computed in closed form
 /// (`6 + w · (1 + #tree nodes + #tree edges)` = `6 + 2·w·size`) from the handle's
-/// precomputed metadata — `O(distinct nodes)` for the width scan, without
-/// materialising the exponential unfolded encoding. This is how DAG-codec advice
+/// precomputed metadata in `O(1)`, without materialising the exponential unfolded
+/// encoding. This is how DAG-codec advice
 /// runs report their tree-bits counterpart (saturating: a view whose unfolded size
 /// saturates [`View::size`] could not be materialised by the tree codec either).
 pub fn tree_encoded_size_bits(view: &View, height: usize) -> usize {
@@ -494,8 +492,8 @@ mod tests {
                 }
             }
         }
-        // And it stays O(distinct nodes) on views whose unfolded encoding could
-        // never be materialised: B^50 of the symmetric ring is 2^51 − 1 tree nodes.
+        // And it stays O(1) on views whose unfolded encoding could never be
+        // materialised: B^50 of the symmetric ring is 2^51 − 1 tree nodes.
         let ring = generators::symmetric_ring(5).unwrap();
         let deep = crate::ViewInterner::new()
             .build_all(&ring, 50)

@@ -86,11 +86,15 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// One shared tree node. Not public: all access goes through [`View`], which
-/// guarantees the cached `hash`/`size`/`height` always agree with the structure.
+/// guarantees the cached `hash`/`size`/`height`/`max_field` always agree with the
+/// structure.
 #[derive(Debug)]
 struct ViewNode {
     /// Degree (in the graph) of the node this view position corresponds to.
     degree: u32,
+    /// The largest degree or port anywhere in this subtree: what the codecs' field
+    /// width must hold. Beside `degree`, it fills what would be padding.
+    max_field: u32,
     /// Children in increasing order of outgoing port: `(p, q, subtree)`.
     children: Vec<(Port, Port, View)>,
     /// Structural hash: a deterministic function of the token sequence.
@@ -140,18 +144,22 @@ pub(crate) fn node_hash(degree: u32, children: &[(Port, Port, View)]) -> u64 {
 impl View {
     /// Build a view node from a degree and already-built children. The children are
     /// shared, not copied: this is `O(children)` regardless of subtree sizes, which is
-    /// what makes the full-information collector's per-round graft cheap.
+    /// what makes the full-information collector's per-round graft cheap. The cached
+    /// size, height and largest degree-or-port field come from the children's own.
     pub fn from_parts(degree: u32, children: Vec<(Port, Port, View)>) -> View {
         let hash = node_hash(degree, &children);
         let mut size = 1usize;
         let mut height = 0usize;
-        for (_, _, child) in &children {
+        let mut max_field = degree;
+        for (p, q, child) in &children {
             size = size.saturating_add(child.node.size);
             height = height.max(1 + child.node.height);
+            max_field = max_field.max(*p).max(*q).max(child.node.max_field);
         }
         View {
             node: Arc::new(ViewNode {
                 degree,
+                max_field,
                 children,
                 hash,
                 size,
@@ -192,6 +200,12 @@ impl View {
     /// `usize::MAX` for views whose walk tree exceeds it. `O(1)`.
     pub fn size(&self) -> usize {
         self.node.size
+    }
+
+    /// The largest degree or port number anywhere in the view: the largest value
+    /// a codec writes in a degree or port field. Cached, `O(1)`.
+    pub(crate) fn max_field(&self) -> u32 {
+        self.node.max_field
     }
 
     /// Number of tree edges (= size − 1). `O(1)`.
@@ -891,6 +905,26 @@ mod tests {
         for (x, y) in first.iter().zip(&second) {
             assert!(View::ptr_eq(x, y));
         }
+    }
+
+    #[test]
+    fn max_field_is_the_largest_degree_or_port() {
+        let g = generators::random_connected(18, 5, 7, 4).unwrap();
+        for v in [0u32, 9, 17] {
+            for depth in 0..=3usize {
+                let view = View::build(&g, v, depth);
+                let widest = view.max_degree().max(view.max_port().unwrap_or(0));
+                assert_eq!(view.max_field(), widest, "node {v} depth {depth}");
+                let foreign = View::from_tree(&ViewTree::build(&g, v, depth));
+                assert_eq!(foreign.max_field(), widest);
+            }
+        }
+        // A port can exceed every degree in a hand-built view.
+        let odd = View::from_parts(1, vec![(0, 9, View::leaf(2))]);
+        assert_eq!((odd.max_field(), odd.max_degree()), (9, 2));
+        // The cache sits in what would otherwise be padding beside `degree`.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<ViewNode>(), 56);
     }
 
     #[test]
